@@ -150,6 +150,23 @@ def _month_window(month: str) -> tuple[CivilDate, CivilDate]:
     return CivilDate(y, mo, 1), CivilDate(nxt[0], nxt[1], 1)
 
 
+def _uc1_selection(
+    dataset: IntegratedDataset, city: GazetteerRef | None, start: CivilDate, end: CivilDate
+) -> list[tuple[AggregateEvent, Event, str]]:
+    """Primary events within [start, end] (and the city, if given) with their WKT."""
+    if start > end:
+        raise ValueError("start must not be after end")
+    out = []
+    for agg, ev in dataset.primary_events():
+        if not start <= ev.date <= end:
+            continue
+        if city is not None and (ev.city is None or ev.city.geoname_id != city.geoname_id):
+            continue
+        wkt = f"POINT({format_decimal(ev.point.longitude)} {format_decimal(ev.point.latitude)})"
+        out.append((agg, ev, wkt))
+    return out
+
+
 def uc1_event_points(
     dataset: IntegratedDataset,
     city: GazetteerRef | None,
@@ -157,17 +174,10 @@ def uc1_event_points(
     end: CivilDate,
 ) -> list[WktPoint]:
     """WKT points of primary events within [start, end], both ends inclusive."""
-    if start > end:
-        raise ValueError("start must not be after end")
-    out = []
-    for _, ev in dataset.primary_events():
-        if not start <= ev.date <= end:
-            continue
-        if city is not None and (ev.city is None or ev.city.geoname_id != city.geoname_id):
-            continue
-        wkt = f"POINT({format_decimal(ev.point.longitude)} {format_decimal(ev.point.latitude)})"
-        out.append(WktPoint(wkt=wkt, point=ev.point))
-    return out
+    return [
+        WktPoint(wkt=wkt, point=ev.point)
+        for _, ev, wkt in _uc1_selection(dataset, city, start, end)
+    ]
 
 
 def uc1_wkt_triples(
@@ -177,23 +187,14 @@ def uc1_wkt_triples(
     end: CivilDate,
 ) -> list[Triple]:
     """The uc1 selection as wktLiteral triples on the aggregate nodes."""
-    if start > end:
-        raise ValueError("start must not be after end")
-    triples = []
-    for agg, ev in dataset.primary_events():
-        if not start <= ev.date <= end:
-            continue
-        if city is not None and (ev.city is None or ev.city.geoname_id != city.geoname_id):
-            continue
-        wkt = f"POINT({format_decimal(ev.point.longitude)} {format_decimal(ev.point.latitude)})"
-        triples.append(
-            Triple(
-                Term.iri(agg.iri),
-                Term.iri(GEOSPARQL_NS + "asWKT"),
-                Term.literal(wkt, datatype=WKT_DATATYPE),
-            )
+    return [
+        Triple(
+            Term.iri(agg.iri),
+            Term.iri(GEOSPARQL_NS + "asWKT"),
+            Term.literal(wkt, datatype=WKT_DATATYPE),
         )
-    return triples
+        for agg, _, wkt in _uc1_selection(dataset, city, start, end)
+    ]
 
 
 def points_feature_collection(points: Sequence[WktPoint]) -> dict:
@@ -383,8 +384,10 @@ def uc6_shelter_gap(
     grid as cells of grid_deg x grid_deg degrees counting uncovered events;
     the cell coordinates are the cell's south-west corner.
     """
-    if radius_km <= 0:
+    if not radius_km > 0:  # also rejects NaN
         raise ValueError("radius_km must be positive")
+    if not 0 < grid_deg < math.inf:
+        raise ValueError("grid_deg must be positive and finite")
     uncovered = []
     for _, ev in dataset.primary_events():
         if not shelters:

@@ -2,9 +2,10 @@
 
 Subcommands mirror the pipeline stages: ingest, enrich, convert,
 integrate, report uc1..uc6, linkcheck, plus a pipeline meta-command that
-chains ingest -> enrich -> integrate. Stages communicate only through the
+chains ingest -> enrich -> integrate. Stages communicate through the
 documented file formats and all outputs are written atomically, so any
-stage can be re-run in isolation. Exit codes: 0 success, 1 data error,
+stage can be re-run in isolation; pipeline passes events between stages
+in memory but writes the same files. Exit codes: 0 success, 1 data error,
 2 usage error.
 """
 
@@ -14,6 +15,7 @@ import argparse
 import io
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -24,6 +26,7 @@ from . import analytics, gazetteer, ingest, integration, linkcheck, rdf
 from .geonames_api import GeoNamesClient
 from .model import (
     Dataset,
+    Event,
     GazetteerRef,
     ResilinkError,
     events_from_json,
@@ -68,20 +71,24 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> PipelineConfig:
+        """Read one config document; every malformed value raises ConfigError."""
         base = Path(path).parent
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raw = _object(raw, "document")
 
         adapters = {}
-        for name, mapping in raw.get("adapters", {}).items():
+        for name, mapping in _object(raw.get("adapters", {}), "adapters").items():
+            if not all(isinstance(v, str) for v in _object(mapping, f"adapters.{name}").values()):
+                raise ConfigError(f"config adapters.{name} must map fields to source field names")
             try:
                 adapters[Dataset(name)] = ingest.AdapterConfig.from_dict(mapping)
             except ValueError as exc:
-                raise ConfigError(f"adapter {name!r}: {exc}") from exc
+                raise ConfigError(f"config adapters.{name}: {exc}") from exc
 
-        gaz = raw.get("gazetteer", {})
+        gaz = _object(raw.get("gazetteer", {}), "gazetteer")
         cfg = cls(
             adapters=adapters,
             gazetteer_places=_resolve_path(gaz.get("places"), base, "gazetteer.places"),
@@ -93,35 +100,61 @@ class PipelineConfig:
             ),
             overrides_path=_resolve_path(raw.get("overrides"), base, "overrides"),
         )
-        if "match" in raw:
-            try:
-                cfg.match = integration.MatchConfig.from_dict(raw["match"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"match config: {exc}") from exc
-        enrich_raw = raw.get("enrichment", {})
+
+        match_raw = _object(raw.get("match", {}), "match")
+        _strings(match_raw, "keywords", (), "match")
+        if not isinstance(match_raw.get("area_token", ""), str):
+            raise ConfigError("config match.area_token must be a string")
+        try:
+            cfg.match = integration.MatchConfig.from_dict(match_raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config match: {exc}") from exc
+
+        enrich_raw = _object(raw.get("enrichment", {}), "enrichment")
+        default = gazetteer.EnrichmentConfig()
         try:
             cfg.enrichment = gazetteer.EnrichmentConfig(
-                languages=tuple(enrich_raw.get("languages", ("en", "uk", "nl", "fr"))),
-                reverse_max_km=float(enrich_raw.get("reverse_max_km", 30.0)),
-                postal_max_km=float(enrich_raw.get("postal_max_km", 15.0)),
+                languages=_strings(enrich_raw, "languages", default.languages, "enrichment"),
+                reverse_max_km=_number(
+                    enrich_raw, "reverse_max_km", default.reverse_max_km, "enrichment"
+                ),
+                postal_max_km=_number(
+                    enrich_raw, "postal_max_km", default.postal_max_km, "enrichment"
+                ),
             )
         except ValueError as exc:
-            raise ConfigError(f"enrichment config: {exc}") from exc
-        analytics_raw = raw.get("analytics", {})
-        cfg.months = tuple(analytics_raw.get("months", analytics.DEFAULT_MONTHS))
-        cfg.uc6_radius_km = float(analytics_raw.get("uc6_radius_km", 1.0))
-        cfg.grid_deg = float(analytics_raw.get("grid_deg", 0.005))
-        online_raw = raw.get("online")
-        if online_raw:
+            raise ConfigError(f"config enrichment: {exc}") from exc
+
+        analytics_raw = _object(raw.get("analytics", {}), "analytics")
+        cfg.months = _strings(analytics_raw, "months", analytics.DEFAULT_MONTHS, "analytics")
+        cfg.uc6_radius_km = _positive(analytics_raw, "uc6_radius_km", 1.0, "analytics")
+        cfg.grid_deg = _positive(analytics_raw, "grid_deg", 0.005, "analytics")
+        if math.isinf(cfg.grid_deg):
+            raise ConfigError("config analytics.grid_deg must be finite")
+
+        if raw.get("online") is not None:
+            online_raw = _object(raw["online"], "online")
+            base_url = online_raw.get("base_url")
+            username = online_raw.get("username")
+            if not isinstance(base_url, str) or not base_url:
+                raise ConfigError("config online.base_url must be a non-empty URL string")
+            if username is not None and not isinstance(username, str):
+                raise ConfigError("config online.username must be a string")
             cfg.online = OnlineSettings(
-                base_url=online_raw["base_url"],
-                username=online_raw.get("username"),
-                rate_per_sec=float(online_raw.get("rate_per_sec", 1.0)),
+                base_url=base_url,
+                username=username,
+                rate_per_sec=_positive(online_raw, "rate_per_sec", 1.0, "online"),
             )
-        lc = raw.get("linkcheck", {})
-        cfg.linkcheck_timeout_s = float(lc.get("timeout_s", 10.0))
-        cfg.linkcheck_concurrency = int(lc.get("concurrency", 8))
-        cfg.linkcheck_politeness_s = float(lc.get("politeness_s", 0.2))
+
+        lc = _object(raw.get("linkcheck", {}), "linkcheck")
+        cfg.linkcheck_timeout_s = _positive(lc, "timeout_s", 10.0, "linkcheck")
+        concurrency = _number(lc, "concurrency", 8, "linkcheck")
+        if not (concurrency >= 1 and concurrency.is_integer()):
+            raise ConfigError(f"config linkcheck.concurrency must be a count >= 1: {concurrency}")
+        cfg.linkcheck_concurrency = int(concurrency)
+        cfg.linkcheck_politeness_s = _number(lc, "politeness_s", 0.2, "linkcheck")
+        if not cfg.linkcheck_politeness_s >= 0:
+            raise ConfigError("config linkcheck.politeness_s must not be negative")
         return cfg
 
     def load_index(self) -> gazetteer.GazetteerIndex:
@@ -142,10 +175,40 @@ class PipelineConfig:
         return gazetteer.OverrideTable.from_json(self.overrides_path.read_text(encoding="utf-8"))
 
 
+def _object(value, label: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"config {label} must be a JSON object")
+    return value
+
+
+def _strings(section: dict, key: str, default: tuple[str, ...], label: str) -> tuple[str, ...]:
+    value = section.get(key, default)
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"config {label}.{key} must be a list of strings")
+    return tuple(value)
+
+
+def _number(section: dict, key: str, default: float, label: str) -> float:
+    value = section.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config {label}.{key} must be a number: {value!r}") from None
+
+
+def _positive(section: dict, key: str, default: float, label: str) -> float:
+    value = _number(section, key, default, label)
+    if not value > 0:  # also false for NaN
+        raise ConfigError(f"config {label}.{key} must be positive: {value!r}")
+    return value
+
+
 def _resolve_path(value, base: Path, label: str) -> Path | None:
     """Resolve a config path relative to the config file and require it to exist."""
     if value is None:
         return None
+    if not isinstance(value, str):
+        raise ConfigError(f"config {label} must be a path string")
     p = Path(value)
     if not p.is_absolute():
         p = base / p
@@ -160,6 +223,8 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fp:
             fp.write(data)
+            fp.flush()
+            os.fsync(fp.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -171,11 +236,11 @@ def _atomic_write_text(path: Path, text: str) -> None:
     _atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _read_events(path: str) -> list:
+def _read_events(path: str) -> list[Event]:
     return events_from_json(Path(path).read_bytes())
 
 
-def _write_events(path: str, events) -> None:
+def _write_events(path: str | Path, events) -> None:
     _atomic_write_text(Path(path), events_to_json(events) + "\n")
 
 
@@ -186,19 +251,23 @@ def _rdf_format(name: str) -> rdf.RdfFormat:
 # ---------------------------------------------------------------------------
 # Stage implementations
 
-def _cmd_ingest(args, cfg: PipelineConfig) -> int:
-    dataset = Dataset(args.dataset)
+def _ingest(path: str | Path, dataset: Dataset, fmt: str, cfg: PipelineConfig) -> list[Event]:
+    """Parse and normalize one source file; rejected records are only logged."""
     if dataset not in cfg.adapters:
         raise ConfigError(f"config has no adapter for dataset {dataset.value!r}")
-    data = Path(args.input).read_bytes()
+    data = Path(path).read_bytes()
     records = ingest.parse_dataset(
-        data, dataset, ingest.SourceFormat(args.format), cfg.adapters[dataset]
+        data, dataset, ingest.SourceFormat(fmt), cfg.adapters[dataset]
     )
     events, rejected = ingest.normalize_records(records, cfg.adapters[dataset])
     for err in rejected:
         log.warning("rejected %s", err)
     log.info("ingest %s: %d events, %d rejected", dataset.value, len(events), len(rejected))
-    _write_events(args.out, events)
+    return events
+
+
+def _cmd_ingest(args, cfg: PipelineConfig) -> int:
+    _write_events(args.out, _ingest(args.input, Dataset(args.dataset), args.format, cfg))
     return 0
 
 
@@ -227,17 +296,21 @@ def _online_fill(events, cfg: PipelineConfig):
     return out
 
 
-def _cmd_enrich(args, cfg: PipelineConfig) -> int:
-    events = _read_events(args.input)
-    index = cfg.load_index()
-    overrides = cfg.load_overrides()
+def _enrich(events: list[Event], index, overrides, cfg: PipelineConfig,
+            offline: bool) -> list[Event]:
     enriched, stats = gazetteer.enrich_events(index, overrides, events, cfg.enrichment)
-    if cfg.online is not None and not args.offline:
+    if cfg.online is not None and not offline:
         enriched = _online_fill(enriched, cfg)
     log.info(
         "enrich: %d events; resolved %s; unresolved %s",
         stats.total, stats.resolved, stats.unresolved,
     )
+    return enriched
+
+
+def _cmd_enrich(args, cfg: PipelineConfig) -> int:
+    events = _read_events(args.input)
+    enriched = _enrich(events, cfg.load_index(), cfg.load_overrides(), cfg, args.offline)
     _write_events(args.out, enriched)
     return 0
 
@@ -251,9 +324,9 @@ def _cmd_convert(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _cmd_integrate(args, cfg: PipelineConfig) -> int:
-    a_events = _read_events(args.eor)
-    b_events = _read_events(args.ch)
+def _integrate(a_events: list[Event], b_events: list[Event], cfg: PipelineConfig,
+               out, pairs, counts, fmt: rdf.RdfFormat) -> None:
+    """Match the two datasets and write the integrated RDF plus optional reports."""
     result = integration.integrate(a_events, b_events, cfg.match)
     c = result.counts
     log.info(
@@ -265,17 +338,24 @@ def _cmd_integrate(args, cfg: PipelineConfig) -> int:
         triples.extend(rdf.emit_event_triples(ev))
     for agg in result.aggregates:
         triples.extend(rdf.emit_aggregate_triples(agg))
-    _atomic_write_bytes(Path(args.out), rdf.serialize_bytes(triples, _rdf_format(args.rdf_format)))
-    if args.pairs:
+    _atomic_write_bytes(Path(out), rdf.serialize_bytes(triples, fmt))
+    if pairs:
         buf = io.StringIO()
         integration.write_pair_report(result.pairs, buf)
-        _atomic_write_text(Path(args.pairs), buf.getvalue())
-    if args.counts:
+        _atomic_write_text(Path(pairs), buf.getvalue())
+    if counts:
         counts_doc = {
             "a": c.a, "b": c.b, "identical": c.identical,
             "near_distinct": c.near_distinct, "integrated": c.integrated,
         }
-        _atomic_write_text(Path(args.counts), json.dumps(counts_doc, indent=2) + "\n")
+        _atomic_write_text(Path(counts), json.dumps(counts_doc, indent=2) + "\n")
+
+
+def _cmd_integrate(args, cfg: PipelineConfig) -> int:
+    _integrate(
+        _read_events(args.eor), _read_events(args.ch), cfg,
+        args.out, args.pairs, args.counts, _rdf_format(args.rdf_format),
+    )
     return 0
 
 
@@ -331,8 +411,9 @@ def _cmd_report(args, cfg: PipelineConfig) -> int:
     elif uc == "uc6":
         with open(args.shelters, encoding="utf-8") as fp:
             shelters = analytics.load_shelters(fp)
+        radius_km = cfg.uc6_radius_km if args.radius_km is None else args.radius_km
         collection, grid = analytics.uc6_shelter_gap(
-            ds, shelters, radius_km=args.radius_km or cfg.uc6_radius_km, grid_deg=cfg.grid_deg
+            ds, shelters, radius_km=radius_km, grid_deg=cfg.grid_deg
         )
         if args.out_geojson:
             _atomic_write_text(Path(args.out_geojson), json.dumps(collection, indent=2) + "\n")
@@ -356,7 +437,7 @@ def _cmd_linkcheck(args, cfg: PipelineConfig) -> int:
     )
     report = linkcheck.link_report(
         events,
-        concurrency=args.concurrency or cfg.linkcheck_concurrency,
+        concurrency=cfg.linkcheck_concurrency if args.concurrency is None else args.concurrency,
         checker=checker,
     )
     if args.out_csv:
@@ -371,30 +452,29 @@ def _cmd_linkcheck(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_pipeline(args, cfg: PipelineConfig) -> int:
-    outdir = Path(args.outdir)
-    stage = argparse.Namespace
+    """Ingest and enrich both datasets, then integrate them.
 
+    The gazetteer is loaded once and events pass between the stages in
+    memory; the intermediate files are still written, byte for byte as
+    the single stages write them.
+    """
+    outdir = Path(args.outdir)
+    index, overrides = cfg.load_index(), cfg.load_overrides()
+    enriched = []
     for dataset, path, fmt in (
         (Dataset.EOR, args.eor_input, args.eor_format),
         (Dataset.CH, args.ch_input, args.ch_format),
     ):
-        ns = stage(dataset=dataset.value, format=fmt, input=path,
-                   out=str(outdir / f"{dataset.value}.events.json"))
-        _cmd_ingest(ns, cfg)
-        ns = stage(input=str(outdir / f"{dataset.value}.events.json"),
-                   out=str(outdir / f"{dataset.value}.enriched.json"),
-                   offline=args.offline)
-        _cmd_enrich(ns, cfg)
-
-    ns = stage(
-        eor=str(outdir / "eor.enriched.json"),
-        ch=str(outdir / "ch.enriched.json"),
-        out=str(outdir / "integrated.nt"),
-        pairs=str(outdir / "pairs.csv"),
-        counts=str(outdir / "counts.json"),
-        rdf_format="ntriples",
+        events = _ingest(path, dataset, fmt, cfg)
+        _write_events(outdir / f"{dataset.value}.events.json", events)
+        enriched.append(_enrich(events, index, overrides, cfg, args.offline))
+        _write_events(outdir / f"{dataset.value}.enriched.json", enriched[-1])
+    del index, events  # integration needs neither; keep them out of its peak memory
+    _integrate(
+        *enriched, cfg, outdir / "integrated.nt", outdir / "pairs.csv", outdir / "counts.json",
+        rdf.RdfFormat.NTRIPLES,
     )
-    return _cmd_integrate(ns, cfg)
+    return 0
 
 
 # ---------------------------------------------------------------------------

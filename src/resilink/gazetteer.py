@@ -81,7 +81,10 @@ class OverrideTable:
     mapping: Mapping[str, int]
 
     def __post_init__(self):
-        cleaned = {clean_location_string(k): int(v) for k, v in self.mapping.items()}
+        try:
+            cleaned = {clean_location_string(k): int(v) for k, v in self.mapping.items()}
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"override table values must be geoname ids: {exc}") from exc
         object.__setattr__(self, "mapping", cleaned)
 
     @classmethod
@@ -372,7 +375,7 @@ class EnrichmentConfig:
     postal_max_km: float = 15.0
 
     def __post_init__(self):
-        if self.reverse_max_km <= 0 or self.postal_max_km <= 0:
+        if not (self.reverse_max_km > 0 and self.postal_max_km > 0):  # also rejects NaN
             raise ValueError("search radii must be positive")
 
 

@@ -3,14 +3,17 @@
 Candidate pairs share a city and a date across the two datasets; each pair
 is then classified by three ordered rules (shared social-media link,
 "area" reports with a wider radius, facility keywords with a tight
-radius). Within one dataset, distinct records are assumed to describe
-distinct events, so matching is cross-dataset only and one-to-one.
+radius). Description similarity is the Ratcliff/Obershelp ratio as
+difflib computes it with autojunk off. Within one dataset, distinct
+records are assumed to describe distinct events, so matching is
+cross-dataset only and one-to-one.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from difflib import SequenceMatcher
 from enum import Enum
 from typing import IO, Iterable, Sequence
 from urllib.parse import urlsplit, urlunsplit
@@ -56,7 +59,7 @@ class MatchConfig:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1]: {value}")
         for name in ("dist_link_km", "dist_area_km", "dist_keyword_km"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be positive")
         object.__setattr__(self, "keywords", tuple(k.lower() for k in self.keywords))
         object.__setattr__(self, "area_token", self.area_token.lower())
@@ -118,53 +121,15 @@ class IntegrationResult:
 # ---------------------------------------------------------------------------
 # String similarity (Ratcliff/Obershelp)
 
-def _find_longest_block(
-    a: str, b2j: dict[str, list[int]], alo: int, ahi: int, blo: int, bhi: int
-) -> tuple[int, int, int]:
-    """Longest matching block within the window; earliest in a, then in b."""
-    besti, bestj, bestsize = alo, blo, 0
-    j2len: dict[int, int] = {}
-    for i in range(alo, ahi):
-        newj2len: dict[int, int] = {}
-        for j in b2j.get(a[i], ()):
-            if j < blo:
-                continue
-            if j >= bhi:
-                break
-            k = j2len.get(j - 1, 0) + 1
-            newj2len[j] = k
-            if k > bestsize:
-                besti, bestj, bestsize = i - k + 1, j - k + 1, k
-        j2len = newj2len
-    return besti, bestj, bestsize
-
-
-def _matched_total(a: str, b2j: dict[str, list[int]], alo: int, ahi: int, blo: int, bhi: int) -> int:
-    i, j, k = _find_longest_block(a, b2j, alo, ahi, blo, bhi)
-    if k == 0:
-        return 0
-    return (
-        k
-        + _matched_total(a, b2j, alo, i, blo, j)
-        + _matched_total(a, b2j, i + k, ahi, j + k, bhi)
-    )
-
-
 def similarity(a: str, b: str) -> float:
     """Ratcliff/Obershelp ratio 2*M/(len(a)+len(b)) after lowercasing.
 
-    M is the total length of matched blocks found by recursively taking the
-    longest matching block and recursing into the left and right remainders
-    (no junk or popularity heuristics). Two empty strings rate 1.0.
+    M is the total length of matched blocks found by taking the longest
+    matching block and repeating on the left and right remainders.
+    difflib's matcher with autojunk off and no junk function applies no
+    junk or popularity heuristics. Two empty strings rate 1.0.
     """
-    a, b = a.lower(), b.lower()
-    if not a and not b:
-        return 1.0
-    b2j: dict[str, list[int]] = {}
-    for j, ch in enumerate(b):
-        b2j.setdefault(ch, []).append(j)
-    matched = _matched_total(a, b2j, 0, len(a), 0, len(b))
-    return 2.0 * matched / (len(a) + len(b))
+    return SequenceMatcher(None, a.lower(), b.lower(), autojunk=False).ratio()
 
 
 # ---------------------------------------------------------------------------

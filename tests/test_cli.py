@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resilink.cli import run_subcommand
 from resilink.model import Dataset, events_from_json
@@ -21,6 +25,58 @@ def _run(*argv) -> int:
 @pytest.fixture()
 def workdir(tmp_path) -> Path:
     return tmp_path
+
+
+def _tiny_events(directory: Path) -> Path:
+    path = directory / "tiny.events.json"
+    path.write_text(json.dumps([
+        {"id": "e1", "dataset": "eor", "date": "2022-03-07", "lat": 50.0, "lon": 36.0}
+    ]))
+    return path
+
+
+# Each of these once escaped as a traceback or exited 0 with wrong output.
+MALFORMED_CONFIGS = [json.dumps(doc) for doc in [
+    [],
+    "x",
+    {"online": {"username": "demo"}},
+    {"analytics": {"months": 5}},
+    {"analytics": {"uc6_radius_km": None}},
+    {"analytics": {"uc6_radius_km": "nan"}},
+    {"analytics": {"grid_deg": 0}},
+    {"enrichment": {"languages": 3}},
+    {"enrichment": {"reverse_max_km": "nan"}},
+    {"match": {"dist_link_km": float("nan")}},
+    {"match": {"keywords": [1]}},
+    {"adapters": []},
+    {"adapters": {"eor": 5}},
+    {"linkcheck": []},
+    {"linkcheck": {"concurrency": float("inf")}},
+    {"gazetteer": {"places": 5}},
+    {"overrides": 5},
+]] + ["[" * 100_000 + "]" * 100_000]
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+_CONFIG_SECTIONS = {
+    "adapters": ("eor", "ch", "other"),
+    "gazetteer": ("places", "alternate_names", "postal_codes"),
+    "match": ("sim_link", "dist_area_km", "keywords", "area_token", "other"),
+    "enrichment": ("languages", "reverse_max_km", "postal_max_km"),
+    "analytics": ("months", "uc6_radius_km", "grid_deg"),
+    "online": ("base_url", "username", "rate_per_sec"),
+    "linkcheck": ("timeout_s", "concurrency", "politeness_s"),
+}
+config_documents = _json_values | st.fixed_dictionaries({}, optional={
+    "overrides": _json_values,
+    **{
+        name: _json_values | st.dictionaries(st.sampled_from(keys), _json_values, max_size=3)
+        for name, keys in _CONFIG_SECTIONS.items()
+    },
+})
 
 
 class TestUsageErrors:
@@ -79,6 +135,47 @@ class TestDataErrors:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("text", MALFORMED_CONFIGS, ids=lambda text: text[:40])
+    def test_malformed_config_is_one_line_error(self, workdir, capsys, text):
+        config = workdir / "config.json"
+        config.write_text(text)
+        code = _run("convert", "--input", _tiny_events(workdir), "--config", config,
+                    "--out", workdir / "out.nt")
+        assert code == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("resilink: error: ") and "config" in line
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=config_documents)
+    def test_any_config_document_ends_in_an_exit_code(self, tmp_path_factory, doc):
+        workdir = tmp_path_factory.mktemp("config")
+        config = workdir / "config.json"
+        config.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = _run("convert", "--input", _tiny_events(workdir), "--config", config,
+                        "--out", workdir / "out.nt")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("radius", ["0", "nan"])
+    def test_uc6_radius_must_be_positive(self, workdir, radius):
+        nt = workdir / "events.nt"
+        assert _run("convert", "--input", _tiny_events(workdir), "--out", nt) == 0
+        shelters = workdir / "shelters.csv"
+        shelters.write_text("name,lat,lon\ncentral,50.0,36.0\n")
+        code = _run("report", "uc6", "--input", nt, "--shelters", shelters,
+                    "--radius-km", radius, "--out", workdir / "uc6.csv")
+        assert code == 1
+
+    def test_linkcheck_concurrency_zero_rejected(self, workdir):
+        # a closed local port: nothing leaves the machine even if the check were missing
+        code = _run("linkcheck", "--input", _tiny_events(workdir),
+                    "--config", PIPE / "config.json",
+                    "--base-override", "http://127.0.0.1:9",
+                    "--concurrency", "0", "--out-json", workdir / "links.json")
+        assert code == 1
+
 
 class TestStageCommands:
     def test_ingest_writes_canonical_json(self, workdir):
@@ -129,6 +226,24 @@ class TestStageCommands:
         integrated = outdir / "integrated.nt"
         triples = parse_ntriples(integrated.read_bytes())
         assert triples
+
+        # the single stages, run one by one, write the same seven files
+        staged = workdir / "staged"
+        for dataset, source, fmt in (("eor", "eor.json", "json"), ("ch", "ch.csv", "csv")):
+            assert _run("ingest", "--dataset", dataset, "--format", fmt,
+                        "--input", PIPE / source, "--config", PIPE / "config.json",
+                        "--out", staged / f"{dataset}.events.json") == 0
+            assert _run("enrich", "--input", staged / f"{dataset}.events.json",
+                        "--config", PIPE / "config.json",
+                        "--out", staged / f"{dataset}.enriched.json") == 0
+        assert _run("integrate", "--eor", staged / "eor.enriched.json",
+                    "--ch", staged / "ch.enriched.json",
+                    "--out", staged / "integrated.nt", "--pairs", staged / "pairs.csv",
+                    "--counts", staged / "counts.json") == 0
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(p.name for p in staged.iterdir())
+        for name in ("eor.events.json", "ch.events.json", "eor.enriched.json",
+                     "ch.enriched.json", "integrated.nt", "pairs.csv", "counts.json"):
+            assert (outdir / name).read_bytes() == (staged / name).read_bytes(), name
 
         # uc2 over the integrated file
         uc2 = workdir / "uc2.csv"

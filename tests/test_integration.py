@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import difflib
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,16 @@ class TestSimilarity:
             b = "".join(rng.choice("abcde ") for _ in range(rng.randint(0, 30)))
             expected = difflib.SequenceMatcher(None, a, b, autojunk=False).ratio()
             assert similarity(a, b) == expected
+
+    def test_long_descriptions_need_no_deep_recursion(self):
+        # 200 one-character blocks: a matcher that recurses per block needs ~200 frames
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 40)
+        try:
+            s = similarity("ab" * 200, "ax" * 200)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert s == 0.5
 
     @given(short_text, short_text)
     def test_brute_force_property(self, a, b):
