@@ -17,8 +17,8 @@ import json
 import logging
 import math
 import os
+import secrets
 import sys
-import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -219,7 +219,9 @@ def _resolve_path(value, base: Path, label: str) -> Path | None:
 
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    # created as open() would create it, so the umask sets the mode (mkstemp forces 0600)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fp:
             fp.write(data)

@@ -89,7 +89,10 @@ class OverrideTable:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> OverrideTable:
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError as exc:
+            raise ValueError("override table JSON is nested too deeply") from exc
         if not isinstance(data, dict):
             raise ValueError("override table must be a JSON object of name -> geoname id")
         return cls(mapping=data)

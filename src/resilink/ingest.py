@@ -133,6 +133,8 @@ def _parse_json_records(text: str) -> list[dict]:
     except json.JSONDecodeError as exc:
         offset = len(text[: exc.pos].encode("utf-8"))
         raise DatasetSyntaxError(exc.msg, offset) from exc
+    except RecursionError as exc:
+        raise DatasetSyntaxError("JSON nested too deeply", 0) from exc
     if not isinstance(parsed, list):
         raise DatasetSyntaxError("expected a top-level JSON array", 0)
     for i, obj in enumerate(parsed):

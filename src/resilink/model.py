@@ -314,7 +314,10 @@ def events_to_json(events: Iterable[Event], fp: IO[str] | None = None) -> str | 
 def events_from_json(data: str | bytes) -> list[Event]:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    parsed = json.loads(data)
+    try:
+        parsed = json.loads(data)
+    except RecursionError as exc:
+        raise ValueError("canonical event JSON is nested too deeply") from exc
     if not isinstance(parsed, list):
         raise ValueError("canonical event JSON must be an array of objects")
     return [event_from_dict(obj) for obj in parsed]

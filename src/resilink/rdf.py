@@ -11,12 +11,13 @@ so identical triple sets always produce identical files.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Sequence
-from urllib.parse import quote, unquote, urlsplit
+from urllib.parse import quote, unquote
 
 from .model import (
     AggregateEvent,
@@ -52,6 +53,16 @@ PREFIXES = {
 
 WKT_DATATYPE = GEOSPARQL_NS + "wktLiteral"
 
+# The one IRI grammar: the body of an N-Triples IRIREF
+# (https://www.w3.org/TR/n-triples/). Term requires it after a scheme, the
+# emitter percent-encodes source URLs into it, and the parser reads it.
+_IRI_BODY = r'[^<>"{}|^`\\\x00-\x20]*'
+_ABSOLUTE_IRI_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:" + _IRI_BODY)
+# The ASCII characters the body forbids, as %XX (RFC 3987 section 3.1).
+_IRI_PERCENT_ENCODE = {
+    c: f"%{c:02X}" for c in range(0x80) if not re.fullmatch(_IRI_BODY, chr(c))
+}
+
 
 class NTriplesSyntaxError(ResilinkError):
     def __init__(self, line: int, message: str):
@@ -70,7 +81,7 @@ class TermKind(Enum):
 
 @dataclass(frozen=True)
 class Term:
-    """An RDF term: an absolute IRI, or a literal with optional tag/datatype."""
+    """An RDF term: an N-Triples-safe absolute IRI, or a literal with optional tag/datatype."""
 
     kind: TermKind
     value: str
@@ -81,8 +92,8 @@ class Term:
         if self.kind is TermKind.IRI:
             if self.language or self.datatype:
                 raise ValueError("only literals may carry a language or datatype")
-            if not urlsplit(self.value).scheme:
-                raise ValueError(f"IRI must be absolute: {self.value!r}")
+            if _ABSOLUTE_IRI_RE.fullmatch(self.value) is None:
+                raise ValueError(f"IRI must be absolute and N-Triples-safe: {self.value!r}")
         elif self.language and self.datatype:
             raise ValueError("language and datatype are mutually exclusive")
 
@@ -171,7 +182,9 @@ def emit_event_triples(ev: Event) -> list[Triple]:
     if ev.description is not None:
         triples.append(Triple(subject, Term.iri(DCT_NS + "description"), Term.literal(ev.description)))
     for url in ev.source_urls:
-        triples.append(Triple(subject, Term.iri(SDO_NS + "url"), Term.iri(url)))
+        triples.append(
+            Triple(subject, Term.iri(SDO_NS + "url"), Term.iri(url.translate(_IRI_PERCENT_ENCODE)))
+        )
     for comment in ev.comments:
         triples.append(Triple(subject, Term.iri(RDFS_NS + "comment"), Term.literal(comment)))
     for lang in sorted(ev.city_labels):
@@ -216,25 +229,16 @@ def emit_aggregate_triples(agg: AggregateEvent) -> list[Triple]:
 # ---------------------------------------------------------------------------
 # Serialization
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
-def _escape_literal(value: str) -> str:
-    out = []
-    for ch in value:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+_LITERAL_ESCAPES = str.maketrans(
+    {chr(c): f"\\u{c:04X}" for c in range(0x20)}
+    | {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+)
 
 
 def _nt_term(t: Term) -> str:
     if t.kind is TermKind.IRI:
         return f"<{t.value}>"
-    lit = f'"{_escape_literal(t.value)}"'
+    lit = f'"{t.value.translate(_LITERAL_ESCAPES)}"'
     if t.language:
         return f"{lit}@{t.language}"
     if t.datatype:
@@ -323,80 +327,26 @@ def serialize_bytes(triples: Iterable[Triple], fmt: RdfFormat = RdfFormat.NTRIPL
 # ---------------------------------------------------------------------------
 # N-Triples parsing (inverse of the serializer; also the round-trip oracle)
 
-_IRIREF_RE = re.compile(r"<([^<>\"{}|^`\\\x00-\x20]*)>")
-_LANGTAG_RE = re.compile(r"@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)")
+_IRIREF = f"<({_IRI_BODY})>"
+_STATEMENT_RE = re.compile(
+    rf"{_IRIREF}[ \t]*{_IRIREF}[ \t]*"
+    rf'(?:{_IRIREF}|"([^"\\]*(?:\\.[^"\\]*)*)"'
+    rf"(?:@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)|\^\^{_IRIREF})?)[ \t]*\."
+)
+_ESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
 _UNESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 
 
 def _unescape_literal(raw: str, line: int) -> str:
-    out = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(raw):
-            raise NTriplesSyntaxError(line, "dangling escape")
-        esc = raw[i + 1]
+    def decode(m: re.Match) -> str:
+        esc = m.group(1)
         if esc in _UNESCAPES:
-            out.append(_UNESCAPES[esc])
-            i += 2
-        elif esc in ("u", "U"):
-            width = 4 if esc == "u" else 8
-            hex_digits = raw[i + 2 : i + 2 + width]
-            try:
-                out.append(chr(int(hex_digits, 16)))
-            except ValueError as exc:
-                raise NTriplesSyntaxError(line, f"bad \\{esc} escape: {hex_digits!r}") from exc
-            i += 2 + width
-        else:
-            raise NTriplesSyntaxError(line, f"unknown escape \\{esc}")
-    return "".join(out)
+            return _UNESCAPES[esc]
+        if len(esc) > 1 and (code := int(esc[1:], 16)) <= 0x10FFFF:
+            return chr(code)
+        raise NTriplesSyntaxError(line, f"bad escape \\{esc}")
 
-
-def _read_term(text: str, pos: int, line: int) -> tuple[Term, int]:
-    if pos >= len(text):
-        raise NTriplesSyntaxError(line, "unexpected end of statement")
-    if text[pos] == "<":
-        m = _IRIREF_RE.match(text, pos)
-        if m is None:
-            raise NTriplesSyntaxError(line, "malformed IRI")
-        return Term.iri(m.group(1)), m.end()
-    if text[pos] == '"':
-        i = pos + 1
-        while i < len(text):
-            if text[i] == "\\":
-                i += 2
-                continue
-            if text[i] == '"':
-                break
-            i += 1
-        else:
-            raise NTriplesSyntaxError(line, "unterminated literal")
-        value = _unescape_literal(text[pos + 1 : i], line)
-        i += 1
-        if text.startswith("@", i):
-            m = _LANGTAG_RE.match(text, i)
-            if m is None:
-                raise NTriplesSyntaxError(line, "malformed language tag")
-            return Term.literal(value, language=m.group(1)), m.end()
-        if text.startswith("^^", i):
-            m = _IRIREF_RE.match(text, i + 2)
-            if m is None:
-                raise NTriplesSyntaxError(line, "malformed datatype IRI")
-            return Term.literal(value, datatype=m.group(1)), m.end()
-        return Term.literal(value), i
-    if text.startswith("_:", pos):
-        raise NTriplesSyntaxError(line, "blank nodes are not supported")
-    raise NTriplesSyntaxError(line, f"unexpected character {text[pos]!r}")
-
-
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos] in " \t":
-        pos += 1
-    return pos
+    return _ESCAPE_RE.sub(decode, raw)
 
 
 def parse_ntriples(data: bytes | str) -> list[Triple]:
@@ -409,24 +359,23 @@ def parse_ntriples(data: bytes | str) -> list[Triple]:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     triples = []
-    for lineno, raw_line in enumerate(data.split("\n"), start=1):
-        raw_line = raw_line.rstrip("\r")
-        text = raw_line.strip()
+    iri = functools.cache(Term.iri)  # terms are immutable: build each IRI once
+    for lineno, line in enumerate(data.split("\n"), start=1):
+        text = line.strip()
         if not text or text.startswith("#"):
             continue
-        pos = 0
-        subject, pos = _read_term(text, pos, lineno)
-        pos = _skip_ws(text, pos)
-        predicate, pos = _read_term(text, pos, lineno)
-        pos = _skip_ws(text, pos)
-        obj, pos = _read_term(text, pos, lineno)
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != ".":
-            raise NTriplesSyntaxError(lineno, "statement must end with '.'")
-        if text[pos + 1 :].strip():
-            raise NTriplesSyntaxError(lineno, "trailing content after '.'")
+        m = _STATEMENT_RE.fullmatch(text)
+        if m is None:
+            raise NTriplesSyntaxError(lineno, "expected '<iri> <iri> <iri-or-literal> .'")
+        subject, predicate, obj, literal, language, datatype = m.groups()
+        if obj is None and "\\" in literal:
+            literal = _unescape_literal(literal, lineno)
         try:
-            triples.append(Triple(subject, predicate, obj))
+            triples.append(Triple(
+                iri(subject),
+                iri(predicate),
+                iri(obj) if obj is not None else Term.literal(literal, language, datatype),
+            ))
         except ValueError as exc:
             raise NTriplesSyntaxError(lineno, str(exc)) from exc
     return triples

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,26 @@ class TestDataErrors:
                     "--radius-km", radius, "--out", workdir / "uc6.csv")
         assert code == 1
 
+    @pytest.mark.parametrize("reader", ["events", "source", "overrides"])
+    def test_deeply_nested_json_is_one_line_error(self, workdir, capsys, reader):
+        deep = workdir / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        cfg = json.loads((PIPE / "config.json").read_text())
+        cfg["gazetteer"] = {k: str(PIPE / v) for k, v in cfg["gazetteer"].items()}
+        cfg["overrides"] = str(deep)
+        config = workdir / "config.json"
+        config.write_text(json.dumps(cfg))
+        argv = {
+            "events": ("convert", "--input", deep, "--out", workdir / "out.nt"),
+            "source": ("ingest", "--dataset", "eor", "--format", "json", "--input", deep,
+                       "--config", PIPE / "config.json", "--out", workdir / "out.json"),
+            "overrides": ("enrich", "--input", _tiny_events(workdir), "--config", config,
+                          "--out", workdir / "out.json"),
+        }[reader]
+        assert _run(*argv) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("resilink: error: ") and "nested too deeply" in line
+
     def test_linkcheck_concurrency_zero_rejected(self, workdir):
         # a closed local port: nothing leaves the machine even if the check were missing
         code = _run("linkcheck", "--input", _tiny_events(workdir),
@@ -302,6 +323,34 @@ class TestStageCommands:
         with uc6_csv.open() as fp:
             cells = list(csv.DictReader(fp))
         assert sum(int(c["count"]) for c in cells) == len(collection["features"])
+
+    def test_iri_unsafe_source_url_survives_to_the_reports(self, workdir):
+        url = "https://t.me/s/chan?q={a}|b"
+        records = json.loads((PIPE / "eor.json").read_text())
+        records[0]["url"] = url
+        eor = workdir / "eor.json"
+        eor.write_text(json.dumps(records))
+        outdir = workdir / "out"
+        assert _run("pipeline", "--config", PIPE / "config.json",
+                    "--eor-input", eor, "--ch-input", PIPE / "ch.csv", "--ch-format", "csv",
+                    "--outdir", outdir) == 0
+        assert _run("report", "uc2", "--input", outdir / "integrated.nt", "--keyword", "school",
+                    "--out", workdir / "uc2.csv") == 0
+        # event JSON keeps the raw URL; the RDF carries it percent-encoded
+        assert url in (outdir / "eor.events.json").read_text()
+        assert b"<https://t.me/s/chan?q=%7Ba%7D%7Cb>" in (outdir / "integrated.nt").read_bytes()
+
+    def test_outputs_get_the_umask_mode(self, workdir):
+        umask = os.umask(0o022)
+        try:
+            assert _run("pipeline", "--config", PIPE / "config.json",
+                        "--eor-input", PIPE / "eor.json", "--ch-input", PIPE / "ch.csv",
+                        "--ch-format", "csv", "--outdir", workdir / "out") == 0
+        finally:
+            os.umask(umask)
+        modes = {p.name: oct(p.stat().st_mode & 0o777) for p in (workdir / "out").iterdir()}
+        assert len(modes) == 7
+        assert set(modes.values()) == {"0o644"}, modes
 
     def test_convert_turtle(self, workdir):
         events_file = workdir / "ev.json"

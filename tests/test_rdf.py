@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from resilink.rdf import (
     DCT_NS,
     ONTOLOGY_NS,
     RDF_NS,
+    SDO_NS,
     SEM_NS,
     NTriplesSyntaxError,
     RdfFormat,
@@ -206,6 +209,20 @@ _literal_strategy = st.builds(
     st.text(max_size=40),
     st.one_of(st.none(), st.sampled_from(["en", "uk", "nl", "fr"])),
 )
+# Source URLs may hold characters an N-Triples IRIREF forbids; the emitter
+# percent-encodes exactly the forbidden ASCII ones.
+_IRIREF_FORBIDDEN = '<>"{}|^`\\' + "".join(map(chr, range(0x21)))
+_source_url_strategy = st.builds(
+    lambda host, path: f"https://{host}/{path}",
+    st.text(alphabet="abcdefgh", min_size=1, max_size=8),
+    st.text(alphabet="ab09/?=&%#\x7fé" + _IRIREF_FORBIDDEN, max_size=16),
+)
+
+
+def _percent_encoded(url: str) -> str:
+    return "".join(f"%{ord(c):02X}" if c in _IRIREF_FORBIDDEN else c for c in url)
+
+
 _term_strategy = st.one_of(st.builds(Term.iri, _iri_strategy), _literal_strategy)
 _triple_strategy = st.builds(
     Triple,
@@ -265,6 +282,16 @@ class TestSerialization:
         first = serialize_bytes(triples)
         assert serialize_bytes(parse_ntriples(first)) == first
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_source_url_strategy, max_size=4))
+    def test_source_urls_round_trip_percent_encoded(self, urls):
+        ev = _event(source_urls=tuple(urls))
+        triples = parse_ntriples(serialize_bytes(emit_event_triples(ev)))
+        encoded = sorted({_percent_encoded(u) for u in urls})
+        assert sorted(t.object.value for t in triples if t.predicate.value == SDO_NS + "url") == encoded
+        events, _ = events_from_triples(triples)
+        assert events[ev.key] == dataclasses.replace(ev, source_urls=tuple(encoded))
+
 
 class TestParseNtriples:
     def test_missing_terminator(self):
@@ -288,6 +315,27 @@ class TestParseNtriples:
     def test_blank_node_rejected(self):
         with pytest.raises(NTriplesSyntaxError):
             parse_ntriples(b"_:b <https://x/p> <https://x/o> .\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"<rel> <https://x/p> <https://x/o> .",
+            b'<https://x/s> <https://x/p> "\\U00110000" .',
+            b'<https://x/s> <https://x/p> "\\q" .',
+            b'<https://x/s> <https://x/p> "\\u+041" .',
+            b'<https://x/s> <https://x/p> "open .',
+            b'<https://x/s> <https://x/p> "v"@ .',
+            b"<https://x/s> <https://x/p> <https://x/o>",
+            b"<https://x/s> <https://x/p> <https://x/o> . <https://x/o>",
+        ],
+        ids=["relative-iri", "beyond-unicode", "unknown-escape", "signed-hex",
+             "unterminated-literal", "empty-language-tag", "missing-dot", "after-dot"],
+    )
+    def test_malformed_line_reports_its_number(self, line):
+        good = b'<https://x/s> <https://x/p> "v" .\n'
+        with pytest.raises(NTriplesSyntaxError) as exc:
+            parse_ntriples(good + line + b"\n" + good)
+        assert exc.value.line == 2
 
     def test_escape_decoding(self):
         data = b'<https://x/s> <https://x/p> "tab\\there\\nline \\"q\\" \\\\done" .\n'
