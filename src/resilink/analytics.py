@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import IO, Iterable, Mapping, Sequence
 
-from .gazetteer import haversine_km
+from .gazetteer import PointSet
 from .model import (
     AggregateEvent,
     CivilDate,
@@ -388,13 +388,11 @@ def uc6_shelter_gap(
         raise ValueError("radius_km must be positive")
     if not 0 < grid_deg < math.inf:
         raise ValueError("grid_deg must be positive and finite")
+    targets = PointSet([s.point for s in shelters])
     uncovered = []
     for _, ev in dataset.primary_events():
-        if not shelters:
-            uncovered.append(ev)
-            continue
-        nearest = min(haversine_km(ev.point, s.point) for s in shelters)
-        if nearest > radius_km:
+        nearest = targets.nearest(ev.point)
+        if nearest is None or nearest[1] > radius_km:
             uncovered.append(ev)
 
     features = []

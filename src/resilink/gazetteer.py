@@ -3,9 +3,15 @@
 The index is loaded from three tab-separated files (a place file, an
 alternate-names file, a postal-code file; the column layouts are given in
 the loader docstrings) and is read-only afterwards, so one index can be
-shared by any number of worker threads. Nearest-neighbor queries are
-vectorized with numpy but are semantically a plain linear scan: the tests
-hold them to exact agreement with a pure-Python scan.
+shared by any number of worker threads.
+
+Every nearest-neighbour query goes through ``PointSet``: candidates are the
+targets whose unit-vector dot with the query is within ``NEAREST_DOT_EPS``
+of the largest, and ``haversine_km`` over them in index order keeps the
+first strict minimum. A dot is ``1 - 2h`` for haversine's ``h``, and both
+carry an absolute float error of a few 1e-16, so a target no farther than
+the top-dot one has a dot within ~1e-15 of the top, well inside 1e-12:
+results equal a linear haversine scan bit for bit.
 """
 
 from __future__ import annotations
@@ -106,27 +112,31 @@ def resolve_override(table: OverrideTable, name: str) -> int | None:
     return table.mapping.get(clean_location_string(name))
 
 
-class _CoordArray:
-    """Precomputed radian coordinates for vectorized haversine."""
+NEAREST_DOT_EPS = 1e-12
+
+
+class PointSet:
+    """Fixed targets answering exact nearest-neighbour queries."""
 
     def __init__(self, points: Sequence[GeoPoint]):
-        lat = np.array([p.latitude for p in points], dtype=np.float64)
-        lon = np.array([p.longitude for p in points], dtype=np.float64)
-        self.lat_rad = np.radians(lat)
-        self.lon_rad = np.radians(lon)
-        self.cos_lat = np.cos(self.lat_rad)
+        self._points = list(points)
+        lat = np.radians([p.latitude for p in self._points])
+        lon = np.radians([p.longitude for p in self._points])
+        self._xyz = np.stack((np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)))
 
-    def __len__(self) -> int:
-        return int(self.lat_rad.shape[0])
-
-    def distances_km(self, p: GeoPoint) -> np.ndarray:
-        phi = math.radians(p.latitude)
-        lam = math.radians(p.longitude)
-        h = (
-            np.sin((self.lat_rad - phi) / 2.0) ** 2
-            + math.cos(phi) * self.cos_lat * np.sin((self.lon_rad - lam) / 2.0) ** 2
-        )
-        return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+    def nearest(self, p: GeoPoint) -> tuple[int, float] | None:
+        """Index and haversine km of the nearest target; ties keep the lowest index."""
+        if not self._points:
+            return None
+        phi, lam = math.radians(p.latitude), math.radians(p.longitude)
+        q = np.array((math.cos(phi) * math.cos(lam), math.cos(phi) * math.sin(lam), math.sin(phi)))
+        dots = q @ self._xyz
+        best = None
+        for i in np.flatnonzero(dots >= dots.max() - NEAREST_DOT_EPS).tolist():
+            d = haversine_km(p, self._points[i])
+            if best is None or d < best[1]:
+                best = (i, d)
+        return best
 
 
 class GazetteerIndex:
@@ -166,8 +176,8 @@ class GazetteerIndex:
                     seen.add(k)
                     self._country_names.setdefault(k, []).append(e)
         self._postal = list(postal)
-        self._place_coords = _CoordArray([e.point for e in self._places])
-        self._postal_coords = _CoordArray([p.point for p in self._postal])
+        self._place_targets = PointSet([e.point for e in self._places])
+        self._postal_targets = PointSet([p.point for p in self._postal])
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -199,24 +209,16 @@ class GazetteerIndex:
 
     def nearest_place(self, p: GeoPoint, max_km: float) -> tuple[GazetteerEntry, float] | None:
         """Nearest populated place within max_km; ties keep the first loaded."""
-        if not self._places:
+        found = self._place_targets.nearest(p)
+        if found is None or found[1] > max_km:
             return None
-        d = self._place_coords.distances_km(p)
-        i = int(np.argmin(d))
-        dist = float(d[i])
-        if dist > max_km:
-            return None
-        return self._places[i], dist
+        return self._places[found[0]], found[1]
 
     def nearest_postal(self, p: GeoPoint, max_km: float) -> tuple[PostalCodeEntry, float] | None:
-        if not self._postal:
+        found = self._postal_targets.nearest(p)
+        if found is None or found[1] > max_km:
             return None
-        d = self._postal_coords.distances_km(p)
-        i = int(np.argmin(d))
-        dist = float(d[i])
-        if dist > max_km:
-            return None
-        return self._postal[i], dist
+        return self._postal[found[0]], found[1]
 
 
 def _split_columns(path: Path, lineno: int, line: str, expected: int) -> list[str]:
@@ -403,6 +405,7 @@ def enrich_event(
     city_ref = ev.city
     city_entry = index.entry(city_ref.geoname_id) if city_ref else None
     notes: list[str] = []
+    reverse_scanned = False
 
     if city_ref is None:
         if ev.city_name:
@@ -417,6 +420,7 @@ def enrich_event(
                     city_ref = found
                     city_entry = index.entry(found.geoname_id)
         if city_ref is None:
+            reverse_scanned = True
             found = reverse_geocode(index, ev.point, cfg.reverse_max_km)
             if found is not None:
                 city_ref = found
@@ -449,7 +453,8 @@ def enrich_event(
                     country_ref = _ref_for(e)
         if country_ref is None:
             anchor = city_entry
-            if anchor is None:
+            # a reverse scan that found nothing would find nothing again
+            if anchor is None and not reverse_scanned:
                 near = index.nearest_place(ev.point, cfg.reverse_max_km)
                 anchor = near[0] if near else None
             if anchor is not None:

@@ -149,8 +149,11 @@ _LANG_RE = re.compile(r"^[a-z]{2}$")
 
 
 def _is_absolute_url(u: str) -> bool:
+    # urlsplit strips leading C0 controls and spaces and deletes tabs and
+    # newlines before it looks for the scheme; a URL is taken only when the
+    # string as given holds "://" and the netloc right after the scheme.
     parts = urlsplit(u)
-    return bool(parts.scheme) and bool(parts.netloc)
+    return bool(parts.scheme) and bool(parts.netloc) and u[len(parts.scheme):].startswith("://" + parts.netloc)
 
 
 @dataclass(frozen=True)

@@ -163,7 +163,8 @@ def start_server(handler_cls, **attrs) -> ThreadingHTTPServer:
     server.scripted_status = []
     for k, v in attrs.items():
         setattr(server, k, v)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for serve_forever to wake up, which it does every poll_interval
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     server._thread = thread
     return server

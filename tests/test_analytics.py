@@ -5,6 +5,8 @@ import logging
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resilink.analytics import (
     DEFAULT_MONTHS,
@@ -26,11 +28,12 @@ from resilink.analytics import (
     uc6_shelter_gap,
     write_ratio_csv,
 )
-from resilink.model import CivilDate, GazetteerRef, GeoPoint
+from resilink.model import AggregateEvent, CivilDate, Dataset, Event, GazetteerRef, GeoPoint
 from resilink.rdf import (
     WKT_DATATYPE,
     emit_aggregate_triples,
     emit_event_triples,
+    event_iri,
     parse_ntriples,
     serialize_bytes,
 )
@@ -315,6 +318,36 @@ class TestUc6:
                 ev.point.latitude, ev.point.longitude, 49.9935, 36.2304
             )
             assert (event_iri(ev.dataset, ev.id) in uncovered_iris) == (d > 1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        points=st.lists(st.tuples(st.floats(-85.0, 85.0), st.floats(-180.0, 180.0)), min_size=1, max_size=25),
+        shelters=st.lists(st.tuples(st.floats(-85.0, 85.0), st.floats(-180.0, 180.0)), max_size=25),
+        offsets=st.lists(st.tuples(st.integers(0, 24), st.floats(-0.02, 0.02), st.floats(-0.02, 0.02)), max_size=10),
+        planted=st.lists(st.integers(0, 24), max_size=5),
+        radius_km=st.sampled_from([0.5, 1.0, 1.5, 25.0]),
+    )
+    def test_uncovered_matches_naive_scan(self, points, shelters, offsets, planted, radius_km):
+        # shelters near events, and shelters exactly radius_km north of one, where
+        # the last bit of the distance decides coverage
+        near = [(points[i % len(points)][0] + a, points[i % len(points)][1] + b) for i, a, b in offsets]
+        north = [(points[i % len(points)][0] + radius_km / 111.19492664455873, points[i % len(points)][1])
+                 for i in planted]
+        shelters = [(lat, min(180.0, max(-180.0, lon))) for lat, lon in shelters + near + north]
+        events = [
+            Event(id=f"e{i}", dataset=Dataset.EOR, date=CivilDate(2022, 3, 7), point=GeoPoint(*p))
+            for i, p in enumerate(points)
+        ]
+        ds = IntegratedDataset.from_events(
+            events, [AggregateEvent(event_iri(ev.dataset, ev.id), (ev.key,), ev.key) for ev in events]
+        )
+        collection, _ = uc6_shelter_gap(ds, [ShelterRecord(point=GeoPoint(*s)) for s in shelters], radius_km)
+        naive = []
+        for ev in events:
+            lat, lon = ev.point.latitude, ev.point.longitude
+            if min((oracles.scalar_haversine_km(lat, lon, *s) for s in shelters), default=math.inf) > radius_km:
+                naive.append(event_iri(ev.dataset, ev.id))
+        assert [f["properties"]["event"] for f in collection["features"]] == naive
 
     def test_shelter_csv_loader(self, tmp_path):
         p = tmp_path / "shelters.csv"

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import logging
 import os
 from pathlib import Path
 
@@ -339,6 +340,24 @@ class TestStageCommands:
         # event JSON keeps the raw URL; the RDF carries it percent-encoded
         assert url in (outdir / "eor.events.json").read_text()
         assert b"<https://t.me/s/chan?q=%7Ba%7D%7Cb>" in (outdir / "integrated.nt").read_bytes()
+
+    def test_url_with_a_leading_control_character_is_rejected_at_ingest(self, workdir, caplog):
+        # urlsplit skips the leading \x01 and finds the scheme behind it
+        records = json.loads((PIPE / "eor.json").read_text())
+        records[2]["url"] = "\x01https://x/"
+        eor = workdir / "eor.json"
+        eor.write_text(json.dumps(records))
+        outdir = workdir / "out"
+        with caplog.at_level(logging.WARNING, logger="resilink"):
+            assert _run("pipeline", "--config", PIPE / "config.json",
+                        "--eor-input", eor, "--ch-input", PIPE / "ch.csv", "--ch-format", "csv",
+                        "--outdir", outdir) == 0
+        rejected = [r.getMessage() for r in caplog.records if r.getMessage().startswith("rejected ")]
+        assert len(rejected) == 1 and "source URL is not absolute" in rejected[0]
+        ids = [ev.id for ev in events_from_json((outdir / "eor.events.json").read_text())]
+        assert len(ids) == len(records) - 1 and "eor-003" not in ids
+        assert _run("report", "uc2", "--input", outdir / "integrated.nt", "--keyword", "school",
+                    "--out", workdir / "uc2.csv") == 0
 
     def test_outputs_get_the_umask_mode(self, workdir):
         umask = os.umask(0o022)

@@ -13,6 +13,7 @@ from resilink.gazetteer import (
     GazetteerFormatError,
     GazetteerIndex,
     OverrideTable,
+    PointSet,
     REVERSE_GEOCODED_NOTE,
     UnknownGeonameIdError,
     alternate_names_for,
@@ -177,7 +178,7 @@ class TestNearestNeighbor:
         idx, dist = oracles.scan_nearest(p.latitude, p.longitude, coords)
         got = gaz_index.nearest_place(p, max_km=10_000.0)
         assert got is not None
-        assert got[1] == pytest.approx(dist, abs=1e-9)
+        assert got[1] == dist
         assert got[0].geoname_id == gaz_index.place_entries[idx].geoname_id
 
     @settings(max_examples=150, deadline=None)
@@ -188,8 +189,67 @@ class TestNearestNeighbor:
         idx, dist = oracles.scan_nearest(p.latitude, p.longitude, coords)
         got = gaz_index.nearest_postal(p, max_km=10_000.0)
         assert got is not None
-        assert got[1] == pytest.approx(dist, abs=1e-9)
+        assert got[1] == dist
         assert got[0].postal_code == gaz_index.postal_entries[idx].postal_code
+
+
+# Two neighbouring float latitudes due north of the query: one is nearer than
+# EAST by 8.5e-14 km, the other farther by 7.0e-13 km.
+NEAR_TIE_QUERY = (50.0, 36.0)
+EAST = (50.0, 36.01)
+NORTH_NEARER = (50.006427876092076, 36.0)
+NORTH_FARTHER = (50.00642787609208, 36.0)
+
+
+class TestPointSet:
+    """The one nearest-neighbour kernel, held bit for bit to the linear scan."""
+
+    @staticmethod
+    def _nearest(targets, q):
+        got = PointSet([GeoPoint(*t) for t in targets]).nearest(GeoPoint(*q))
+        assert got == oracles.scan_nearest(*q, targets)
+        return got
+
+    def test_empty_target_set(self):
+        assert PointSet([]).nearest(GeoPoint(50.0, 36.0)) is None
+
+    def test_exact_duplicates_first_loaded_wins(self):
+        targets = [(49.0, 36.0), (50.0, 36.25), (50.0, 36.25), (50.0, 36.25)]
+        assert self._nearest(targets, (50.01, 36.25))[0] == 1
+        assert self._nearest(targets, (50.0, 36.25)) == (1, 0.0)
+
+    @pytest.mark.parametrize("q", [(0.0, 180.0), (0.0, -180.0), (0.001, 180.0)])
+    def test_targets_straddling_the_antimeridian(self, q):
+        targets = [(0.0, 170.0), (0.0, -179.9999), (0.0, 179.9999), (0.0, -170.0)]
+        i, km = self._nearest(targets, q)
+        assert i in (1, 2) and km < 0.2
+
+    def test_near_tie_below_1e_12_km(self):
+        d = {t: oracles.scalar_haversine_km(*NEAR_TIE_QUERY, *t) for t in (EAST, NORTH_NEARER, NORTH_FARTHER)}
+        assert 0 < d[EAST] - d[NORTH_NEARER] < 1e-12
+        assert 0 < d[NORTH_FARTHER] - d[EAST] < 1e-12
+        far = [(51.0, 36.0), (50.0, 38.0)]
+        # the strict minimum wins wherever it sits in load order
+        assert self._nearest(far + [EAST, NORTH_NEARER], NEAR_TIE_QUERY)[0] == 3
+        assert self._nearest(far + [NORTH_NEARER, EAST], NEAR_TIE_QUERY)[0] == 2
+        assert self._nearest(far + [NORTH_FARTHER, EAST], NEAR_TIE_QUERY)[0] == 3
+        assert self._nearest(far + [EAST, NORTH_FARTHER], NEAR_TIE_QUERY)[0] == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        q=st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)),
+        spread=st.lists(st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)), max_size=20),
+        offsets=st.lists(st.tuples(st.floats(-1e-3, 1e-3), st.floats(-1e-3, 1e-3)), max_size=20),
+        copies=st.integers(0, 5),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_agrees_with_the_scan(self, q, spread, offsets, copies, rnd):
+        # targets far away, targets within ~100 m of the query, and exact copies
+        near = [(min(90.0, max(-90.0, q[0] + a)), min(180.0, max(-180.0, q[1] + b))) for a, b in offsets]
+        targets = spread + near
+        targets += [rnd.choice(targets) for _ in range(copies if targets else 0)]
+        rnd.shuffle(targets)
+        self._nearest(targets, q)
 
 
 class TestAlternateNames:
@@ -282,6 +342,32 @@ class TestEnrichEvent:
         ev = _event(point=GeoPoint(44.0, 33.0))  # open water, far from fixtures
         out = enrich_event(gaz_index, overrides, ev, EnrichmentConfig())
         assert out.city is None and out.postal_code is None
+
+    @staticmethod
+    def _count_place_scans(monkeypatch) -> list[GeoPoint]:
+        calls = []
+        real = GazetteerIndex.nearest_place
+
+        def counting(self, p, max_km):
+            calls.append(p)
+            return real(self, p, max_km)
+
+        monkeypatch.setattr(GazetteerIndex, "nearest_place", counting)
+        return calls
+
+    def test_country_fallback_reuses_the_reverse_scan(self, gaz_index, overrides, monkeypatch):
+        ev = _event(point=GeoPoint(44.0, 33.0))  # no place within reverse_max_km
+        calls = self._count_place_scans(monkeypatch)
+        assert enrich_event(gaz_index, overrides, ev) == ev
+        assert len(calls) == 1
+
+    def test_country_fallback_scans_for_an_override_id_not_in_the_index(self, gaz_index, monkeypatch):
+        ev = _event(city_name="Atlantis")
+        calls = self._count_place_scans(monkeypatch)
+        out = enrich_event(gaz_index, OverrideTable(mapping={"Atlantis": 999999}), ev)
+        assert out.city == GazetteerRef(999999, "Atlantis")
+        assert out.country.geoname_id == 690791
+        assert len(calls) == 1
 
     def test_existing_labels_preserved(self, gaz_index, overrides):
         ev = _event(city_name="Kupyansk", city_labels={"en": "Custom"})

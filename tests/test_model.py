@@ -115,6 +115,11 @@ class TestEvent:
         with pytest.raises(ValueError):
             _event(source_urls=("/relative/path",))
 
+    @pytest.mark.parametrize("url", ["\x01https://x/", " https://x/", "ht\ttps://x/", "https://e\nx/"])
+    def test_url_that_urlsplit_must_repair_rejected(self, url):
+        with pytest.raises(ValueError):
+            _event(source_urls=(url,))
+
     def test_label_language_must_be_two_lowercase_letters(self):
         with pytest.raises(ValueError):
             _event(city_labels={"EN": "Izyum"})
