@@ -54,7 +54,6 @@ from .rdf import (
     emit_event_triples,
     event_iri,
     parse_ntriples,
-    serialize,
     serialize_bytes,
 )
 from .integration import (
@@ -83,7 +82,5 @@ from .analytics import (
     uc5_ratio_series,
     uc6_shelter_gap,
 )
-from .linkcheck import LinkChecker, LinkState, LinkStatus, check_url, link_report
-from .geonames_api import GeoNamesClient
 
 __version__ = "0.1.0"

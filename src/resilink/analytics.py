@@ -272,6 +272,8 @@ def uc3_multilingual_city_report(
     """
     if not langs:
         raise ValueError("langs must be non-empty")
+    if top_n < 1:
+        raise ValueError(f"top must be at least 1: {top_n}")
     counts: dict[tuple[str, ...], int] = {}
     for _, ev in dataset.primary_events():
         if all(lang in ev.city_labels for lang in langs):
@@ -290,6 +292,8 @@ def uc4_top_regions(
     """Top regions by event count within [start, end); the end is exclusive."""
     if not start < end:
         raise ValueError("start must be before end")
+    if n < 1:
+        raise ValueError(f"top must be at least 1: {n}")
     counts: dict[str, int] = {}
     for _, ev in dataset.primary_events():
         if ev.province is None or not ev.province.preferred_name:

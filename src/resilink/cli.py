@@ -22,8 +22,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from . import analytics, gazetteer, ingest, integration, linkcheck, rdf
-from .geonames_api import GeoNamesClient
+from . import analytics, gazetteer, ingest, integration, rdf
 from .model import (
     Dataset,
     Event,
@@ -246,10 +245,6 @@ def _write_events(path: str | Path, events) -> None:
     _atomic_write_text(Path(path), events_to_json(events) + "\n")
 
 
-def _rdf_format(name: str) -> rdf.RdfFormat:
-    return rdf.RdfFormat.TURTLE if name == "turtle" else rdf.RdfFormat.NTRIPLES
-
-
 # ---------------------------------------------------------------------------
 # Stage implementations
 
@@ -275,6 +270,8 @@ def _cmd_ingest(args, cfg: PipelineConfig) -> int:
 
 def _online_fill(events, cfg: PipelineConfig):
     """Second enrichment pass through the online service for leftovers."""
+    from .geonames_api import GeoNamesClient  # imports requests: only online runs pay for it
+
     settings = cfg.online
     username = settings.username or os.environ.get(USERNAME_ENV)
     if not username:
@@ -322,7 +319,7 @@ def _cmd_convert(args, cfg: PipelineConfig) -> int:
     triples = []
     for ev in events:
         triples.extend(rdf.emit_event_triples(ev))
-    _atomic_write_bytes(Path(args.out), rdf.serialize_bytes(triples, _rdf_format(args.rdf_format)))
+    _atomic_write_bytes(Path(args.out), rdf.serialize_bytes(triples, rdf.RdfFormat(args.rdf_format)))
     return 0
 
 
@@ -356,7 +353,7 @@ def _integrate(a_events: list[Event], b_events: list[Event], cfg: PipelineConfig
 def _cmd_integrate(args, cfg: PipelineConfig) -> int:
     _integrate(
         _read_events(args.eor), _read_events(args.ch), cfg,
-        args.out, args.pairs, args.counts, _rdf_format(args.rdf_format),
+        args.out, args.pairs, args.counts, rdf.RdfFormat(args.rdf_format),
     )
     return 0
 
@@ -370,7 +367,7 @@ def _cmd_report(args, cfg: PipelineConfig) -> int:
     ds = _load_dataset(args.input)
     uc = args.use_case
     if uc == "uc1":
-        city = GazetteerRef(args.city_geoname_id) if args.city_geoname_id else None
+        city = GazetteerRef(args.city_geoname_id) if args.city_geoname_id is not None else None
         start, end = parse_civil_date(args.start), parse_civil_date(args.end)
         points = analytics.uc1_event_points(ds, city, start, end)
         if args.out_nt:
@@ -429,6 +426,8 @@ def _cmd_report(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_linkcheck(args, cfg: PipelineConfig) -> int:
+    from . import linkcheck  # imports requests: only this command pays for it
+
     events = []
     for path in args.input:
         events.extend(_read_events(path))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import requests
@@ -35,6 +36,15 @@ class ServiceError(GeoNamesError):
     def __init__(self, status: int):
         self.status = status
         super().__init__(f"service error: HTTP {status}")
+
+
+@contextmanager
+def _parsing_reply(path: str):
+    """Turn a missing or unparsable field of a reply into a GeoNamesError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise GeoNamesError(f"malformed reply from {path}: {exc!r}") from exc
 
 
 class RateLimiter:
@@ -94,7 +104,11 @@ class GeoNamesClient:
                 continue
             if resp.status_code != 200:
                 raise ServiceError(resp.status_code)
-            return resp.json()
+            with _parsing_reply(path):
+                payload = resp.json()
+            if not isinstance(payload, dict):
+                raise GeoNamesError(f"malformed reply from {path}: not a JSON object")
+            return payload
         if last_status is None:
             raise GeoNamesNetworkError("timed out after retries")
         raise ServiceError(last_status)
@@ -118,26 +132,34 @@ class GeoNamesClient:
             admin1_code=obj.get("adminCode1", ""),
         )
 
+    def _first_hit(self, path: str, lat: float, lng: float, key: str) -> dict | None:
+        hits = self._request(path, {"lat": lat, "lng": lng}).get(key, [])
+        if not isinstance(hits, list) or not all(isinstance(hit, dict) for hit in hits):
+            raise GeoNamesError(f"malformed reply from {path}: {key!r} is not a list of objects")
+        return hits[0] if hits else None
+
     def find_nearby_place(self, lat: float, lng: float) -> GazetteerEntry | None:
-        payload = self._request("findNearbyPlaceNameJSON", {"lat": lat, "lng": lng})
-        hits = payload.get("geonames", [])
-        return self._entry_from_payload(hits[0]) if hits else None
+        path = "findNearbyPlaceNameJSON"
+        obj = self._first_hit(path, lat, lng, "geonames")
+        with _parsing_reply(path):
+            return None if obj is None else self._entry_from_payload(obj)
 
     def find_nearby_postal(self, lat: float, lng: float) -> PostalCodeEntry | None:
-        payload = self._request("findNearbyPostalCodesJSON", {"lat": lat, "lng": lng})
-        hits = payload.get("postalCodes", [])
-        if not hits:
+        path = "findNearbyPostalCodesJSON"
+        obj = self._first_hit(path, lat, lng, "postalCodes")
+        if obj is None:
             return None
-        obj = hits[0]
-        return PostalCodeEntry(
-            country_code=obj.get("countryCode", ""),
-            postal_code=str(obj["postalCode"]),
-            place_name=obj.get("placeName", ""),
-            point=GeoPoint(float(obj["lat"]), float(obj["lng"])),
-        )
+        with _parsing_reply(path):
+            return PostalCodeEntry(
+                country_code=obj.get("countryCode", ""),
+                postal_code=str(obj["postalCode"]),
+                place_name=obj.get("placeName", ""),
+                point=GeoPoint(float(obj["lat"]), float(obj["lng"])),
+            )
 
     def get_entry(self, geoname_id: int) -> GazetteerEntry:
         payload = self._request("getJSON", {"geonameId": geoname_id})
         if "geonameId" not in payload:
             raise ServiceError(404)
-        return self._entry_from_payload(payload)
+        with _parsing_reply("getJSON"):
+            return self._entry_from_payload(payload)

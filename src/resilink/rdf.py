@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 from urllib.parse import quote, unquote
 
 from .model import (
@@ -70,8 +71,10 @@ class NTriplesSyntaxError(ResilinkError):
         super().__init__(f"line {line}: {message}")
 
 
-class SinkError(ResilinkError):
-    """Writing serialized output failed."""
+_LITERAL_ESCAPES = str.maketrans(
+    {chr(c): f"\\u{c:04X}" for c in range(0x20)}
+    | {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+)
 
 
 class TermKind(Enum):
@@ -104,6 +107,22 @@ class Term:
     @classmethod
     def literal(cls, value: str, language: str | None = None, datatype: str | None = None) -> Term:
         return cls(TermKind.LITERAL, value, language, datatype)
+
+    def render(self, prefixed: Callable[[str], str | None] | None = None) -> str:
+        """The N-Triples form of the term.
+
+        Turtle passes `prefixed`, which may shorten an IRI (the term's own or
+        a literal's datatype) to a prefixed name; None keeps `<iri>`.
+        """
+        if self.kind is TermKind.IRI:
+            return prefixed and prefixed(self.value) or f"<{self.value}>"
+        text = f'"{self.value.translate(_LITERAL_ESCAPES)}"'
+        if self.language:
+            return f"{text}@{self.language}"
+        if self.datatype:
+            datatype = prefixed and prefixed(self.datatype) or f"<{self.datatype}>"
+            return f"{text}^^{datatype}"
+        return text
 
 
 @dataclass(frozen=True)
@@ -150,8 +169,9 @@ def format_decimal(x: float) -> str:
     return text if text else "0"
 
 
-def _geoname_iri(ref: GazetteerRef) -> Term:
-    return Term.iri(ref.iri)
+# The mapping's vocabulary IRIs, each built once. Only namespace constants
+# reach this cache, so it stays bounded.
+_vocab = functools.cache(Term.iri)
 
 
 def emit_event_triples(ev: Event) -> list[Triple]:
@@ -169,32 +189,32 @@ def emit_event_triples(ev: Event) -> list[Triple]:
     xsd_decimal = XSD_NS + "decimal"
 
     triples = [
-        Triple(subject, Term.iri(RDF_NS + "type"), Term.iri(SEM_NS + "Event")),
-        Triple(subject, Term.iri(DCT_NS + "date"), Term.literal(ev.date.isoformat(), datatype=xsd_date)),
-        Triple(subject, Term.iri(SDO_NS + "location"), loc),
-        Triple(loc, Term.iri(SDO_NS + "geo"), geo),
-        Triple(geo, Term.iri(RDF_NS + "type"), Term.iri(SDO_NS + "GeoCoordinates")),
-        Triple(geo, Term.iri(SDO_NS + "latitude"),
+        Triple(subject, _vocab(RDF_NS + "type"), _vocab(SEM_NS + "Event")),
+        Triple(subject, _vocab(DCT_NS + "date"), Term.literal(ev.date.isoformat(), datatype=xsd_date)),
+        Triple(subject, _vocab(SDO_NS + "location"), loc),
+        Triple(loc, _vocab(SDO_NS + "geo"), geo),
+        Triple(geo, _vocab(RDF_NS + "type"), _vocab(SDO_NS + "GeoCoordinates")),
+        Triple(geo, _vocab(SDO_NS + "latitude"),
                Term.literal(format_decimal(ev.point.latitude), datatype=xsd_decimal)),
-        Triple(geo, Term.iri(SDO_NS + "longitude"),
+        Triple(geo, _vocab(SDO_NS + "longitude"),
                Term.literal(format_decimal(ev.point.longitude), datatype=xsd_decimal)),
     ]
     if ev.description is not None:
-        triples.append(Triple(subject, Term.iri(DCT_NS + "description"), Term.literal(ev.description)))
+        triples.append(Triple(subject, _vocab(DCT_NS + "description"), Term.literal(ev.description)))
     for url in ev.source_urls:
         triples.append(
-            Triple(subject, Term.iri(SDO_NS + "url"), Term.iri(url.translate(_IRI_PERCENT_ENCODE)))
+            Triple(subject, _vocab(SDO_NS + "url"), Term.iri(url.translate(_IRI_PERCENT_ENCODE)))
         )
     for comment in ev.comments:
-        triples.append(Triple(subject, Term.iri(RDFS_NS + "comment"), Term.literal(comment)))
+        triples.append(Triple(subject, _vocab(RDFS_NS + "comment"), Term.literal(comment)))
     for lang in sorted(ev.city_labels):
         triples.append(
-            Triple(subject, Term.iri(ONTOLOGY_NS + "cityName"),
+            Triple(subject, _vocab(ONTOLOGY_NS + "cityName"),
                    Term.literal(ev.city_labels[lang], language=lang))
         )
     if ev.province is not None and ev.province.preferred_name:
         triples.append(
-            Triple(subject, Term.iri(ONTOLOGY_NS + "addressRegion"),
+            Triple(subject, _vocab(ONTOLOGY_NS + "addressRegion"),
                    Term.literal(ev.province.preferred_name))
         )
     for predicate, ref in (
@@ -203,10 +223,10 @@ def emit_event_triples(ev: Event) -> list[Triple]:
         ("countryGeoNames", ev.country),
     ):
         if ref is not None:
-            triples.append(Triple(subject, Term.iri(ONTOLOGY_NS + predicate), _geoname_iri(ref)))
+            triples.append(Triple(subject, _vocab(ONTOLOGY_NS + predicate), Term.iri(ref.iri)))
     if ev.postal_code is not None:
         triples.append(
-            Triple(subject, Term.iri(ONTOLOGY_NS + "postalCode"), Term.literal(ev.postal_code))
+            Triple(subject, _vocab(ONTOLOGY_NS + "postalCode"), Term.literal(ev.postal_code))
         )
     return triples
 
@@ -215,41 +235,19 @@ def emit_aggregate_triples(agg: AggregateEvent) -> list[Triple]:
     """Type the aggregate and link it to its primary source and members."""
     subject = Term.iri(agg.iri)
     triples = [
-        Triple(subject, Term.iri(RDF_NS + "type"), Term.iri(SEM_NS + "Event")),
-        Triple(subject, Term.iri(ONTOLOGY_NS + "hasPrimarySource"),
+        Triple(subject, _vocab(RDF_NS + "type"), _vocab(SEM_NS + "Event")),
+        Triple(subject, _vocab(ONTOLOGY_NS + "hasPrimarySource"),
                Term.iri(event_iri(*agg.primary))),
     ]
     for member in agg.members:
         triples.append(
-            Triple(subject, Term.iri(ONTOLOGY_NS + "hasMember"), Term.iri(event_iri(*member)))
+            Triple(subject, _vocab(ONTOLOGY_NS + "hasMember"), Term.iri(event_iri(*member)))
         )
     return triples
 
 
 # ---------------------------------------------------------------------------
 # Serialization
-
-_LITERAL_ESCAPES = str.maketrans(
-    {chr(c): f"\\u{c:04X}" for c in range(0x20)}
-    | {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-)
-
-
-def _nt_term(t: Term) -> str:
-    if t.kind is TermKind.IRI:
-        return f"<{t.value}>"
-    lit = f'"{t.value.translate(_LITERAL_ESCAPES)}"'
-    if t.language:
-        return f"{lit}@{t.language}"
-    if t.datatype:
-        return f"{lit}^^<{t.datatype}>"
-    return lit
-
-
-def _sorted_unique(triples: Iterable[Triple]) -> list[tuple[str, str, str]]:
-    rendered = {(_nt_term(t.subject), _nt_term(t.predicate), _nt_term(t.object)) for t in triples}
-    return sorted(rendered)
-
 
 def _prefixed(iri: str) -> str | None:
     for prefix, ns in PREFIXES.items():
@@ -260,68 +258,36 @@ def _prefixed(iri: str) -> str | None:
     return None
 
 
-def _turtle_term(rendered: str) -> str:
-    if rendered.startswith("<") and rendered.endswith(">"):
-        short = _prefixed(rendered[1:-1])
-        return short if short else rendered
-    if "^^<" in rendered and rendered.endswith(">"):
-        lit, _, dt = rendered.rpartition("^^")
-        short = _prefixed(dt[1:-1])
-        return f"{lit}^^{short}" if short else rendered
-    return rendered
-
-
 class RdfFormat(str, Enum):
     NTRIPLES = "ntriples"
     TURTLE = "turtle"
 
 
-def serialize(triples: Iterable[Triple], fmt: RdfFormat, sink: IO[bytes]) -> None:
-    """Write the triple set to a binary sink, deterministically.
+def serialize_bytes(triples: Iterable[Triple], fmt: RdfFormat = RdfFormat.NTRIPLES) -> bytes:
+    """The triple set as UTF-8 bytes, deterministically.
 
-    N-Triples: one statement per line, UTF-8, literals escaped per the
-    grammar. Turtle: a single prefix block followed by subject-grouped
-    statements using prefixed names where possible.
+    Both formats are written from the same rows: the triples de-duplicated
+    and sorted by the N-Triples rendering of subject, predicate, object.
+    N-Triples: one statement per line, literals escaped per the grammar.
+    Turtle: a single prefix block followed by the rows grouped by subject,
+    using prefixed names where possible and `a` for rdf:type.
     """
-    rows = _sorted_unique(triples)
-    lines: list[str] = []
+    by_row = {(t.subject.render(), t.predicate.render(), t.object.render()): t for t in triples}
+    rows = sorted(by_row)
     if fmt is RdfFormat.NTRIPLES:
         lines = [f"{s} {p} {o} ." for s, p, o in rows]
     elif fmt is RdfFormat.TURTLE:
-        for prefix in sorted(PREFIXES):
-            lines.append(f"@prefix {prefix}: <{PREFIXES[prefix]}> .")
-        current: str | None = None
-        body: list[str] = []
-        for s, p, o in rows:
-            pred = "a" if p == f"<{RDF_NS}type>" else _turtle_term(p)
-            obj = _turtle_term(o)
-            if s != current:
-                if current is not None:
-                    body[-1] = body[-1][:-2] + " ."
-                body.append("")
-                body.append(s)
-                current = s
-            body.append(f"    {pred} {obj} ;")
-        if current is not None:
-            body[-1] = body[-1][:-2] + " ."
-        lines.extend(body)
+        lines = [f"@prefix {prefix}: <{PREFIXES[prefix]}> ." for prefix in sorted(PREFIXES)]
+        for subject, group in itertools.groupby(rows, key=lambda row: row[0]):
+            statements = []
+            for t in map(by_row.get, group):
+                pred = "a" if t.predicate.value == RDF_NS + "type" else t.predicate.render(_prefixed)
+                statements.append(f"{pred} {t.object.render(_prefixed)}")
+            lines += ["", subject, "    " + " ;\n    ".join(statements) + " ."]
     else:
         raise ValueError(f"unsupported format: {fmt!r}")
     data = "\n".join(lines)
-    if data:
-        data += "\n"
-    try:
-        sink.write(data.encode("utf-8"))
-    except OSError as exc:
-        raise SinkError(str(exc)) from exc
-
-
-def serialize_bytes(triples: Iterable[Triple], fmt: RdfFormat = RdfFormat.NTRIPLES) -> bytes:
-    import io
-
-    buf = io.BytesIO()
-    serialize(triples, fmt, buf)
-    return buf.getvalue()
+    return (data + "\n").encode("utf-8") if data else b""
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,9 @@ class GeoNamesHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
+        if self.server.scripted_bodies:
+            self._send_body(self.server.scripted_bodies.pop(0))
+            return
 
         index = self.server.index
         from tests.oracles import scalar_haversine_km
@@ -145,7 +148,9 @@ class GeoNamesHandler(BaseHTTPRequestHandler):
             self.end_headers()
             return
 
-        body = json.dumps(doc).encode("utf-8")
+        self._send_body(json.dumps(doc).encode("utf-8"))
+
+    def _send_body(self, body: bytes):
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -161,6 +166,7 @@ def start_server(handler_cls, **attrs) -> ThreadingHTTPServer:
     server.request_log = []
     server.slow_delay_s = 1.5
     server.scripted_status = []
+    server.scripted_bodies = []  # GeoNamesHandler replies 200 with these first
     for k, v in attrs.items():
         setattr(server, k, v)
     # shutdown() waits for serve_forever to wake up, which it does every poll_interval

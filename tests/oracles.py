@@ -9,6 +9,7 @@ linear scan.
 from __future__ import annotations
 
 import math
+import re
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -67,3 +68,60 @@ def scan_nearest(query_lat: float, query_lon: float, coords: list[tuple[float, f
         if best is None or d < best[1]:
             best = (i, d)
     return best
+
+
+RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+
+
+def turtle_statements(text: str) -> list[str]:
+    """Expand the writer's Turtle back into N-Triples statement lines, in order.
+
+    Reads the shape the writer produces: an `@prefix` block, then per
+    subject a blank line, the subject as `<iri>`, and one `predicate object`
+    line per statement, indented four spaces and ending in ` ;` (or ` .`
+    for the subject's last). `a`, prefixed names and prefixed datatypes are
+    expanded by string work alone, and a prefixed name's local part must be
+    one the writer may shorten to; literals are kept as written, since both
+    formats escape them the same way.
+    """
+    prefixes: dict[str, str] = {}
+
+    def name(token: str) -> str:
+        if token.startswith("<"):
+            return token
+        prefix, colon, local = token.partition(":")
+        assert colon and prefix in prefixes, token
+        assert re.fullmatch(r"[A-Za-z_][A-Za-z0-9_-]*", local), f"local name {local!r}"
+        return f"<{prefixes[prefix]}{local}>"
+
+    def term(token: str) -> str:
+        if not token.startswith('"'):
+            return name(token)
+        close = token.rindex('"')  # a quote inside the literal is escaped as \"
+        suffix = token[close + 1:]
+        if suffix.startswith("^^"):
+            return token[: close + 1] + "^^" + name(suffix[2:])
+        return token
+
+    statements = []
+    subject = None
+    for line in text.split("\n"):
+        if line.startswith("@prefix "):
+            assert subject is None and not statements, line
+            _, label, iri, dot = line.split(" ")
+            assert label.endswith(":") and iri[0] + iri[-1] == "<>" and dot == ".", line
+            prefixes[label[:-1]] = iri[1:-1]
+        elif line.startswith("    "):
+            assert subject is not None, line
+            body, end = line[4:-2], line[-2:]
+            assert end in (" ;", " ."), line
+            predicate, obj = body.split(" ", 1)
+            predicate = f"<{RDF_TYPE_IRI}>" if predicate == "a" else name(predicate)
+            statements.append(f"{subject} {predicate} {term(obj)} .")
+            if end == " .":
+                subject = None
+        elif line:
+            assert subject is None and line[0] + line[-1] == "<>", line
+            subject = line
+    assert subject is None, "last statement group not closed"
+    return statements

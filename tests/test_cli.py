@@ -6,6 +6,8 @@ import io
 import json
 import logging
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -190,6 +192,69 @@ class TestDataErrors:
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line.startswith("resilink: error: ") and "nested too deeply" in line
 
+    @pytest.mark.parametrize("argv", [
+        ("uc3", "--top", "-1"),
+        ("uc3", "--top", "0"),
+        ("uc4", "--start", "2022-01-01", "--end", "2023-01-01", "--top", "-1"),
+        ("uc4", "--start", "2022-01-01", "--end", "2023-01-01", "--top", "0"),
+        ("uc4", "--months", "2022-03", "--top", "0"),
+    ], ids=" ".join)
+    def test_top_below_one_is_one_line_error(self, workdir, capsys, argv):
+        # --top -1 used to drop the last row (ranked[:-1]); 0 wrote a header only
+        nt = workdir / "events.nt"
+        assert _run("convert", "--input", _tiny_events(workdir), "--out", nt) == 0
+        out = workdir / "report.csv"
+        assert _run("report", *argv, "--input", nt, "--out", out) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("resilink: error: ") and "top" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("geoname_id", ["0", "-3"])
+    def test_uc1_city_geoname_id_must_be_positive(self, workdir, capsys, geoname_id):
+        # 0 used to be taken as "no filter" and wrote the unfiltered selection
+        nt = workdir / "events.nt"
+        assert _run("convert", "--input", _tiny_events(workdir), "--out", nt) == 0
+        out = workdir / "uc1.geojson"
+        assert _run("report", "uc1", "--input", nt, "--start", "2022-01-01", "--end", "2023-01-01",
+                    "--city-geoname-id", geoname_id, "--out-geojson", out) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("resilink: error: ") and "geoname_id" in line
+        assert not out.exists()
+
+    def test_output_path_that_is_a_directory_is_one_line_error(self, workdir, capsys):
+        target = workdir / "taken"
+        target.mkdir()
+        assert _run("convert", "--input", _tiny_events(workdir), "--out", target) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("resilink: error: ")
+        assert target.is_dir() and not list(target.iterdir())
+        assert not list(workdir.glob("*.tmp"))
+
+    def test_malformed_online_reply_is_one_line_error(self, workdir, capsys, gaz_index):
+        from tests.httpmock import GeoNamesHandler
+
+        server = start_server(GeoNamesHandler, index=gaz_index)
+        server.scripted_bodies.append(b'{"geonames": [{"name": "x"}]}')
+        try:
+            cfg = json.loads((PIPE / "config.json").read_text())
+            cfg["gazetteer"] = {k: str(PIPE / v) for k, v in cfg["gazetteer"].items()}
+            cfg["overrides"] = str(PIPE / cfg["overrides"])
+            cfg["online"] = {"base_url": f"http://127.0.0.1:{server.server_address[1]}",
+                             "username": "demo", "rate_per_sec": 1000}
+            config = workdir / "config.json"
+            config.write_text(json.dumps(cfg))
+            far = workdir / "far.json"  # nothing offline is near: the online pass runs
+            far.write_text(json.dumps([
+                {"id": "far-1", "dataset": "eor", "date": "2022-03-07", "lat": 44.0, "lon": 33.0}
+            ]))
+            out = workdir / "out.json"
+            assert _run("enrich", "--input", far, "--config", config, "--out", out) == 1
+        finally:
+            stop_server(server)
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("resilink: error: malformed reply")
+        assert not out.exists()
+
     def test_linkcheck_concurrency_zero_rejected(self, workdir):
         # a closed local port: nothing leaves the machine even if the check were missing
         code = _run("linkcheck", "--input", _tiny_events(workdir),
@@ -197,6 +262,14 @@ class TestDataErrors:
                     "--base-override", "http://127.0.0.1:9",
                     "--concurrency", "0", "--out-json", workdir / "links.json")
         assert code == 1
+
+
+def test_cli_import_leaves_requests_unloaded():
+    # only linkcheck and the online enrichment pass make HTTP calls
+    code = "import resilink.cli, sys; assert 'requests' not in sys.modules, 'requests imported'"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestStageCommands:

@@ -6,6 +6,7 @@ import pytest
 
 from resilink.geonames_api import (
     GeoNamesClient,
+    GeoNamesError,
     GeoNamesNetworkError,
     RateLimitedError,
     RateLimiter,
@@ -75,6 +76,43 @@ class TestRequests:
                                 rate_per_sec=1000.0, timeout_s=0.3)
         with pytest.raises(GeoNamesNetworkError):
             client.find_nearby_place(49.0, 36.0)
+
+
+# Each once escaped the client as a KeyError, AttributeError or bare ValueError.
+MALFORMED_REPLIES = [
+    pytest.param("place", b'{"geonames": [{"name": "x"}]}', id="place-without-geonameId"),
+    pytest.param("place", b"[1, 2]", id="not-an-object"),
+    pytest.param("place", b'{"geonames": {"x": 1}}', id="hits-not-a-list"),
+    pytest.param("place", b'{"geonames": [1]}', id="hit-not-an-object"),
+    pytest.param("place", b'{"geonames": [{"geonameId": "x", "lat": "1", "lng": "2"}]}',
+                 id="geonameId-not-a-number"),
+    pytest.param("place", b'{"geonames": [{"geonameId": 1, "lat": "1", "lng": "2",'
+                          b' "alternateNames": [3]}]}', id="alternate-name-not-an-object"),
+    pytest.param("place", b"not json", id="not-json"),
+    pytest.param("postal", b'{"postalCodes": [{"lat": 1}]}', id="postal-without-postalCode"),
+    pytest.param("postal", b'{"postalCodes": [{"postalCode": "1", "lat": null, "lng": 2}]}',
+                 id="lat-null"),
+    pytest.param("entry", b'{"geonameId": 1}', id="entry-without-coordinates"),
+]
+
+
+class TestMalformedReplies:
+    @pytest.mark.parametrize("call,body", MALFORMED_REPLIES)
+    def test_malformed_reply_is_a_geonames_error(self, server, call, body):
+        server.scripted_bodies.append(body)
+        client = _client(server)
+        with pytest.raises(GeoNamesError, match="malformed reply"):
+            {
+                "place": lambda: client.find_nearby_place(49.0, 36.0),
+                "postal": lambda: client.find_nearby_postal(49.0, 36.0),
+                "entry": lambda: client.get_entry(1),
+            }[call]()
+
+    def test_empty_hit_list_is_no_match(self, server):
+        server.scripted_bodies.extend([b'{"geonames": []}', b"{}"])
+        client = _client(server)
+        assert client.find_nearby_place(49.0, 36.0) is None
+        assert client.find_nearby_postal(49.0, 36.0) is None
 
 
 class TestRateLimiter:

@@ -10,6 +10,7 @@ from resilink.model import AggregateEvent, CivilDate, Dataset, Event, GazetteerR
 from resilink.rdf import (
     DCT_NS,
     ONTOLOGY_NS,
+    PREFIXES,
     RDF_NS,
     SDO_NS,
     SEM_NS,
@@ -27,6 +28,7 @@ from resilink.rdf import (
     parse_ntriples,
     serialize_bytes,
 )
+from tests.oracles import turtle_statements
 
 
 class TestTermModel:
@@ -232,6 +234,36 @@ _triple_strategy = st.builds(
 )
 
 
+# IRIs in the mapping's namespaces: local parts a prefixed name can carry
+# and local parts it cannot, so both spellings reach the Turtle writer.
+_vocab_iri_strategy = st.builds(
+    lambda ns, local: ns + local,
+    st.sampled_from(sorted(PREFIXES.values())),
+    st.sampled_from(["type", "Event", "date", "a-b_c", "_x", "1st", "a.b", "", "x/y", "é"]),
+)
+_vocab_triple_strategy = st.builds(
+    Triple,
+    st.builds(Term.iri, _iri_strategy | _vocab_iri_strategy),
+    st.builds(Term.iri, _iri_strategy | _vocab_iri_strategy),
+    _term_strategy
+    | st.builds(Term.iri, _vocab_iri_strategy)
+    | st.builds(
+        lambda value, datatype: Term.literal(value, datatype=datatype),
+        st.text(max_size=20),
+        _iri_strategy | _vocab_iri_strategy,
+    ),
+)
+
+
+def _ntriples_lines(triples) -> list[str]:
+    # split on LF only: U+0085 and U+2028 may stand raw inside a literal
+    return serialize_bytes(triples).decode("utf-8").split("\n")[:-1]
+
+
+def _turtle_lines(triples) -> list[str]:
+    return turtle_statements(serialize_bytes(triples, RdfFormat.TURTLE).decode("utf-8"))
+
+
 class TestSerialization:
     def test_newline_escaped(self):
         t = Triple(Term.iri("https://x/s"), Term.iri("https://x/p"), Term.literal("a\nb"))
@@ -261,15 +293,29 @@ class TestSerialization:
         assert " a sem:Event" in text
         assert 'dct:date "2022-03-07"^^xsd:date' in text
 
-    def test_sink_error_wraps_io_failure(self):
-        from resilink.rdf import SinkError, serialize
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError):
+            serialize_bytes(emit_event_triples(_event()), "rdfxml")
 
-        class FailingSink:
-            def write(self, data):
-                raise OSError(28, "No space left on device")
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_triple_strategy, max_size=12))
+    def test_turtle_expands_to_the_ntriples_lines(self, triples):
+        assert _turtle_lines(triples) == _ntriples_lines(triples)
 
-        with pytest.raises(SinkError):
-            serialize(emit_event_triples(_event()), RdfFormat.NTRIPLES, FailingSink())
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_vocab_triple_strategy, max_size=12))
+    def test_turtle_with_prefixed_names_expands_to_the_ntriples_lines(self, triples):
+        assert _turtle_lines(triples) == _ntriples_lines(triples)
+
+    def test_turtle_of_the_integrated_fixture_expands_to_the_ntriples_lines(
+        self, enriched_events, integrated
+    ):
+        eor, ch = enriched_events
+        triples = [t for ev in eor + ch for t in emit_event_triples(ev)]
+        triples += [t for agg in integrated.aggregates for t in emit_aggregate_triples(agg)]
+        turtle = _turtle_lines(triples)
+        assert turtle == _ntriples_lines(triples)
+        assert len(turtle) == len(set(triples)) > 1000
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_triple_strategy, max_size=12))
