@@ -238,6 +238,8 @@ def uc2_monthly_keyword_series(
     postal code). Months with no matches report 0, so the output length
     always equals the requested month list length.
     """
+    if not keyword.strip():
+        raise ValueError(f"keyword must not be blank: {keyword!r}")
     if not months:
         raise ValueError("months must be non-empty")
     for m in months:
@@ -272,6 +274,8 @@ def uc3_multilingual_city_report(
     """
     if not langs:
         raise ValueError("langs must be non-empty")
+    if not all(lang.strip() for lang in langs):
+        raise ValueError(f"language codes must not be empty: {','.join(langs)!r}")
     if top_n < 1:
         raise ValueError(f"top must be at least 1: {top_n}")
     counts: dict[tuple[str, ...], int] = {}
@@ -329,9 +333,12 @@ def read_deaths_csv(fp: IO[str]) -> dict[str, int]:
         if len(row) != 2 or not _MONTH_RE.match(row[0].strip()):
             raise ReportFormatError(f"deaths CSV line {i}: expected 'YYYY-MM,integer'")
         try:
-            out[row[0].strip()] = int(row[1])
+            deaths = int(row[1])
         except ValueError as exc:
             raise ReportFormatError(f"deaths CSV line {i}: bad death count {row[1]!r}") from exc
+        if deaths < 0:
+            raise ReportFormatError(f"deaths CSV line {i}: negative death count {deaths}")
+        out[row[0].strip()] = deaths
     return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -224,6 +225,10 @@ def split_location_parts(s: str) -> list[str]:
     return parts
 
 
+# JSON string escapes can decode to a lone surrogate; no output could encode it
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def normalize_record(raw: RawEventRecord, cfg: AdapterConfig) -> Event:
     """Turn one raw record into an Event with cleaned strings and parsed values.
 
@@ -239,6 +244,8 @@ def normalize_record(raw: RawEventRecord, cfg: AdapterConfig) -> Event:
         value = raw.fields.get(src)
         if value is None or not value.strip():
             return None
+        if _SURROGATE.search(value):
+            raise RecordError(raw.index, f"field {src!r} holds a lone surrogate")
         return value
 
     raw_date, raw_lat, raw_lon = _get("date"), _get("lat"), _get("lon")

@@ -3,8 +3,10 @@
 Candidate pairs share a city and a date across the two datasets; each pair
 is then classified by three ordered rules (shared social-media link,
 "area" reports with a wider radius, facility keywords with a tight
-radius). Description similarity is the Ratcliff/Obershelp ratio as
-difflib computes it with autojunk off. Within one dataset, distinct
+radius). Description similarity is the Ratcliff/Obershelp ratio, equal
+to difflib's with autojunk off. A suffix automaton finds each longest
+matching block in time linear in its range, so the worst case over a
+pair is quadratic where difflib's is cubic. Within one dataset, distinct
 records are assumed to describe distinct events, so matching is
 cross-dataset only and one-to-one.
 """
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from difflib import SequenceMatcher
 from enum import Enum
 from typing import IO, Iterable, Sequence
 from urllib.parse import urlsplit, urlunsplit
@@ -121,15 +122,103 @@ class IntegrationResult:
 # ---------------------------------------------------------------------------
 # String similarity (Ratcliff/Obershelp)
 
+def _longest_block(a: str, alo: int, ahi: int, b: str, blo: int, bhi: int) -> tuple[int, int, int]:
+    """(i, j, k): the longest common block a[i:i+k] == b[j:j+k] in the ranges.
+
+    Ties go to the smallest i, then the smallest j; k is 0 when the ranges
+    share no character. A suffix automaton of b[blo:bhi] is built and
+    a[alo:ahi] streamed through it, in time linear in the two ranges.
+    """
+    # per state: transitions, suffix link, longest length, earliest end in b
+    nxt = [{}]
+    link = [-1]
+    length = [0]
+    first = [-1]
+    last = 0
+    for pos in range(blo, bhi):
+        c = b[pos]
+        cur = len(length)
+        nxt.append({})
+        length.append(length[last] + 1)
+        first.append(pos)
+        link.append(0)
+        p = last
+        while p != -1:
+            t = nxt[p]
+            if c in t:
+                break
+            t[c] = cur
+            p = link[p]
+        if p != -1:
+            q = nxt[p][c]
+            if length[p] + 1 == length[q]:
+                link[cur] = q
+            else:
+                clone = cur + 1
+                nxt.append(nxt[q].copy())
+                length.append(length[p] + 1)
+                link.append(link[q])
+                first.append(first[q])
+                while p != -1:
+                    t = nxt[p]
+                    if t.get(c) != q:
+                        break
+                    t[c] = clone
+                    p = link[p]
+                link[q] = link[cur] = clone
+        last = cur
+    # l is the longest match ending at pos, held by `state`; keeping only a
+    # strict improvement gives the earliest block in a, and first[state] the
+    # earliest occurrence of that block in b
+    i = j = k = 0
+    state = l = 0
+    for pos in range(alo, ahi):
+        c = a[pos]
+        t = nxt[state]
+        while c not in t:
+            if not state:
+                break  # c is not in b's range: the match restarts empty
+            state = link[state]
+            l = length[state]
+            t = nxt[state]
+        else:
+            state = t[c]
+            l += 1
+            if l > k:
+                i, j, k = pos - l + 1, first[state] - l + 1, l
+    return i, j, k
+
+
 def similarity(a: str, b: str) -> float:
     """Ratcliff/Obershelp ratio 2*M/(len(a)+len(b)) after lowercasing.
 
     M is the total length of matched blocks found by taking the longest
-    matching block and repeating on the left and right remainders.
-    difflib's matcher with autojunk off and no junk function applies no
-    junk or popularity heuristics. Two empty strings rate 1.0.
+    matching block and repeating on the left and right remainders; ties
+    go to the block that starts earliest in a, then earliest in b. The
+    lengths are those of the lowercased texts, so the result equals
+    ``difflib.SequenceMatcher(None, a.lower(), b.lower(),
+    autojunk=False).ratio()``. Two empty strings rate 1.0.
+
+    Each block costs time linear in its ranges, so the worst case over a
+    pair is quadratic. The work queue is explicit, so long texts need no
+    deep recursion.
     """
-    return SequenceMatcher(None, a.lower(), b.lower(), autojunk=False).ratio()
+    a, b = a.lower(), b.lower()
+    n = len(a) + len(b)
+    if not n:
+        return 1.0
+    matched = 0
+    queue = [(0, len(a), 0, len(b))]
+    while queue:
+        alo, ahi, blo, bhi = queue.pop()
+        i, j, k = _longest_block(a, alo, ahi, b, blo, bhi)
+        if k:
+            matched += k
+            if alo < i and blo < j:
+                queue.append((alo, i, blo, j))
+            if i + k < ahi and j + k < bhi:
+                queue.append((i + k, ahi, j + k, bhi))
+    return 2.0 * matched / n
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Independent reference implementations used as test oracles.
 
-These deliberately avoid the library's code paths: the similarity oracle
-finds blocks by exhaustive scanning, the distance oracle uses the
-spherical law of cosines, and the nearest-neighbor oracle is a pure-Python
-linear scan.
+These deliberately avoid the library's code paths: the similarity oracles
+find blocks by exhaustive scanning and with the standard library's
+difflib, the distance oracle uses the spherical law of cosines, and the
+nearest-neighbor oracle is a pure-Python linear scan.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from difflib import SequenceMatcher
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -42,6 +43,11 @@ def brute_force_ratio(a: str, b: str) -> float:
         return 1.0
     matched = total(0, len(a), 0, len(b))
     return 2.0 * matched / (len(a) + len(b))
+
+
+def difflib_ratio(a: str, b: str) -> float:
+    """Ratcliff/Obershelp as difflib computes it, lowercased, with autojunk off."""
+    return SequenceMatcher(None, a.lower(), b.lower(), autojunk=False).ratio()
 
 
 def law_of_cosines_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:

@@ -209,6 +209,34 @@ class TestDataErrors:
         assert line.startswith("resilink: error: ") and "top" in line
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, needle", [
+        (("uc2", "--keyword", " "), "keyword"),
+        (("uc3", "--langs", "en,,uk"), "language codes"),
+        (("uc3", "--langs", ""), "language codes"),
+    ], ids=["uc2-blank-keyword", "uc3-empty-lang-in-list", "uc3-empty-langs"])
+    def test_flag_that_cannot_match_is_one_line_error(self, workdir, capsys, argv, needle):
+        # a blank keyword counted every event with a space in a literal; an empty
+        # language code wrote a header-only CSV
+        nt = workdir / "events.nt"
+        assert _run("convert", "--input", _tiny_events(workdir), "--out", nt) == 0
+        out = workdir / "report.csv"
+        assert _run("report", *argv, "--input", nt, "--out", out) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("resilink: error: ") and needle in line
+        assert not out.exists()
+
+    def test_negative_death_count_is_one_line_error(self, workdir, capsys):
+        # used to write the ratio -0.294118 and exit 0
+        nt = workdir / "events.nt"
+        assert _run("convert", "--input", _tiny_events(workdir), "--out", nt) == 0
+        deaths = workdir / "deaths.csv"
+        deaths.write_text("month,deaths\n2022-03,-5\n")
+        out = workdir / "uc5.csv"
+        assert _run("report", "uc5", "--input", nt, "--deaths", deaths, "--out", out) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("resilink: error: ") and "negative death count" in line
+        assert not out.exists()
+
     @pytest.mark.parametrize("geoname_id", ["0", "-3"])
     def test_uc1_city_geoname_id_must_be_positive(self, workdir, capsys, geoname_id):
         # 0 used to be taken as "no filter" and wrote the unfiltered selection
@@ -427,6 +455,24 @@ class TestStageCommands:
                         "--outdir", outdir) == 0
         rejected = [r.getMessage() for r in caplog.records if r.getMessage().startswith("rejected ")]
         assert len(rejected) == 1 and "source URL is not absolute" in rejected[0]
+        ids = [ev.id for ev in events_from_json((outdir / "eor.events.json").read_text())]
+        assert len(ids) == len(records) - 1 and "eor-003" not in ids
+        assert _run("report", "uc2", "--input", outdir / "integrated.nt", "--keyword", "school",
+                    "--out", workdir / "uc2.csv") == 0
+
+    def test_lone_surrogate_is_rejected_at_ingest(self, workdir, caplog):
+        # "\ud800" is a valid JSON escape, but no UTF-8 output can hold it
+        records = json.loads((PIPE / "eor.json").read_text())
+        records[2]["description"] = "school \ud800 hit"
+        eor = workdir / "eor.json"
+        eor.write_text(json.dumps(records))
+        outdir = workdir / "out"
+        with caplog.at_level(logging.WARNING, logger="resilink"):
+            assert _run("pipeline", "--config", PIPE / "config.json",
+                        "--eor-input", eor, "--ch-input", PIPE / "ch.csv", "--ch-format", "csv",
+                        "--outdir", outdir) == 0
+        rejected = [r.getMessage() for r in caplog.records if r.getMessage().startswith("rejected ")]
+        assert len(rejected) == 1 and "lone surrogate" in rejected[0]
         ids = [ev.id for ev in events_from_json((outdir / "eor.events.json").read_text())]
         assert len(ids) == len(records) - 1 and "eor-003" not in ids
         assert _run("report", "uc2", "--input", outdir / "integrated.nt", "--keyword", "school",

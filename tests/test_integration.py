@@ -3,6 +3,7 @@ from __future__ import annotations
 import inspect
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,27 @@ class TestSimilarity:
         finally:
             sys.setrecursionlimit(limit)
         assert s == 0.5
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.tuples(*[st.text(alphabet="abcdef"[:n], max_size=80)] * 2)))
+    def test_against_difflib_small_alphabets(self, pair):
+        # few letters make ties between equally long blocks common
+        a, b = pair
+        assert similarity(a, b) == oracles.difflib_ratio(a, b)
+
+    @settings(max_examples=300)
+    @given(*[st.text(alphabet="aAbBİiı çÇ€\U0001F600", max_size=60)] * 2)
+    def test_against_difflib_mixed_case_and_non_ascii(self, a, b):
+        # "İ".lower() is two characters, so the lowercased lengths set the ratio
+        assert similarity(a, b) == oracles.difflib_ratio(a, b)
+
+    def test_periodic_text_is_not_cubic(self):
+        # difflib spends about |a| x (occurrences in b) per block here: ~50 s at
+        # 2,000 characters; this bound leaves a 20x margin over the ~0.5 s taken
+        start = time.perf_counter()
+        assert similarity("ab" * 1000, "ax" * 1000) == 0.5
+        assert time.perf_counter() - start < 10.0
 
     @given(short_text, short_text)
     def test_brute_force_property(self, a, b):
