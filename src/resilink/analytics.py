@@ -24,6 +24,7 @@ from .model import (
     GazetteerRef,
     GeoPoint,
     ResilinkError,
+    is_language_code,
     validate_point,
 )
 from .rdf import (
@@ -44,7 +45,7 @@ DEFAULT_MONTHS = (
     "2022-12", "2023-01", "2023-02", "2023-03", "2023-04",
 )
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 
 
 class ReportFormatError(ResilinkError):
@@ -57,9 +58,7 @@ class MonthBucket:
     count: int
 
     def __post_init__(self):
-        m = _MONTH_RE.match(self.month_year)
-        if m is None or not 1 <= int(m.group(2)) <= 12:
-            raise ValueError(f"not a YYYY-MM month: {self.month_year!r}")
+        _year_month(self.month_year)
         if self.count < 0:
             raise ValueError("count must be non-negative")
 
@@ -140,12 +139,29 @@ class IntegratedDataset:
         return cls(aggregates=tuple(aggregates), events=events)
 
 
+def _year_month(month: str) -> tuple[int, int]:
+    """The year and month number of a "YYYY-MM" string; anything else raises ValueError."""
+    m = _MONTH_RE.fullmatch(month)
+    if m is None or not 1 <= int(m.group(2)) <= 12:
+        raise ValueError(f"not a YYYY-MM month: {month!r}")
+    return int(m.group(1)), int(m.group(2))
+
+
+def _check_months(months: Sequence[str]) -> None:
+    """The one month-list rule: at least one month, each a valid YYYY-MM, none repeated."""
+    if not months:
+        raise ValueError("months must be non-empty")
+    seen = set()
+    for month in months:
+        _year_month(month)
+        if month in seen:
+            raise ValueError(f"month listed twice: {month!r}")
+        seen.add(month)
+
+
 def _month_window(month: str) -> tuple[CivilDate, CivilDate]:
     """[first day of month, first day of next month) for exclusive-end filters."""
-    m = _MONTH_RE.match(month)
-    if m is None:
-        raise ValueError(f"not a YYYY-MM month: {month!r}")
-    y, mo = int(m.group(1)), int(m.group(2))
+    y, mo = _year_month(month)
     nxt = (y + 1, 1) if mo == 12 else (y, mo + 1)
     return CivilDate(y, mo, 1), CivilDate(nxt[0], nxt[1], 1)
 
@@ -240,11 +256,7 @@ def uc2_monthly_keyword_series(
     """
     if not keyword.strip():
         raise ValueError(f"keyword must not be blank: {keyword!r}")
-    if not months:
-        raise ValueError("months must be non-empty")
-    for m in months:
-        if not _MONTH_RE.match(m):
-            raise ValueError(f"not a YYYY-MM month: {m!r}")
+    _check_months(months)
     needle = keyword.lower()
     counts: dict[str, int] = {}
     for _, ev in dataset.primary_events():
@@ -257,6 +269,7 @@ def monthly_event_counts(
     dataset: IntegratedDataset, months: Sequence[str] = DEFAULT_MONTHS
 ) -> list[MonthBucket]:
     """Total aggregates per month (the attack series used by uc5)."""
+    _check_months(months)
     counts: dict[str, int] = {}
     for _, ev in dataset.primary_events():
         counts[ev.date.month_key()] = counts.get(ev.date.month_key(), 0) + 1
@@ -274,8 +287,8 @@ def uc3_multilingual_city_report(
     """
     if not langs:
         raise ValueError("langs must be non-empty")
-    if not all(lang.strip() for lang in langs):
-        raise ValueError(f"language codes must not be empty: {','.join(langs)!r}")
+    if not all(map(is_language_code, langs)):
+        raise ValueError(f"language codes must be two lowercase letters: {','.join(langs)!r}")
     if top_n < 1:
         raise ValueError(f"top must be at least 1: {top_n}")
     counts: dict[tuple[str, ...], int] = {}
@@ -313,6 +326,7 @@ def uc4_monthly_timeline(
     dataset: IntegratedDataset, months: Sequence[str], n: int
 ) -> list[tuple[str, list[RegionRank]]]:
     """uc4 applied month by month (each month is a [start, next-month) window)."""
+    _check_months(months)
     out = []
     for month in months:
         start, end = _month_window(month)
@@ -330,7 +344,8 @@ def read_deaths_csv(fp: IO[str]) -> dict[str, int]:
     for i, row in enumerate(reader, start=2):
         if not row:
             continue
-        if len(row) != 2 or not _MONTH_RE.match(row[0].strip()):
+        month = row[0].strip()
+        if len(row) != 2 or not _MONTH_RE.fullmatch(month):
             raise ReportFormatError(f"deaths CSV line {i}: expected 'YYYY-MM,integer'")
         try:
             deaths = int(row[1])
@@ -338,7 +353,9 @@ def read_deaths_csv(fp: IO[str]) -> dict[str, int]:
             raise ReportFormatError(f"deaths CSV line {i}: bad death count {row[1]!r}") from exc
         if deaths < 0:
             raise ReportFormatError(f"deaths CSV line {i}: negative death count {deaths}")
-        out[row[0].strip()] = deaths
+        if month in out:
+            raise ReportFormatError(f"deaths CSV line {i}: month {month} listed twice")
+        out[month] = deaths
     return out
 
 

@@ -22,8 +22,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .ingest import clean_location_string
 from .model import Event, GazetteerRef, GeoPoint, ResilinkError
 
@@ -119,6 +117,8 @@ class PointSet:
     """Fixed targets answering exact nearest-neighbour queries."""
 
     def __init__(self, points: Sequence[GeoPoint]):
+        import numpy as np  # imported here so commands without nearest-neighbour queries skip it
+
         self._points = list(points)
         lat = np.radians([p.latitude for p in self._points])
         lon = np.radians([p.longitude for p in self._points])
@@ -128,6 +128,8 @@ class PointSet:
         """Index and haversine km of the nearest target; ties keep the lowest index."""
         if not self._points:
             return None
+        import numpy as np
+
         phi, lam = math.radians(p.latitude), math.radians(p.longitude)
         q = np.array((math.cos(phi) * math.cos(lam), math.cos(phi) * math.sin(lam), math.sin(phi)))
         dots = q @ self._xyz

@@ -119,7 +119,7 @@ def parse_civil_date(s: str) -> CivilDate:
     return CivilDate(int(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 
-_GEONAMES_IRI_RE = re.compile(r"^http://sws\.geonames\.org/(\d+)/$")
+_GEONAMES_IRI_RE = re.compile(r"http://sws\.geonames\.org/([0-9]+)/")
 
 
 @dataclass(frozen=True)
@@ -139,13 +139,18 @@ class GazetteerRef:
 
     @classmethod
     def from_iri(cls, iri: str, preferred_name: str = "") -> GazetteerRef:
-        m = _GEONAMES_IRI_RE.match(iri)
+        m = _GEONAMES_IRI_RE.fullmatch(iri)
         if m is None:
             raise ValueError(f"not a GeoNames IRI: {iri!r}")
         return cls(int(m.group(1)), preferred_name)
 
 
-_LANG_RE = re.compile(r"^[a-z]{2}$")
+_LANG_RE = re.compile(r"[a-z]{2}")
+
+
+def is_language_code(text: str) -> bool:
+    """Whether text is a language code as city labels are keyed: two lowercase letters."""
+    return _LANG_RE.fullmatch(text) is not None
 
 
 def _is_absolute_url(u: str) -> bool:
@@ -195,7 +200,7 @@ class Event:
             if not _is_absolute_url(u):
                 raise ValueError(f"source URL is not absolute: {u!r}")
         for lang in self.city_labels:
-            if not _LANG_RE.match(lang):
+            if not is_language_code(lang):
                 raise ValueError(f"label language must be two lowercase letters: {lang!r}")
         object.__setattr__(self, "city_labels", MappingProxyType(dict(self.city_labels)))
 

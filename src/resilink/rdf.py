@@ -15,8 +15,8 @@ import functools
 import hashlib
 import itertools
 import re
-from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 from urllib.parse import quote, unquote
 
@@ -82,23 +82,33 @@ class TermKind(Enum):
     LITERAL = "literal"
 
 
-@dataclass(frozen=True)
-class Term:
-    """An RDF term: an N-Triples-safe absolute IRI, or a literal with optional tag/datatype."""
+class Term(tuple):
+    """An RDF term: an N-Triples-safe absolute IRI, or a literal with optional tag/datatype.
 
-    kind: TermKind
-    value: str
-    language: str | None = None
-    datatype: str | None = None
+    A validating tuple ``(kind, value, language, datatype)``: immutable,
+    hashable and compared by value, and as cheap to build as a tuple.
+    """
 
-    def __post_init__(self):
-        if self.kind is TermKind.IRI:
-            if self.language or self.datatype:
+    __slots__ = ()
+
+    def __new__(cls, kind: TermKind, value: str, language: str | None = None,
+                datatype: str | None = None):
+        if kind is TermKind.IRI:
+            if language or datatype:
                 raise ValueError("only literals may carry a language or datatype")
-            if _ABSOLUTE_IRI_RE.fullmatch(self.value) is None:
-                raise ValueError(f"IRI must be absolute and N-Triples-safe: {self.value!r}")
-        elif self.language and self.datatype:
+            if _ABSOLUTE_IRI_RE.fullmatch(value) is None:
+                raise ValueError(f"IRI must be absolute and N-Triples-safe: {value!r}")
+        elif language and datatype:
             raise ValueError("language and datatype are mutually exclusive")
+        return tuple.__new__(cls, (kind, value, language, datatype))
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return tuple(self)
+
+    kind = property(itemgetter(0))
+    value = property(itemgetter(1))
+    language = property(itemgetter(2))
+    datatype = property(itemgetter(3))
 
     @classmethod
     def iri(cls, value: str) -> Term:
@@ -114,26 +124,34 @@ class Term:
         Turtle passes `prefixed`, which may shorten an IRI (the term's own or
         a literal's datatype) to a prefixed name; None keeps `<iri>`.
         """
-        if self.kind is TermKind.IRI:
-            return prefixed and prefixed(self.value) or f"<{self.value}>"
-        text = f'"{self.value.translate(_LITERAL_ESCAPES)}"'
-        if self.language:
-            return f"{text}@{self.language}"
-        if self.datatype:
-            datatype = prefixed and prefixed(self.datatype) or f"<{self.datatype}>"
+        kind, value, language, datatype = self
+        if kind is TermKind.IRI:
+            return prefixed and prefixed(value) or f"<{value}>"
+        text = f'"{value.translate(_LITERAL_ESCAPES)}"'
+        if language:
+            return f"{text}@{language}"
+        if datatype:
+            datatype = prefixed and prefixed(datatype) or f"<{datatype}>"
             return f"{text}^^{datatype}"
         return text
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: Term
-    predicate: Term
-    object: Term
+class Triple(tuple):
+    """A validating tuple ``(subject, predicate, object)`` of terms."""
 
-    def __post_init__(self):
-        if self.subject.kind is not TermKind.IRI or self.predicate.kind is not TermKind.IRI:
+    __slots__ = ()
+
+    def __new__(cls, subject: Term, predicate: Term, object: Term):
+        if subject.kind is not TermKind.IRI or predicate.kind is not TermKind.IRI:
             raise ValueError("subject and predicate must be IRIs")
+        return tuple.__new__(cls, (subject, predicate, object))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    subject = property(itemgetter(0))
+    predicate = property(itemgetter(1))
+    object = property(itemgetter(2))
 
 
 def event_iri(dataset: Dataset, event_id: str) -> str:
@@ -272,7 +290,7 @@ def serialize_bytes(triples: Iterable[Triple], fmt: RdfFormat = RdfFormat.NTRIPL
     Turtle: a single prefix block followed by the rows grouped by subject,
     using prefixed names where possible and `a` for rdf:type.
     """
-    by_row = {(t.subject.render(), t.predicate.render(), t.object.render()): t for t in triples}
+    by_row = {(s.render(), p.render(), o.render()): (p, o) for s, p, o in triples}
     rows = sorted(by_row)
     if fmt is RdfFormat.NTRIPLES:
         lines = [f"{s} {p} {o} ." for s, p, o in rows]
@@ -280,9 +298,9 @@ def serialize_bytes(triples: Iterable[Triple], fmt: RdfFormat = RdfFormat.NTRIPL
         lines = [f"@prefix {prefix}: <{PREFIXES[prefix]}> ." for prefix in sorted(PREFIXES)]
         for subject, group in itertools.groupby(rows, key=lambda row: row[0]):
             statements = []
-            for t in map(by_row.get, group):
-                pred = "a" if t.predicate.value == RDF_NS + "type" else t.predicate.render(_prefixed)
-                statements.append(f"{pred} {t.object.render(_prefixed)}")
+            for predicate, obj in map(by_row.get, group):
+                pred = "a" if predicate.value == RDF_NS + "type" else predicate.render(_prefixed)
+                statements.append(f"{pred} {obj.render(_prefixed)}")
             lines += ["", subject, "    " + " ;\n    ".join(statements) + " ."]
     else:
         raise ValueError(f"unsupported format: {fmt!r}")
@@ -325,13 +343,15 @@ def parse_ntriples(data: bytes | str) -> list[Triple]:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     triples = []
-    iri = functools.cache(Term.iri)  # terms are immutable: build each IRI once
+    # terms are immutable: build each distinct IRI and literal once
+    iri = functools.cache(Term.iri)
+    literal_term = functools.cache(Term.literal)
     for lineno, line in enumerate(data.split("\n"), start=1):
         text = line.strip()
-        if not text or text.startswith("#"):
-            continue
         m = _STATEMENT_RE.fullmatch(text)
         if m is None:
+            if not text or text.startswith("#"):
+                continue
             raise NTriplesSyntaxError(lineno, "expected '<iri> <iri> <iri-or-literal> .'")
         subject, predicate, obj, literal, language, datatype = m.groups()
         if obj is None and "\\" in literal:
@@ -340,7 +360,7 @@ def parse_ntriples(data: bytes | str) -> list[Triple]:
             triples.append(Triple(
                 iri(subject),
                 iri(predicate),
-                iri(obj) if obj is not None else Term.literal(literal, language, datatype),
+                iri(obj) if obj is not None else literal_term(literal, language, datatype),
             ))
         except ValueError as exc:
             raise NTriplesSyntaxError(lineno, str(exc)) from exc
@@ -352,13 +372,15 @@ def parse_ntriples(data: bytes | str) -> list[Triple]:
 
 def _subject_map(triples: Iterable[Triple]) -> dict[str, dict[str, list[Term]]]:
     by_subject: dict[str, dict[str, list[Term]]] = {}
-    for t in triples:
-        by_subject.setdefault(t.subject.value, {}).setdefault(t.predicate.value, []).append(t.object)
+    for subject, predicate, obj in triples:
+        by_subject.setdefault(subject.value, {}).setdefault(predicate.value, []).append(obj)
     return by_subject
 
 
-def _one(objs: list[Term] | None) -> Term | None:
-    return objs[0] if objs else None
+def _first(preds: dict[str, list[Term]], predicate: str) -> str | None:
+    """The value of the predicate's first object, or None."""
+    objs = preds.get(predicate)
+    return objs[0].value if objs else None
 
 
 def events_from_triples(
@@ -375,64 +397,61 @@ def events_from_triples(
     by_subject = _subject_map(triples)
     events: dict[EventKey, Event] = {}
     aggregates: list[AggregateEvent] = []
+    # Event IRIs recur as aggregate members and GeoNames IRIs across events;
+    # both results are immutable, so each IRI is parsed once per call.
+    event_key = functools.cache(parse_event_iri)
+    gazetteer_ref = functools.cache(GazetteerRef.from_iri)
 
-    for subject, preds in sorted(by_subject.items()):
-        type_objs = preds.get(RDF_NS + "type", [])
-        is_event_node = any(o.value == SEM_NS + "Event" for o in type_objs)
-        if not is_event_node:
-            continue
+    def ref(preds: dict[str, list[Term]], predicate: str, preferred: str = "") -> GazetteerRef | None:
+        iri = _first(preds, ONTOLOGY_NS + predicate)
+        return gazetteer_ref(iri, preferred) if iri is not None else None
+
+    sem_event = SEM_NS + "Event"
+    event_nodes = sorted(
+        subject for subject, preds in by_subject.items()
+        if any(o.value == sem_event for o in preds.get(RDF_NS + "type", ()))
+    )
+    for subject in event_nodes:
+        preds = by_subject[subject]
         if subject.startswith(EVENT_NS + "aggregate/"):
-            primary_term = _one(preds.get(ONTOLOGY_NS + "hasPrimarySource"))
-            if primary_term is None:
+            primary = _first(preds, ONTOLOGY_NS + "hasPrimarySource")
+            if primary is None:
                 raise ValueError(f"aggregate node without hasPrimarySource: {subject}")
             members = tuple(
-                sorted(parse_event_iri(o.value) for o in preds.get(ONTOLOGY_NS + "hasMember", []))
+                sorted(event_key(o.value) for o in preds.get(ONTOLOGY_NS + "hasMember", ()))
             )
-            aggregates.append(
-                AggregateEvent(iri=subject, members=members, primary=parse_event_iri(primary_term.value))
-            )
+            aggregates.append(AggregateEvent(iri=subject, members=members, primary=event_key(primary)))
             continue
 
         try:
-            dataset, local_id = parse_event_iri(subject)
+            dataset, local_id = event_key(subject)
         except ValueError:
             continue
-        date_term = _one(preds.get(DCT_NS + "date"))
-        loc_term = _one(preds.get(SDO_NS + "location"))
-        if date_term is None or loc_term is None:
+        date = _first(preds, DCT_NS + "date")
+        loc = _first(preds, SDO_NS + "location")
+        if date is None or loc is None:
             raise ValueError(f"event node missing date or location: {subject}")
-        geo_term = _one(by_subject.get(loc_term.value, {}).get(SDO_NS + "geo"))
-        geo_preds = by_subject.get(geo_term.value, {}) if geo_term else {}
-        lat = _one(geo_preds.get(SDO_NS + "latitude"))
-        lon = _one(geo_preds.get(SDO_NS + "longitude"))
+        geo_preds = by_subject.get(_first(by_subject.get(loc, {}), SDO_NS + "geo"), {})
+        lat = _first(geo_preds, SDO_NS + "latitude")
+        lon = _first(geo_preds, SDO_NS + "longitude")
         if lat is None or lon is None:
             raise ValueError(f"event node missing coordinates: {subject}")
-
-        def _ref_from(predicate: str, preferred: str = "") -> GazetteerRef | None:
-            term = _one(preds.get(ONTOLOGY_NS + predicate))
-            return GazetteerRef.from_iri(term.value, preferred) if term else None
-
-        region = _one(preds.get(ONTOLOGY_NS + "addressRegion"))
-        desc = _one(preds.get(DCT_NS + "description"))
-        postal = _one(preds.get(ONTOLOGY_NS + "postalCode"))
-        labels = {
-            o.language: o.value
-            for o in preds.get(ONTOLOGY_NS + "cityName", [])
-            if o.language
-        }
+        region = _first(preds, ONTOLOGY_NS + "addressRegion")
         ev = Event(
             id=local_id,
             dataset=dataset,
-            date=parse_civil_date(date_term.value),
-            point=validate_point(float(lat.value), float(lon.value)),
-            description=desc.value if desc else None,
-            country=_ref_from("countryGeoNames"),
-            city=_ref_from("cityGeoNames"),
-            province=_ref_from("provinceGeoNames", region.value if region else ""),
-            postal_code=postal.value if postal else None,
-            source_urls=tuple(sorted(o.value for o in preds.get(SDO_NS + "url", []))),
-            comments=tuple(sorted(o.value for o in preds.get(RDFS_NS + "comment", []))),
-            city_labels=labels,
+            date=parse_civil_date(date),
+            point=validate_point(float(lat), float(lon)),
+            description=_first(preds, DCT_NS + "description"),
+            country=ref(preds, "countryGeoNames"),
+            city=ref(preds, "cityGeoNames"),
+            province=ref(preds, "provinceGeoNames", region or ""),
+            postal_code=_first(preds, ONTOLOGY_NS + "postalCode"),
+            source_urls=tuple(sorted(o.value for o in preds.get(SDO_NS + "url", ()))),
+            comments=tuple(sorted(o.value for o in preds.get(RDFS_NS + "comment", ()))),
+            city_labels={
+                o.language: o.value for o in preds.get(ONTOLOGY_NS + "cityName", ()) if o.language
+            },
         )
         events[ev.key] = ev
     return events, aggregates

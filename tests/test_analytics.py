@@ -246,6 +246,11 @@ class TestUc5:
         with p.open() as fp:
             assert read_deaths_csv(fp) == {"2022-04": 5, "2022-05": 7}
 
+    def test_deaths_csv_repeated_month_rejected(self):
+        # the second 2022-03 row used to overwrite the first silently
+        with pytest.raises(ReportFormatError, match="line 3: month 2022-03 listed twice"):
+            read_deaths_csv(io.StringIO("month,deaths\n2022-03,4\n2022-03,9\n"))
+
     def test_deaths_csv_bad_header(self, tmp_path):
         p = tmp_path / "deaths.csv"
         p.write_text("m,d\n2022-04,5\n")

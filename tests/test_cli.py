@@ -31,6 +31,15 @@ def workdir(tmp_path) -> Path:
     return tmp_path
 
 
+@pytest.fixture(scope="module")
+def fixture_nt(tmp_path_factory) -> Path:
+    """The fixtures' integrated.nt, as `pipeline` writes it."""
+    outdir = tmp_path_factory.mktemp("pipeline")
+    assert _run("pipeline", "--config", PIPE / "config.json", "--eor-input", PIPE / "eor.json",
+                "--ch-input", PIPE / "ch.csv", "--ch-format", "csv", "--outdir", outdir) == 0
+    return outdir / "integrated.nt"
+
+
 def _tiny_events(directory: Path) -> Path:
     path = directory / "tiny.events.json"
     path.write_text(json.dumps([
@@ -74,6 +83,13 @@ _CONFIG_SECTIONS = {
     "online": ("base_url", "username", "rate_per_sec"),
     "linkcheck": ("timeout_s", "concurrency", "politeness_s"),
 }
+# Pieces of report flags: valid values, values one character off, and arbitrary text.
+_flag_parts = st.sampled_from(
+    ["2022-03", "2022-04", "2022-03\n", "2022-13", "2022-3", "school", "SCHOOL", "en", "uk",
+     "EN", " uk", "uk ", "", " ", "\n"]
+) | st.text(max_size=8)
+report_flag_text = st.lists(_flag_parts, max_size=4).map(",".join) | st.text(max_size=12)
+
 config_documents = _json_values | st.fixed_dictionaries({}, optional={
     "overrides": _json_values,
     **{
@@ -213,10 +229,13 @@ class TestDataErrors:
         (("uc2", "--keyword", " "), "keyword"),
         (("uc3", "--langs", "en,,uk"), "language codes"),
         (("uc3", "--langs", ""), "language codes"),
-    ], ids=["uc2-blank-keyword", "uc3-empty-lang-in-list", "uc3-empty-langs"])
+        (("uc3", "--langs", "en, uk"), "language codes"),
+        (("uc3", "--langs", "EN,uk"), "language codes"),
+    ], ids=["uc2-blank-keyword", "uc3-empty-lang-in-list", "uc3-empty-langs",
+            "uc3-space-in-lang", "uc3-upper-case-lang"])
     def test_flag_that_cannot_match_is_one_line_error(self, workdir, capsys, argv, needle):
-        # a blank keyword counted every event with a space in a literal; an empty
-        # language code wrote a header-only CSV
+        # a blank keyword counted every event with a space in a literal; an empty,
+        # space-padded or upper-case language code wrote a header-only CSV
         nt = workdir / "events.nt"
         assert _run("convert", "--input", _tiny_events(workdir), "--out", nt) == 0
         out = workdir / "report.csv"
@@ -224,6 +243,57 @@ class TestDataErrors:
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line.startswith("resilink: error: ") and needle in line
         assert not out.exists()
+
+    @pytest.mark.parametrize("use_case", ["uc2", "uc4", "uc5"])
+    @pytest.mark.parametrize("months", ["2022-03\n", "2022-03,2022-03", "\uff12\uff10\uff12\uff12-03"],
+                             ids=["trailing-newline", "repeated", "fullwidth-digits"])
+    def test_bad_month_list_is_one_line_error(self, workdir, capsys, use_case, months):
+        # "2022-03\n" passed the ^YYYY-MM$ check and wrote a quoted two-line row, a
+        # repeated month wrote its rows twice, and \d took fullwidth digits for a
+        # month that no event can fall in
+        nt = workdir / "events.nt"
+        assert _run("convert", "--input", _tiny_events(workdir), "--out", nt) == 0
+        deaths = workdir / "deaths.csv"
+        deaths.write_text("month,deaths\n2022-03,4\n")
+        flags = {"uc2": ("--keyword", "school"), "uc4": (), "uc5": ("--deaths", deaths)}[use_case]
+        out = workdir / "report.csv"
+        assert _run("report", use_case, "--months", months, *flags,
+                    "--input", nt, "--out", out) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("resilink: error: ") and "month" in line
+        assert not out.exists()
+
+    def test_label_language_with_trailing_newline_is_one_line_error(self, workdir, capsys):
+        # "en\n" passed the ^[a-z]{2}$ check, so convert wrote `"Kyiv"@en` and a line
+        # break: an .nt that every report then rejected
+        events = workdir / "events.json"
+        events.write_text(json.dumps([{"id": "e1", "dataset": "eor", "date": "2022-03-07",
+                                       "lat": 50.0, "lon": 36.0, "city_labels": {"en\n": "Kyiv"}}]))
+        out = workdir / "events.nt"
+        assert _run("convert", "--input", events, "--out", out) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("resilink: error: ") and "language" in line
+        assert not out.exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(use_case=st.sampled_from(["uc2", "uc3", "uc4"]), keyword=report_flag_text,
+           langs=report_flag_text, months=report_flag_text)
+    def test_any_report_flag_text_ends_in_an_exit_code(self, fixture_nt, tmp_path_factory,
+                                                       use_case, keyword, langs, months):
+        out = tmp_path_factory.getbasetemp() / "flags.csv"
+        flags = {
+            "uc2": (f"--keyword={keyword}", f"--months={months}"),
+            "uc3": (f"--langs={langs}",),
+            "uc4": (f"--months={months}",),
+        }[use_case]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = _run("report", use_case, "--input", fixture_nt, *flags, "--out", out)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            (line,) = err.getvalue().strip().splitlines()
+            assert line.startswith("resilink: error: ")
 
     def test_negative_death_count_is_one_line_error(self, workdir, capsys):
         # used to write the ratio -0.294118 and exit 0
@@ -293,8 +363,10 @@ class TestDataErrors:
 
 
 def test_cli_import_leaves_requests_unloaded():
-    # only linkcheck and the online enrichment pass make HTTP calls
-    code = "import resilink.cli, sys; assert 'requests' not in sys.modules, 'requests imported'"
+    # only linkcheck and the online enrichment pass make HTTP calls, and only
+    # nearest-neighbour queries (gazetteer, uc6) use numpy
+    code = ("import resilink.cli, sys; assert 'requests' not in sys.modules, 'requests imported'; "
+            "assert 'numpy' not in sys.modules, 'numpy imported'")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
