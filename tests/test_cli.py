@@ -83,13 +83,6 @@ _CONFIG_SECTIONS = {
     "online": ("base_url", "username", "rate_per_sec"),
     "linkcheck": ("timeout_s", "concurrency", "politeness_s"),
 }
-# Pieces of report flags: valid values, values one character off, and arbitrary text.
-_flag_parts = st.sampled_from(
-    ["2022-03", "2022-04", "2022-03\n", "2022-13", "2022-3", "school", "SCHOOL", "en", "uk",
-     "EN", " uk", "uk ", "", " ", "\n"]
-) | st.text(max_size=8)
-report_flag_text = st.lists(_flag_parts, max_size=4).map(",".join) | st.text(max_size=12)
-
 config_documents = _json_values | st.fixed_dictionaries({}, optional={
     "overrides": _json_values,
     **{
@@ -97,6 +90,14 @@ config_documents = _json_values | st.fixed_dictionaries({}, optional={
         for name, keys in _CONFIG_SECTIONS.items()
     },
 })
+
+
+# Pieces of report flags: valid values, values one character off, and arbitrary text.
+_flag_parts = st.sampled_from(
+    ["2022-03", "2022-04", "2022-03\n", "2022-13", "2022-3", "school", "SCHOOL", "en", "uk",
+     "EN", " uk", "uk ", "", " ", "\n"]
+) | st.text(max_size=8)
+report_flag_text = st.lists(_flag_parts, max_size=4).map(",".join) | st.text(max_size=12)
 
 
 class TestUsageErrors:
