@@ -147,7 +147,7 @@ def _year_month(month: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def _check_months(months: Sequence[str]) -> None:
+def check_months(months: Sequence[str]) -> None:
     """The one month-list rule: at least one month, each a valid YYYY-MM, none repeated."""
     if not months:
         raise ValueError("months must be non-empty")
@@ -256,7 +256,7 @@ def uc2_monthly_keyword_series(
     """
     if not keyword.strip():
         raise ValueError(f"keyword must not be blank: {keyword!r}")
-    _check_months(months)
+    check_months(months)
     needle = keyword.lower()
     counts: dict[str, int] = {}
     for _, ev in dataset.primary_events():
@@ -269,7 +269,7 @@ def monthly_event_counts(
     dataset: IntegratedDataset, months: Sequence[str] = DEFAULT_MONTHS
 ) -> list[MonthBucket]:
     """Total aggregates per month (the attack series used by uc5)."""
-    _check_months(months)
+    check_months(months)
     counts: dict[str, int] = {}
     for _, ev in dataset.primary_events():
         counts[ev.date.month_key()] = counts.get(ev.date.month_key(), 0) + 1
@@ -289,6 +289,8 @@ def uc3_multilingual_city_report(
         raise ValueError("langs must be non-empty")
     if not all(map(is_language_code, langs)):
         raise ValueError(f"language codes must be two lowercase letters: {','.join(langs)!r}")
+    if len(set(langs)) != len(langs):
+        raise ValueError(f"language code listed twice: {','.join(langs)!r}")
     if top_n < 1:
         raise ValueError(f"top must be at least 1: {top_n}")
     counts: dict[tuple[str, ...], int] = {}
@@ -326,7 +328,7 @@ def uc4_monthly_timeline(
     dataset: IntegratedDataset, months: Sequence[str], n: int
 ) -> list[tuple[str, list[RegionRank]]]:
     """uc4 applied month by month (each month is a [start, next-month) window)."""
-    _check_months(months)
+    check_months(months)
     out = []
     for month in months:
         start, end = _month_window(month)

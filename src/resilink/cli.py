@@ -126,6 +126,10 @@ class PipelineConfig:
 
         analytics_raw = _object(raw.get("analytics", {}), "analytics")
         cfg.months = _strings(analytics_raw, "months", analytics.DEFAULT_MONTHS, "analytics")
+        try:
+            analytics.check_months(cfg.months)
+        except ValueError as exc:
+            raise ConfigError(f"config analytics.months: {exc}") from exc
         cfg.uc6_radius_km = _positive(analytics_raw, "uc6_radius_km", 1.0, "analytics")
         cfg.grid_deg = _positive(analytics_raw, "grid_deg", 0.005, "analytics")
         if math.isinf(cfg.grid_deg):

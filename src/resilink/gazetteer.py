@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .ingest import clean_location_string
-from .model import Event, GazetteerRef, GeoPoint, ResilinkError
+from .model import Event, GazetteerRef, GeoPoint, OutOfRangeError, ResilinkError, is_language_code
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -141,6 +141,17 @@ class PointSet:
         return best
 
 
+def _name_index(entries: Iterable[GazetteerEntry]) -> dict[str, list[GazetteerEntry]]:
+    """Lowercased name, ASCII name and alias -> the entries carrying it, in load order."""
+    index: dict[str, list[GazetteerEntry]] = {}
+    for e in entries:
+        names = (e.name, e.ascii_name, *(a[1] for a in e.alternate_names))
+        for k in dict.fromkeys(n.lower() for n in names):
+            if k:
+                index.setdefault(k, []).append(e)
+    return index
+
+
 class GazetteerIndex:
     """Immutable lookup structure over place, alternate-name and postal data."""
 
@@ -151,32 +162,13 @@ class GazetteerIndex:
                 raise ValueError(f"duplicate geoname id: {e.geoname_id}")
             self._entries[e.geoname_id] = e
         self._places = [e for e in self._entries.values() if e.feature_class == "P"]
+        admin = [e for e in self._entries.values() if e.feature_class == "A"]
         self._admin1 = {
-            (e.country_code, e.admin1_code): e
-            for e in self._entries.values()
-            if e.feature_class == "A" and e.feature_code == "ADM1"
+            (e.country_code, e.admin1_code): e for e in admin if e.feature_code == "ADM1"
         }
-        self._countries = {
-            e.country_code: e
-            for e in self._entries.values()
-            if e.feature_class == "A" and e.feature_code == "PCLI"
-        }
-        self._names: dict[str, list[GazetteerEntry]] = {}
-        for e in self._places:
-            seen = set()
-            for n in (e.name, e.ascii_name, *(a[1] for a in e.alternate_names)):
-                k = n.lower()
-                if k and k not in seen:
-                    seen.add(k)
-                    self._names.setdefault(k, []).append(e)
-        self._country_names: dict[str, list[GazetteerEntry]] = {}
-        for e in self._countries.values():
-            seen = set()
-            for n in (e.name, e.ascii_name, *(a[1] for a in e.alternate_names)):
-                k = n.lower()
-                if k and k not in seen:
-                    seen.add(k)
-                    self._country_names.setdefault(k, []).append(e)
+        self._countries = {e.country_code: e for e in admin if e.feature_code == "PCLI"}
+        self._names = _name_index(self._places)
+        self._country_names = _name_index(self._countries.values())
         self._postal = list(postal)
         self._place_targets = PointSet([e.point for e in self._places])
         self._postal_targets = PointSet([p.point for p in self._postal])
@@ -223,18 +215,32 @@ class GazetteerIndex:
         return self._postal[found[0]], found[1]
 
 
-def _split_columns(path: Path, lineno: int, line: str, expected: int) -> list[str]:
-    cols = line.split("\t")
-    if len(cols) != expected:
-        raise GazetteerFormatError(path, lineno, f"expected {expected} columns, got {len(cols)}")
-    return cols
+def _rows(path: Path, ncols: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, columns) of each non-blank line, which must have ncols columns."""
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        cols = line.split("\t")
+        if len(cols) != ncols:
+            raise GazetteerFormatError(path, lineno, f"expected {ncols} columns, got {len(cols)}")
+        yield lineno, cols
 
 
-def _parse_float(path: Path, lineno: int, text: str, what: str) -> float:
+def _number(path: Path, lineno: int, text: str, kind: type, what: str):
     try:
-        return float(text)
+        return kind(text)
     except ValueError as exc:
         raise GazetteerFormatError(path, lineno, f"bad {what}: {text!r}") from exc
+
+
+def _point(path: Path, lineno: int, lat: str, lon: str) -> GeoPoint:
+    """The GeoPoint of a row's latitude and longitude columns."""
+    lat_deg = _number(path, lineno, lat, float, "latitude")
+    lon_deg = _number(path, lineno, lon, float, "longitude")
+    try:
+        return GeoPoint(lat_deg, lon_deg)
+    except OutOfRangeError as exc:
+        raise GazetteerFormatError(path, lineno, str(exc)) from exc
 
 
 def load_gazetteer(place_file: str | Path, alt_names_file: str | Path, postal_file: str | Path) -> GazetteerIndex:
@@ -250,73 +256,39 @@ def load_gazetteer(place_file: str | Path, alt_names_file: str | Path, postal_fi
     """
     place_file, alt_names_file, postal_file = Path(place_file), Path(alt_names_file), Path(postal_file)
 
-    raw_places: dict[int, dict] = {}
-    order: list[int] = []
-    for lineno, line in enumerate(place_file.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        cols = _split_columns(place_file, lineno, line, 10)
-        try:
-            gid = int(cols[0])
-        except ValueError as exc:
-            raise GazetteerFormatError(place_file, lineno, f"bad geonameid: {cols[0]!r}") from exc
+    # geonameid -> the GazetteerEntry fields after it, alternate names still a list
+    places: dict[int, tuple] = {}
+    for lineno, cols in _rows(place_file, 10):
+        gid = _number(place_file, lineno, cols[0], int, "geonameid")
         feature_class = cols[6].strip()
         if feature_class not in ("P", "A"):
             continue
-        lat = _parse_float(place_file, lineno, cols[4], "latitude")
-        lon = _parse_float(place_file, lineno, cols[5], "longitude")
-        aliases = tuple(("", a.strip()) for a in cols[3].split(",") if a.strip())
-        if gid in raw_places:
+        point = _point(place_file, lineno, cols[4], cols[5])
+        if gid in places:
             raise GazetteerFormatError(place_file, lineno, f"duplicate geonameid {gid}")
-        raw_places[gid] = {
-            "geoname_id": gid,
-            "name": cols[1].strip(),
-            "ascii_name": cols[2].strip(),
-            "alternate_names": list(aliases),
-            "point": GeoPoint(lat, lon),
-            "feature_class": feature_class,
-            "feature_code": cols[7].strip(),
-            "country_code": cols[8].strip(),
-            "admin1_code": cols[9].strip(),
-        }
-        order.append(gid)
+        aliases = [("", a.strip()) for a in cols[3].split(",") if a.strip()]
+        places[gid] = (cols[1].strip(), cols[2].strip(), aliases, point, feature_class,
+                       cols[7].strip(), cols[8].strip(), cols[9].strip())
 
-    for lineno, line in enumerate(alt_names_file.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        cols = _split_columns(alt_names_file, lineno, line, 4)
-        try:
-            gid = int(cols[1])
-        except ValueError as exc:
-            raise GazetteerFormatError(alt_names_file, lineno, f"bad geonameid: {cols[1]!r}") from exc
-        if gid not in raw_places:
-            continue
-        raw_places[gid]["alternate_names"].append((cols[2].strip(), cols[3].strip()))
+    for lineno, cols in _rows(alt_names_file, 4):
+        gid = _number(alt_names_file, lineno, cols[1], int, "geonameid")
+        if gid in places:
+            places[gid][2].append((cols[2].strip(), cols[3].strip()))
 
-    postal_entries = []
-    for lineno, line in enumerate(postal_file.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        cols = _split_columns(postal_file, lineno, line, 5)
+    postal = []
+    for lineno, cols in _rows(postal_file, 5):
         if not cols[1].strip():
             raise GazetteerFormatError(postal_file, lineno, "empty postal code")
-        lat = _parse_float(postal_file, lineno, cols[3], "latitude")
-        lon = _parse_float(postal_file, lineno, cols[4], "longitude")
-        postal_entries.append(
-            PostalCodeEntry(
-                country_code=cols[0].strip(),
-                postal_code=cols[1].strip(),
-                place_name=cols[2].strip(),
-                point=GeoPoint(lat, lon),
-            )
-        )
+        point = _point(postal_file, lineno, cols[3], cols[4])
+        postal.append(PostalCodeEntry(cols[0].strip(), cols[1].strip(), cols[2].strip(), point))
 
-    entries = []
-    for gid in order:
-        raw = raw_places[gid]
-        raw["alternate_names"] = tuple(raw["alternate_names"])
-        entries.append(GazetteerEntry(**raw))
-    return GazetteerIndex(entries, postal_entries)
+    return GazetteerIndex(
+        (
+            GazetteerEntry(gid, name, ascii_name, tuple(aliases), *rest)
+            for gid, (name, ascii_name, aliases, *rest) in places.items()
+        ),
+        postal,
+    )
 
 
 def _ref_for(entry: GazetteerEntry) -> GazetteerRef:
@@ -384,9 +356,25 @@ class EnrichmentConfig:
     def __post_init__(self):
         if not (self.reverse_max_km > 0 and self.postal_max_km > 0):  # also rejects NaN
             raise ValueError("search radii must be positive")
+        if not self.languages:
+            raise ValueError("languages must be non-empty")
+        if not all(map(is_language_code, self.languages)):
+            codes = ",".join(self.languages)
+            raise ValueError(f"language codes must be two lowercase letters: {codes!r}")
 
 
 REVERSE_GEOCODED_NOTE = "provenance: city resolved by reverse geocoding"
+
+
+def _override(
+    index: GazetteerIndex, overrides: OverrideTable, name: str | None
+) -> tuple[GazetteerRef, GazetteerEntry | None] | None:
+    """The override for a place name: its ref and index entry (None when not indexed)."""
+    gid = resolve_override(overrides, name) if name else None
+    if gid is None:
+        return None
+    e = index.entry(gid)
+    return GazetteerRef(gid, e.name if e else name), e
 
 
 def enrich_event(
@@ -410,67 +398,51 @@ def enrich_event(
     reverse_scanned = False
 
     if city_ref is None:
-        if ev.city_name:
-            gid = resolve_override(overrides, ev.city_name)
-            if gid is not None:
-                e = index.entry(gid)
-                city_ref = GazetteerRef(gid, e.name if e else ev.city_name)
-                city_entry = e
-            else:
-                found = lookup_city_by_name(index, ev.city_name, hint=ev.point)
-                if found is not None:
-                    city_ref = found
-                    city_entry = index.entry(found.geoname_id)
+        found = _override(index, overrides, ev.city_name)
+        if found is not None:
+            city_ref, city_entry = found
+        elif ev.city_name:
+            city_ref = lookup_city_by_name(index, ev.city_name, hint=ev.point)
         if city_ref is None:
             reverse_scanned = True
-            found = reverse_geocode(index, ev.point, cfg.reverse_max_km)
-            if found is not None:
-                city_ref = found
-                city_entry = index.entry(found.geoname_id)
-                if ev.city_name and REVERSE_GEOCODED_NOTE not in ev.comments:
-                    notes.append(REVERSE_GEOCODED_NOTE)
+            city_ref = reverse_geocode(index, ev.point, cfg.reverse_max_km)
+            if city_ref is not None and ev.city_name and REVERSE_GEOCODED_NOTE not in ev.comments:
+                notes.append(REVERSE_GEOCODED_NOTE)
+        if city_entry is None and city_ref is not None:
+            city_entry = index.entry(city_ref.geoname_id)
 
     province_ref = ev.province
     if province_ref is None:
-        if ev.province_name:
-            gid = resolve_override(overrides, ev.province_name)
-            if gid is not None:
-                e = index.entry(gid)
-                province_ref = GazetteerRef(gid, e.name if e else ev.province_name)
-        if province_ref is None and city_entry is not None:
-            adm = index.admin1_of(city_entry)
-            if adm is not None:
-                province_ref = _ref_for(adm)
+        found = _override(index, overrides, ev.province_name)
+        if found is not None:
+            province_ref = found[0]
+        elif city_entry is not None and (adm := index.admin1_of(city_entry)) is not None:
+            province_ref = _ref_for(adm)
 
     country_ref = ev.country
     if country_ref is None:
-        if ev.country_name:
-            gid = resolve_override(overrides, ev.country_name)
-            if gid is not None:
-                e = index.entry(gid)
-                country_ref = GazetteerRef(gid, e.name if e else ev.country_name)
-            else:
-                e = index.country_named(ev.country_name)
-                if e is not None:
-                    country_ref = _ref_for(e)
+        found = _override(index, overrides, ev.country_name)
+        if found is not None:
+            country_ref = found[0]
+        elif ev.country_name and (e := index.country_named(ev.country_name)) is not None:
+            country_ref = _ref_for(e)
         if country_ref is None:
             anchor = city_entry
             # a reverse scan that found nothing would find nothing again
             if anchor is None and not reverse_scanned:
                 near = index.nearest_place(ev.point, cfg.reverse_max_km)
                 anchor = near[0] if near else None
-            if anchor is not None:
-                country_entry = index.country_of(anchor.country_code)
-                if country_entry is not None:
-                    country_ref = _ref_for(country_entry)
+            country_entry = index.country_of(anchor.country_code) if anchor is not None else None
+            if country_entry is not None:
+                country_ref = _ref_for(country_entry)
 
     postal = ev.postal_code
     if postal is None:
         postal = postal_code_for(index, ev.point, cfg.postal_max_km)
 
     labels = dict(ev.city_labels)
-    if city_ref is not None and index.entry(city_ref.geoname_id) is not None:
-        fetched = alternate_names_for(index, city_ref.geoname_id, set(cfg.languages))
+    if city_entry is not None:
+        fetched = alternate_names_for(index, city_entry.geoname_id, set(cfg.languages))
         for lang, name in fetched.items():
             labels.setdefault(lang, name)
 
@@ -488,18 +460,14 @@ def enrich_event(
     )
 
 
+_STAT_FIELDS = ("country", "city", "province", "postal_code", "labels")
+
+
 @dataclass
 class EnrichmentStats:
     total: int = 0
-    resolved: dict[str, int] | None = None
-    unresolved: dict[str, int] | None = None
-
-    def __post_init__(self):
-        fields = ("country", "city", "province", "postal_code", "labels")
-        if self.resolved is None:
-            self.resolved = {f: 0 for f in fields}
-        if self.unresolved is None:
-            self.unresolved = {f: 0 for f in fields}
+    resolved: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_STAT_FIELDS, 0))
+    unresolved: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_STAT_FIELDS, 0))
 
 
 def enrich_events(
@@ -514,14 +482,9 @@ def enrich_events(
     for ev in events:
         enriched = enrich_event(index, overrides, ev, cfg)
         stats.total += 1
-        for fname, value in (
-            ("country", enriched.country),
-            ("city", enriched.city),
-            ("province", enriched.province),
-            ("postal_code", enriched.postal_code),
-            ("labels", enriched.city_labels or None),
-        ):
-            bucket = stats.resolved if value is not None else stats.unresolved
-            bucket[fname] += 1
+        values = (enriched.country, enriched.city, enriched.province, enriched.postal_code,
+                  enriched.city_labels or None)
+        for fname, value in zip(_STAT_FIELDS, values):
+            (stats.resolved if value is not None else stats.unresolved)[fname] += 1
         out.append(enriched)
     return out, stats

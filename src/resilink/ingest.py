@@ -144,12 +144,16 @@ def _parse_json_records(text: str) -> list[dict]:
     return parsed
 
 
+def _line_start(text: str, line_num: int) -> int:
+    """Byte offset of line line_num (1-based) as the csv reader counts lines: split at "\n" only."""
+    pos = 0
+    for _ in range(line_num - 1):
+        pos = text.index("\n", pos) + 1
+    return len(text[:pos].encode("utf-8"))
+
+
 def _parse_csv_records(text: str) -> list[dict]:
     # RFC 4180 with a mandatory header row; rows must match the header width.
-    lines = text.splitlines(keepends=True)
-    line_offsets = [0]
-    for line in lines:
-        line_offsets.append(line_offsets[-1] + len(line.encode("utf-8")))
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader, None)
@@ -160,15 +164,14 @@ def _parse_csv_records(text: str) -> list[dict]:
             if not row:
                 continue
             if len(row) != len(header):
-                at = line_offsets[min(reader.line_num - 1, len(line_offsets) - 1)]
                 raise DatasetSyntaxError(
-                    f"row has {len(row)} columns, header has {len(header)}", at
+                    f"row has {len(row)} columns, header has {len(header)}",
+                    _line_start(text, reader.line_num),
                 )
             rows.append(dict(zip(header, row)))
         return rows
     except csv.Error as exc:
-        at = line_offsets[min(reader.line_num - 1, len(line_offsets) - 1)]
-        raise DatasetSyntaxError(str(exc), at) from exc
+        raise DatasetSyntaxError(str(exc), _line_start(text, reader.line_num)) from exc
 
 
 def parse_dataset(

@@ -62,6 +62,11 @@ class MatchConfig:
         for name in ("dist_link_km", "dist_area_km", "dist_keyword_km"):
             if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be positive")
+        # a blank token is a substring of every description, so its rule would cover every pair
+        if not self.area_token.strip():
+            raise ValueError(f"area_token must not be blank: {self.area_token!r}")
+        if not all(k.strip() for k in self.keywords):
+            raise ValueError(f"keywords must not be blank: {list(self.keywords)!r}")
         object.__setattr__(self, "keywords", tuple(k.lower() for k in self.keywords))
         object.__setattr__(self, "area_token", self.area_token.lower())
 
@@ -96,7 +101,7 @@ class MatchPair:
     similarity: float
     verdict: Verdict
     rule: MatchRule
-    city_basis: str = "geoname_id"  # how city equality was established: geoname_id | name
+    city_basis: str  # how city equality was established: geoname_id | name
 
     def __post_init__(self):
         if self.verdict is Verdict.IDENTICAL and self.rule is MatchRule.NONE:
@@ -259,12 +264,15 @@ def _city_equality(a: Event, b: Event) -> str | None:
     return None
 
 
-def candidate_pairs(a_events: Sequence[Event], b_events: Sequence[Event]) -> list[tuple[Event, Event]]:
-    """Cross-dataset pairs with equal dates and equal cities.
+def candidate_pairs(
+    a_events: Sequence[Event], b_events: Sequence[Event]
+) -> list[tuple[Event, Event, str]]:
+    """Cross-dataset pairs with equal dates and equal cities, with the city basis.
 
-    City equality compares geoname ids when both sides are resolved and
-    falls back to cleaned, lowercased names otherwise; events with neither
-    are never paired. Within-dataset pairs are never formed.
+    City equality compares geoname ids when both sides are resolved (basis
+    "geoname_id") and falls back to cleaned, lowercased names otherwise
+    (basis "name"); events with neither are never paired. Within-dataset
+    pairs are never formed.
     """
     by_date: dict = {}
     for b in b_events:
@@ -272,13 +280,16 @@ def candidate_pairs(a_events: Sequence[Event], b_events: Sequence[Event]) -> lis
     pairs = []
     for a in a_events:
         for b in by_date.get(a.date, ()):
-            if _city_equality(a, b) is not None:
-                pairs.append((a, b))
+            basis = _city_equality(a, b)
+            if basis is not None:
+                pairs.append((a, b, basis))
     return pairs
 
 
-def classify_pair(a: Event, b: Event, cfg: MatchConfig = MatchConfig()) -> MatchPair:
-    """Apply the three ordered rules to one candidate pair.
+def classify_pair(
+    a: Event, b: Event, city_basis: str, cfg: MatchConfig = MatchConfig()
+) -> MatchPair:
+    """Apply the three ordered rules to one candidate pair from candidate_pairs.
 
     The first rule that yields Identical wins; a NearDistinct verdict from
     an earlier rule survives only if no later rule upgrades the pair. Pairs
@@ -309,7 +320,6 @@ def classify_pair(a: Event, b: Event, cfg: MatchConfig = MatchConfig()) -> Match
         if verdict is not Verdict.IDENTICAL and near is not None:
             verdict, rule = Verdict.NEAR_DISTINCT, near
 
-    basis = _city_equality(a, b)
     return MatchPair(
         a=a.id,
         b=b.id,
@@ -317,7 +327,7 @@ def classify_pair(a: Event, b: Event, cfg: MatchConfig = MatchConfig()) -> Match
         similarity=s,
         verdict=verdict,
         rule=rule,
-        city_basis=basis or "geoname_id",
+        city_basis=city_basis,
     )
 
 
@@ -359,7 +369,7 @@ def integrate(
 
     lookup_a = {ev.id: ev for ev in a_events}
     lookup_b = {ev.id: ev for ev in b_events}
-    pairs = [classify_pair(a, b, cfg) for a, b in candidate_pairs(a_events, b_events)]
+    pairs = [classify_pair(a, b, basis, cfg) for a, b, basis in candidate_pairs(a_events, b_events)]
 
     survivors: list[MatchPair] = []
     demoted: set[tuple[str, str]] = set()

@@ -61,6 +61,13 @@ MALFORMED_CONFIGS = [json.dumps(doc) for doc in [
     {"enrichment": {"reverse_max_km": "nan"}},
     {"match": {"dist_link_km": float("nan")}},
     {"match": {"keywords": [1]}},
+    {"match": {"keywords": ["school", ""]}},
+    {"match": {"area_token": ""}},
+    {"match": {"area_token": " "}},
+    {"enrichment": {"languages": []}},
+    {"enrichment": {"languages": ["EN"]}},
+    {"analytics": {"months": ["2022-13"]}},
+    {"analytics": {"months": []}},
     {"adapters": []},
     {"adapters": {"eor": 5}},
     {"linkcheck": []},
@@ -232,11 +239,13 @@ class TestDataErrors:
         (("uc3", "--langs", ""), "language codes"),
         (("uc3", "--langs", "en, uk"), "language codes"),
         (("uc3", "--langs", "EN,uk"), "language codes"),
+        (("uc3", "--langs", "en,uk,en"), "language code listed twice"),
     ], ids=["uc2-blank-keyword", "uc3-empty-lang-in-list", "uc3-empty-langs",
-            "uc3-space-in-lang", "uc3-upper-case-lang"])
+            "uc3-space-in-lang", "uc3-upper-case-lang", "uc3-repeated-lang"])
     def test_flag_that_cannot_match_is_one_line_error(self, workdir, capsys, argv, needle):
         # a blank keyword counted every event with a space in a literal; an empty,
-        # space-padded or upper-case language code wrote a header-only CSV
+        # space-padded or upper-case language code wrote a header-only CSV, and a
+        # repeated one wrote its column twice
         nt = workdir / "events.nt"
         assert _run("convert", "--input", _tiny_events(workdir), "--out", nt) == 0
         out = workdir / "report.csv"

@@ -68,6 +68,10 @@ class TestHaversine:
                 assert d == pytest.approx(ref, rel=1e-6)
 
 
+def _place_row(gid="2", lat="49.2", lon="37.3") -> str:
+    return f"{gid}\tIzyum\tIzyum\tIzum\t{lat}\t{lon}\tP\tPPL\tUA\t63"
+
+
 class TestLoadGazetteer:
     def test_fixture_counts(self, gaz_index):
         # 15 rows in places.tsv, one is feature class H and gets filtered
@@ -90,6 +94,44 @@ class TestLoadGazetteer:
         with pytest.raises(GazetteerFormatError) as exc:
             load_gazetteer(tmp_path / "p.tsv", tmp_path / "a.tsv", tmp_path / "z.tsv")
         assert exc.value.line == 1
+
+    @pytest.mark.parametrize("file, bad_row, message", [
+        ("places", "2\tIzyum\tIzyum", "expected 10 columns, got 3"),
+        ("places", _place_row(gid="2x"), "bad geonameid: '2x'"),
+        ("places", _place_row(lat="north"), "bad latitude: 'north'"),
+        ("places", _place_row(lon=""), "bad longitude: ''"),
+        ("places", _place_row(lat="95.0"), "latitude out of range: 95.0"),
+        ("places", _place_row(lon="-180.5"), "longitude out of range: -180.5"),
+        ("places", _place_row(lat="nan"), "latitude out of range: nan"),
+        ("places", _place_row(gid="1"), "duplicate geonameid 1"),
+        ("alt_names", "11\t1\ten", "expected 4 columns, got 3"),
+        ("alt_names", "11\tone\ten\tKharkiv", "bad geonameid: 'one'"),
+        ("postal", "UA\t64305\tIzyum\t49.2", "expected 5 columns, got 4"),
+        ("postal", "UA\t \tIzyum\t49.2\t37.3", "empty postal code"),
+        ("postal", "UA\t64305\tIzyum\t49,2\t37.3", "bad latitude: '49,2'"),
+        ("postal", "UA\t64305\tIzyum\t-90.01\t37.3", "latitude out of range: -90.01"),
+        ("postal", "UA\t64305\tIzyum\t49.2\tinf", "longitude out of range: inf"),
+    ], ids=[
+        "places-columns", "places-geonameid", "places-latitude", "places-longitude",
+        "places-latitude-range", "places-longitude-range", "places-latitude-nan",
+        "places-duplicate", "alt_names-columns", "alt_names-geonameid", "postal-columns",
+        "postal-empty-code", "postal-latitude", "postal-latitude-range", "postal-longitude-inf",
+    ])
+    def test_bad_row_reports_path_and_line(self, tmp_path, file, bad_row, message):
+        # one good row, a blank line, then the bad row on line 3 of its file
+        good = {
+            "places": _place_row(gid="1"),
+            "alt_names": "10\t1\ten\tKharkiv",
+            "postal": "UA\t61000\tKharkiv\t50.0\t36.25",
+        }
+        paths = {name: tmp_path / f"{name}.tsv" for name in good}
+        for name, path in paths.items():
+            path.write_text(good[name] + "\n\n" + (bad_row + "\n" if name == file else ""),
+                            encoding="utf-8")
+        with pytest.raises(GazetteerFormatError) as exc:
+            load_gazetteer(paths["places"], paths["alt_names"], paths["postal"])
+        assert (exc.value.path, exc.value.line) == (str(paths[file]), 3)
+        assert str(exc.value) == f"{paths[file]}:3: {message}"
 
     def test_alt_rows_for_unknown_ids_skipped(self, gaz_index):
         # alt_names.tsv carries a row for id 999999 which is not in places

@@ -90,6 +90,16 @@ class TestParseDataset:
             parse_dataset(data, Dataset.CH, SourceFormat.CSV, CFG)
         assert exc.value.offset == len(b"date,lat,lon\n")
 
+    @pytest.mark.parametrize("bad", [b"2022-03-08,49.2\n", b"2022-03-08,49.2,37\r2,x\n"],
+                             ids=["ragged", "bare-cr"])
+    @pytest.mark.parametrize("char", ["\u2028", "\x0c"], ids=["line-separator", "form-feed"])
+    def test_csv_error_offset_after_a_non_newline_line_break(self, char, bad):
+        # str.splitlines breaks at these characters, the csv reader does not
+        good = f"date,lat,lon,city\n2022-03-07,49.2,37.2,Iz{char}um\n".encode()
+        with pytest.raises(DatasetSyntaxError) as exc:
+            parse_dataset(good + bad, Dataset.CH, SourceFormat.CSV, CFG)
+        assert exc.value.offset == len(good)
+
     def test_csv_quoted_newline_in_field(self):
         data = b'date,lat,lon,city\n2022-03-07,49.2,37.2,"\r\nZhytomyr"\n'
         records = parse_dataset(data, Dataset.CH, SourceFormat.CSV, CFG)

@@ -149,7 +149,7 @@ class TestCandidatePairs:
     def test_same_city_id_and_date(self):
         a = _event(city=GazetteerRef(1, "X"))
         b = _event(dataset=Dataset.CH, city=GazetteerRef(1, "X"))
-        assert candidate_pairs([a], [b]) == [(a, b)]
+        assert candidate_pairs([a], [b]) == [(a, b, "geoname_id")]
 
     def test_dates_one_day_apart(self):
         a = _event(city=GazetteerRef(1, "X"))
@@ -164,12 +164,12 @@ class TestCandidatePairs:
     def test_name_fallback(self):
         a = _event(city_name="Izum")
         b = _event(dataset=Dataset.CH, city_name="izum")
-        assert len(candidate_pairs([a], [b])) == 1
+        assert candidate_pairs([a], [b]) == [(a, b, "name")]
 
     def test_resolved_vs_raw_name(self):
         a = _event(city=GazetteerRef(1, "Izyum"))
         b = _event(dataset=Dataset.CH, city_name="Izyum")
-        assert len(candidate_pairs([a], [b])) == 1
+        assert candidate_pairs([a], [b]) == [(a, b, "name")]
 
     def test_missing_both_never_paired(self):
         a = _event()
@@ -204,26 +204,26 @@ class TestClassifyPair:
             "shelling reported downtown", "shelling reported in downtown", 1.5,
             ("https://t.me/c/1",), ("https://t.me/c/1",),
         )
-        p = classify_pair(a, b)
+        p = classify_pair(a, b, "geoname_id")
         assert (p.verdict, p.rule) == (Verdict.IDENTICAL, MatchRule.SHARED_LINK)
 
     def test_area_identical(self):
         a, b = _pair(
             "shelled area near the plant", "shelled area near the plants", 1.9
         )
-        p = classify_pair(a, b)
+        p = classify_pair(a, b, "geoname_id")
         assert (p.verdict, p.rule) == (Verdict.IDENTICAL, MatchRule.AREA)
 
     def test_keyword_near_distinct_on_distance(self):
         # similar hospital reports 1.2 km apart: similarity passes, distance fails
         a, b = _pair("hospital destroyed by shelling", "hospital destroyed by shellings", 1.2)
-        p = classify_pair(a, b)
+        p = classify_pair(a, b, "geoname_id")
         assert (p.verdict, p.rule) == (Verdict.NEAR_DISTINCT, MatchRule.KEYWORD)
         assert p.similarity > 0.55
 
     def test_keyword_identical(self):
         a, b = _pair("school hit overnight", "school hit over night", 0.5)
-        p = classify_pair(a, b)
+        p = classify_pair(a, b, "geoname_id")
         assert (p.verdict, p.rule) == (Verdict.IDENTICAL, MatchRule.KEYWORD)
 
     def test_shared_link_checked_before_area(self):
@@ -231,7 +231,7 @@ class TestClassifyPair:
             "area by the school shelled", "area by the school shelled", 1.5,
             ("https://t.me/c/9",), ("https://t.me/c/9",),
         )
-        p = classify_pair(a, b)
+        p = classify_pair(a, b, "geoname_id")
         assert p.rule is MatchRule.SHARED_LINK
 
     def test_area_near_then_keyword_identical_upgrades(self):
@@ -239,33 +239,38 @@ class TestClassifyPair:
         a, b = _pair(
             "area hit: school damaged", "school damaged by strike", 0.5
         )
-        p = classify_pair(a, b)
+        p = classify_pair(a, b, "geoname_id")
         assert p.similarity <= 0.75  # area branch could not accept it
         assert (p.verdict, p.rule) == (Verdict.IDENTICAL, MatchRule.KEYWORD)
 
     def test_area_near_kept_when_keyword_also_fails(self):
         a, b = _pair("storage area hit", "area shelled near rail yard", 1.9)
-        p = classify_pair(a, b)
+        p = classify_pair(a, b, "geoname_id")
         assert (p.verdict, p.rule) == (Verdict.NEAR_DISTINCT, MatchRule.AREA)
 
     def test_unclassified(self):
         a, b = _pair("smoke across the river", "loud explosions downtown", 0.5)
-        p = classify_pair(a, b)
+        p = classify_pair(a, b, "geoname_id")
         assert (p.verdict, p.rule) == (Verdict.UNCLASSIFIED, MatchRule.NONE)
 
     def test_absent_description_is_empty_string(self):
         a, b = _pair(None, None, 0.1, ("https://t.me/c/1",), ("https://t.me/c/1",))
-        p = classify_pair(a, b)
+        p = classify_pair(a, b, "geoname_id")
         assert p.similarity == 1.0  # both empty
         assert p.verdict is Verdict.IDENTICAL
 
     def test_pure_function(self):
         a, b = _pair("school hit", "school hit", 0.5)
-        assert classify_pair(a, b) == classify_pair(a, b)
+        assert classify_pair(a, b, "geoname_id") == classify_pair(a, b, "geoname_id")
+
+    @pytest.mark.parametrize("basis", ["geoname_id", "name"])
+    def test_city_basis_is_carried_from_candidate_generation(self, basis):
+        a, b = _pair("school hit", "school hit", 0.5)
+        assert classify_pair(a, b, basis).city_basis == basis
 
     def test_identical_requires_rule(self):
         with pytest.raises(ValueError):
-            MatchPair("a", "b", 1.0, 1.0, Verdict.IDENTICAL, MatchRule.NONE)
+            MatchPair("a", "b", 1.0, 1.0, Verdict.IDENTICAL, MatchRule.NONE, "geoname_id")
 
     def test_strict_thresholds(self):
         cfg = MatchConfig()
@@ -274,7 +279,7 @@ class TestClassifyPair:
         s = similarity("abcdabcd", "abcdab")
         assert s == pytest.approx(6 / 7)
         a2, b2 = _pair("x area y", "z area w", 2.0)
-        p = classify_pair(a2, b2, cfg)
+        p = classify_pair(a2, b2, "geoname_id", cfg)
         assert p.verdict is not Verdict.IDENTICAL  # distance 2.0 is not < 2.0
 
 
@@ -332,6 +337,10 @@ class TestIntegrate:
         assert rules["eor-005"] is MatchRule.SHARED_LINK
         assert rules["eor-006"] is MatchRule.KEYWORD
         assert rules["eor-007"] is MatchRule.AREA
+
+    def test_pairs_keep_the_candidate_city_basis(self, integrated, enriched_events):
+        basis = {(a.id, b.id): c for a, b, c in candidate_pairs(*enriched_events)}
+        assert {(p.a, p.b): p.city_basis for p in integrated.pairs} == basis
 
     def test_identical_pairs_satisfy_thresholds_post_hoc(self, integrated):
         cfg = MatchConfig()
