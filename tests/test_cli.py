@@ -40,6 +40,13 @@ def fixture_nt(tmp_path_factory) -> Path:
     return outdir / "integrated.nt"
 
 
+def _drop_line(data: bytes, needle: bytes) -> bytes:
+    """The document without its first line that holds needle."""
+    lines = data.split(b"\n")
+    index = next(i for i, line in enumerate(lines) if needle in line)
+    return b"\n".join(lines[:index] + lines[index + 1:])
+
+
 def _tiny_events(directory: Path) -> Path:
     path = directory / "tiny.events.json"
     path.write_text(json.dumps([
@@ -304,6 +311,39 @@ class TestDataErrors:
         if code == 1:
             (line,) = err.getvalue().strip().splitlines()
             assert line.startswith("resilink: error: ")
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda nt: nt[:-20],
+         "line 1470: expected '<iri> <iri> <iri-or-literal> .'"),
+        (lambda nt: nt.replace(b"<http://sws.geonames.org/700646/>",
+                               b"<sws.geonames.org/700646/>", 1),
+         "line 209: IRI must be absolute and N-Triples-safe: 'sws.geonames.org/700646/'"),
+        (lambda nt: nt.replace(b"Explosion damaged", b"Explosion \xffdamaged", 1),
+         "'utf-8' codec can't decode byte 0xff in position 44119: invalid start byte"),
+        (lambda nt: nt.replace(b'"49.823"^^', b'"north"^^', 1),
+         "could not convert string to float: 'north'"),
+        (lambda nt: _drop_line(nt, b"ch/156e6dd61dc9cbfe/geo> <https://schema.org/longitude>"),
+         "event node missing coordinates: https://linked4resilience.eu/event/ch/156e6dd61dc9cbfe"),
+        (lambda nt: nt.replace(b'"2023-01-13"^^', b'"2022-02-30"^^', 1),
+         "not a real calendar date: 2022-2-30"),
+        (lambda nt: _drop_line(nt, b"<https://linked4resilience.eu/ontology/hasPrimarySource>"),
+         "aggregate node without hasPrimarySource: https://linked4resilience.eu/event/aggregate/"
+         "006fe315012e02de7f022eaee835ff66266eefd087220d06a7d210e2c09cf9f7"),
+        (lambda nt: _drop_line(nt, b"<https://linked4resilience.eu/event/eor/eor-131> "
+                                   b"<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"),
+         "aggregate member has no event: (<Dataset.EOR: 'eor'>, 'eor-131')"),
+    ], ids=["truncated-statement", "relative-iri", "invalid-utf8", "non-numeric-latitude",
+            "missing-longitude", "impossible-date", "aggregate-without-primary",
+            "member-without-event"])
+    def test_malformed_integrated_nt_is_one_line_error(self, fixture_nt, workdir, capsys,
+                                                       corrupt, message):
+        bad = workdir / "integrated.nt"
+        bad.write_bytes(corrupt(fixture_nt.read_bytes()))
+        out = workdir / "uc2.csv"
+        assert _run("report", "uc2", "--input", bad, "--keyword", "school", "--out", out) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == f"resilink: error: {message}"
+        assert not out.exists()
 
     def test_negative_death_count_is_one_line_error(self, workdir, capsys):
         # used to write the ratio -0.294118 and exit 0
