@@ -33,6 +33,7 @@ from .rdf import (
     Term,
     Triple,
     event_iri,
+    events_from_ntriples,
     events_from_triples,
     format_decimal,
 )
@@ -136,6 +137,12 @@ class IntegratedDataset:
     @classmethod
     def from_triples(cls, triples: Iterable[Triple]) -> IntegratedDataset:
         events, aggregates = events_from_triples(triples)
+        return cls(aggregates=tuple(aggregates), events=events)
+
+    @classmethod
+    def from_ntriples(cls, data: bytes | str) -> IntegratedDataset:
+        """from_triples(parse_ntriples(data)), with no Term or Triple per statement."""
+        events, aggregates = events_from_ntriples(data)
         return cls(aggregates=tuple(aggregates), events=events)
 
 

@@ -363,8 +363,8 @@ def _cmd_integrate(args, cfg: PipelineConfig) -> int:
 
 
 def _load_dataset(path: str) -> analytics.IntegratedDataset:
-    triples = rdf.parse_ntriples(Path(path).read_bytes())
-    return analytics.IntegratedDataset.from_triples(triples)
+    # decoded here, so that the file's bytes are freed before the load
+    return analytics.IntegratedDataset.from_ntriples(Path(path).read_bytes().decode("utf-8"))
 
 
 def _cmd_report(args, cfg: PipelineConfig) -> int:

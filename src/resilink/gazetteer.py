@@ -216,8 +216,15 @@ class GazetteerIndex:
 
 
 def _rows(path: Path, ncols: int) -> Iterator[tuple[int, list[str]]]:
-    """(line number, columns) of each non-blank line, which must have ncols columns."""
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    """(line number, columns) of each non-blank line, which must have ncols columns.
+
+    Lines end at LF only, with a CR before it dropped: a name may hold U+2028,
+    U+0085, a form feed or another character that str.splitlines breaks at.
+    """
+    with open(path, encoding="utf-8", newline="") as fp:
+        lines = fp.read().split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.removesuffix("\r")
         if not line.strip():
             continue
         cols = line.split("\t")
@@ -252,7 +259,8 @@ def load_gazetteer(place_file: str | Path, alt_names_file: str | Path, postal_fi
     are skipped. Alternate-names file columns: alternateNameId, geonameid,
     isolanguage, alternate_name (rows for unknown ids are ignored). Postal
     file columns: country_code, postal_code, place_name, latitude,
-    longitude. Blank lines are allowed everywhere.
+    longitude. Blank lines are allowed everywhere. Lines end at LF or CRLF
+    only, so a name may hold any other character, U+2028 included.
     """
     place_file, alt_names_file, postal_file = Path(place_file), Path(alt_names_file), Path(postal_file)
 

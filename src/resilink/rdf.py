@@ -17,7 +17,7 @@ import itertools
 import re
 from enum import Enum
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 from urllib.parse import quote, unquote
 
 from .model import (
@@ -56,13 +56,20 @@ WKT_DATATYPE = GEOSPARQL_NS + "wktLiteral"
 
 # The one IRI grammar: the body of an N-Triples IRIREF
 # (https://www.w3.org/TR/n-triples/). Term requires it after a scheme, the
-# emitter percent-encodes source URLs into it, and the parser reads it.
+# emitter percent-encodes source URLs into it, and the reader checks each
+# distinct IRI it reads against it.
 _IRI_BODY = r'[^<>"{}|^`\\\x00-\x20]*'
+_IRI_BODY_RE = re.compile(_IRI_BODY)
 _ABSOLUTE_IRI_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:" + _IRI_BODY)
 # The ASCII characters the body forbids, as %XX (RFC 3987 section 3.1).
 _IRI_PERCENT_ENCODE = {
     c: f"%{c:02X}" for c in range(0x80) if not re.fullmatch(_IRI_BODY, chr(c))
 }
+
+
+def _check_iri(value: str) -> None:
+    if _ABSOLUTE_IRI_RE.fullmatch(value) is None:
+        raise ValueError(f"IRI must be absolute and N-Triples-safe: {value!r}")
 
 
 class NTriplesSyntaxError(ResilinkError):
@@ -96,8 +103,7 @@ class Term(tuple):
         if kind is TermKind.IRI:
             if language or datatype:
                 raise ValueError("only literals may carry a language or datatype")
-            if _ABSOLUTE_IRI_RE.fullmatch(value) is None:
-                raise ValueError(f"IRI must be absolute and N-Triples-safe: {value!r}")
+            _check_iri(value)
         elif language and datatype:
             raise ValueError("language and datatype are mutually exclusive")
         return tuple.__new__(cls, (kind, value, language, datatype))
@@ -289,20 +295,42 @@ def serialize_bytes(triples: Iterable[Triple], fmt: RdfFormat = RdfFormat.NTRIPL
     N-Triples: one statement per line, literals escaped per the grammar.
     Turtle: a single prefix block followed by the rows grouped by subject,
     using prefixed names where possible and `a` for rdf:type.
+    Each distinct term is rendered once per call and format.
     """
-    by_row = {(s.render(), p.render(), o.render()): (p, o) for s, p, o in triples}
-    rows = sorted(by_row)
-    if fmt is RdfFormat.NTRIPLES:
-        lines = [f"{s} {p} {o} ." for s, p, o in rows]
-    elif fmt is RdfFormat.TURTLE:
-        lines = [f"@prefix {prefix}: <{PREFIXES[prefix]}> ." for prefix in sorted(PREFIXES)]
-        for subject, group in itertools.groupby(rows, key=lambda row: row[0]):
-            statements = []
-            for predicate, obj in map(by_row.get, group):
-                pred = "a" if predicate.value == RDF_NS + "type" else predicate.render(_prefixed)
-                statements.append(f"{pred} {obj.render(_prefixed)}")
-            lines += ["", subject, "    " + " ;\n    ".join(statements) + " ."]
-    else:
+    rendered: dict[Term, str] = {}
+
+    def nt(term: Term) -> str:
+        text = rendered.get(term)
+        if text is None:
+            text = rendered[term] = term.render()
+        return text
+
+    # Sorting the lines sorts by (subject, predicate, object). No rendering
+    # is a prefix of another, except a literal's of the same literal with a
+    # language tag or datatype, or with a longer tag; what follows it then
+    # ('@', '^', '-', a letter or a digit) sorts above the ' ' that ends a
+    # term in a line.
+    rows = {f"{nt(s)} {nt(p)} {nt(o)} .": (s, p, o) for s, p, o in triples}
+    lines = sorted(rows)
+    if fmt is RdfFormat.TURTLE:
+        short: dict[Term, str] = {}
+
+        def ttl(term: Term) -> str:
+            text = short.get(term)
+            if text is None:
+                text = short[term] = term.render(_prefixed)
+            return text
+
+        rdf_type = RDF_NS + "type"
+        body = [f"@prefix {prefix}: <{PREFIXES[prefix]}> ." for prefix in sorted(PREFIXES)]
+        for subject, group in itertools.groupby(map(rows.get, lines), key=itemgetter(0)):
+            statements = [
+                f"{'a' if predicate.value == rdf_type else ttl(predicate)} {ttl(obj)}"
+                for _, predicate, obj in group
+            ]
+            body += ["", nt(subject), "    " + " ;\n    ".join(statements) + " ."]
+        lines = body
+    elif fmt is not RdfFormat.NTRIPLES:
         raise ValueError(f"unsupported format: {fmt!r}")
     data = "\n".join(lines)
     return (data + "\n").encode("utf-8") if data else b""
@@ -311,12 +339,16 @@ def serialize_bytes(triples: Iterable[Triple], fmt: RdfFormat = RdfFormat.NTRIPL
 # ---------------------------------------------------------------------------
 # N-Triples parsing (inverse of the serializer; also the round-trip oracle)
 
-_IRIREF = f"<({_IRI_BODY})>"
+# An IRIREF is anything up to the next '>': a statement whose IRIs all fit
+# _IRI_BODY matches this as it would match with _IRI_BODY in their place,
+# and the reader holds each distinct IRI to _IRI_BODY once, not per statement.
+_IRIREF = "<([^>]*)>"
 _STATEMENT_RE = re.compile(
     rf"{_IRIREF}[ \t]*{_IRIREF}[ \t]*"
     rf'(?:{_IRIREF}|"([^"\\]*(?:\\.[^"\\]*)*)"'
     rf"(?:@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)|\^\^{_IRIREF})?)[ \t]*\."
 )
+_NOT_A_STATEMENT = "expected '<iri> <iri> <iri-or-literal> .'"
 _ESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
 _UNESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 
@@ -333,54 +365,96 @@ def _unescape_literal(raw: str, line: int) -> str:
     return _ESCAPE_RE.sub(decode, raw)
 
 
-def parse_ntriples(data: bytes | str) -> list[Triple]:
-    """Parse N-Triples text into triples; errors carry the 1-based line.
+# (subject, predicate, IRI object or None, literal, language, datatype)
+StatementRow = tuple[str, str, str | None, str | None, str | None, str | None]
+
+
+def ntriples_rows(text: str) -> Iterator[StatementRow]:
+    """The statements of N-Triples text as rows; errors carry the 1-based line.
 
     Statements are delimited by LF/CRLF only; unicode line separators such
     as U+0085 may appear raw inside literals per the grammar, so the
-    generic splitlines() set must not be used here.
+    generic splitlines() set must not be used here. A row passes every
+    check a Term would make: subject, predicate and IRI object are
+    absolute, and the grammar gives a literal a language or a datatype,
+    never both. Literal escapes are decoded.
     """
+    valid: set[str] = set()  # IRIs already found N-Triples-safe and absolute
+    lines = text.split("\n")
+    lines.reverse()  # popped in file order, so each line is freed once read
+    for lineno in range(1, len(lines) + 1):
+        line = lines.pop().strip()
+        m = _STATEMENT_RE.fullmatch(line)
+        if m is None:
+            if not line or line.startswith("#"):
+                continue
+            raise NTriplesSyntaxError(lineno, _NOT_A_STATEMENT)
+        row = m.groups()
+        subject, predicate, obj, literal, _, datatype = row
+        if obj is not None:
+            known = obj in valid
+        else:
+            known = "\\" not in literal and (datatype is None or datatype in valid)
+        if not (known and subject in valid and predicate in valid):
+            row = _checked_row(row, lineno, valid)
+        yield row
+
+
+def _checked_row(row: StatementRow, lineno: int, valid: set[str]) -> StatementRow:
+    """The row with its literal's escapes decoded, once its IRIs pass; adds them to valid.
+
+    The checks come in the order a whole-statement match made them: an IRI
+    outside the grammar means the line is no statement, then a bad escape,
+    then the absolute-IRI rule on subject, predicate and object, in turn.
+    """
+    subject, predicate, obj, literal, language, datatype = row
+    iris = (subject, predicate, obj, datatype)
+    # an absolute IRI is N-Triples-safe too, so a new IRI usually takes one scan
+    valid.update(
+        iri for iri in iris if iri is not None and iri not in valid and _ABSOLUTE_IRI_RE.fullmatch(iri)
+    )
+    for iri in iris:
+        if iri is not None and iri not in valid and _IRI_BODY_RE.fullmatch(iri) is None:
+            raise NTriplesSyntaxError(lineno, _NOT_A_STATEMENT)
+    if obj is None and "\\" in literal:
+        row = (subject, predicate, None, _unescape_literal(literal, lineno), language, datatype)
+    for iri in (subject, predicate, obj):
+        if iri is not None and iri not in valid:
+            try:
+                _check_iri(iri)
+            except ValueError as exc:
+                raise NTriplesSyntaxError(lineno, str(exc)) from exc
+    return row
+
+
+def parse_ntriples(data: bytes | str) -> list[Triple]:
+    """Parse N-Triples text into triples; errors carry the 1-based line."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    triples = []
     # terms are immutable: build each distinct IRI and literal once
     iri = functools.cache(Term.iri)
     literal_term = functools.cache(Term.literal)
-    for lineno, line in enumerate(data.split("\n"), start=1):
-        text = line.strip()
-        m = _STATEMENT_RE.fullmatch(text)
-        if m is None:
-            if not text or text.startswith("#"):
-                continue
-            raise NTriplesSyntaxError(lineno, "expected '<iri> <iri> <iri-or-literal> .'")
-        subject, predicate, obj, literal, language, datatype = m.groups()
-        if obj is None and "\\" in literal:
-            literal = _unescape_literal(literal, lineno)
-        try:
-            triples.append(Triple(
-                iri(subject),
-                iri(predicate),
-                iri(obj) if obj is not None else literal_term(literal, language, datatype),
-            ))
-        except ValueError as exc:
-            raise NTriplesSyntaxError(lineno, str(exc)) from exc
-    return triples
+    return [
+        Triple(iri(subject), iri(predicate),
+               iri(obj) if obj is not None else literal_term(literal, language, datatype))
+        for subject, predicate, obj, literal, language, datatype in ntriples_rows(data)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Loading events and aggregates back out of a triple set
 
-def _subject_map(triples: Iterable[Triple]) -> dict[str, dict[str, list[Term]]]:
-    by_subject: dict[str, dict[str, list[Term]]] = {}
-    for subject, predicate, obj in triples:
-        by_subject.setdefault(subject.value, {}).setdefault(predicate.value, []).append(obj)
-    return by_subject
+# subject -> predicate -> the (value, language) of each object, in file order.
+# Only the lexical value and the language tag are read back; IRI objects
+# carry language None.
+Predicates = dict[str, list[tuple[str, str | None]]]
+SubjectMap = dict[str, Predicates]
 
 
-def _first(preds: dict[str, list[Term]], predicate: str) -> str | None:
+def _first(preds: Predicates, predicate: str) -> str | None:
     """The value of the predicate's first object, or None."""
     objs = preds.get(predicate)
-    return objs[0].value if objs else None
+    return objs[0][0] if objs else None
 
 
 def events_from_triples(
@@ -394,22 +468,53 @@ def events_from_triples(
     linking IRIs; the province's preferred name is recovered from the
     addressRegion literal.
     """
-    by_subject = _subject_map(triples)
+    by_subject: SubjectMap = {}
+    for subject, predicate, obj in triples:
+        by_subject.setdefault(subject.value, {}).setdefault(predicate.value, []).append(
+            (obj.value, obj.language)
+        )
+    return _events_from_subject_map(by_subject)
+
+
+def events_from_ntriples(
+    data: bytes | str,
+) -> tuple[dict[EventKey, Event], list[AggregateEvent]]:
+    """events_from_triples(parse_ntriples(data)), with no Term or Triple per statement.
+
+    The subject map is built straight from the statement rows; each
+    distinct predicate and (value, language) pair is kept once.
+    """
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    by_subject: SubjectMap = {}
+    interned: dict = {}  # predicate -> itself, (value, language) -> itself
+    for subject, predicate, obj, literal, language, _ in ntriples_rows(data):
+        pair = (literal, language) if obj is None else (obj, None)
+        by_subject.setdefault(subject, {}).setdefault(
+            interned.setdefault(predicate, predicate), []
+        ).append(interned.setdefault(pair, pair))
+    return _events_from_subject_map(by_subject)
+
+
+def _events_from_subject_map(
+    by_subject: SubjectMap,
+) -> tuple[dict[EventKey, Event], list[AggregateEvent]]:
     events: dict[EventKey, Event] = {}
     aggregates: list[AggregateEvent] = []
-    # Event IRIs recur as aggregate members and GeoNames IRIs across events;
-    # both results are immutable, so each IRI is parsed once per call.
+    # Event IRIs recur as aggregate members, GeoNames IRIs and dates across
+    # events; the results are immutable, so each is parsed once per call.
     event_key = functools.cache(parse_event_iri)
     gazetteer_ref = functools.cache(GazetteerRef.from_iri)
+    civil_date = functools.cache(parse_civil_date)
 
-    def ref(preds: dict[str, list[Term]], predicate: str, preferred: str = "") -> GazetteerRef | None:
+    def ref(preds: Predicates, predicate: str, preferred: str = "") -> GazetteerRef | None:
         iri = _first(preds, ONTOLOGY_NS + predicate)
         return gazetteer_ref(iri, preferred) if iri is not None else None
 
-    sem_event = SEM_NS + "Event"
+    rdf_type, sem_event = RDF_NS + "type", SEM_NS + "Event"
     event_nodes = sorted(
         subject for subject, preds in by_subject.items()
-        if any(o.value == sem_event for o in preds.get(RDF_NS + "type", ()))
+        if any(value == sem_event for value, _ in preds.get(rdf_type, ()))
     )
     for subject in event_nodes:
         preds = by_subject[subject]
@@ -418,7 +523,7 @@ def events_from_triples(
             if primary is None:
                 raise ValueError(f"aggregate node without hasPrimarySource: {subject}")
             members = tuple(
-                sorted(event_key(o.value) for o in preds.get(ONTOLOGY_NS + "hasMember", ()))
+                sorted(event_key(value) for value, _ in preds.get(ONTOLOGY_NS + "hasMember", ()))
             )
             aggregates.append(AggregateEvent(iri=subject, members=members, primary=event_key(primary)))
             continue
@@ -440,17 +545,18 @@ def events_from_triples(
         ev = Event(
             id=local_id,
             dataset=dataset,
-            date=parse_civil_date(date),
+            date=civil_date(date),
             point=validate_point(float(lat), float(lon)),
             description=_first(preds, DCT_NS + "description"),
             country=ref(preds, "countryGeoNames"),
             city=ref(preds, "cityGeoNames"),
             province=ref(preds, "provinceGeoNames", region or ""),
             postal_code=_first(preds, ONTOLOGY_NS + "postalCode"),
-            source_urls=tuple(sorted(o.value for o in preds.get(SDO_NS + "url", ()))),
-            comments=tuple(sorted(o.value for o in preds.get(RDFS_NS + "comment", ()))),
+            source_urls=tuple(sorted(value for value, _ in preds.get(SDO_NS + "url", ()))),
+            comments=tuple(sorted(value for value, _ in preds.get(RDFS_NS + "comment", ()))),
             city_labels={
-                o.language: o.value for o in preds.get(ONTOLOGY_NS + "cityName", ()) if o.language
+                language: value
+                for value, language in preds.get(ONTOLOGY_NS + "cityName", ()) if language
             },
         )
         events[ev.key] = ev

@@ -31,6 +31,7 @@ from resilink.analytics import (
 from resilink.model import AggregateEvent, CivilDate, Dataset, Event, GazetteerRef, GeoPoint
 from resilink.rdf import (
     WKT_DATATYPE,
+    aggregate_iri,
     emit_aggregate_triples,
     emit_event_triples,
     event_iri,
@@ -55,6 +56,48 @@ def reloaded(dataset) -> IntegratedDataset:
     for agg in dataset.aggregates:
         triples.extend(emit_aggregate_triples(agg))
     return IntegratedDataset.from_triples(parse_ntriples(serialize_bytes(triples)))
+
+
+_refs = st.none() | st.builds(GazetteerRef, st.integers(1, 10**7), st.text(max_size=6))
+_events = st.builds(
+    Event,
+    id=st.text(min_size=1, max_size=8),
+    dataset=st.sampled_from(Dataset),
+    date=st.dates().map(lambda d: CivilDate(d.year, d.month, d.day)),
+    point=st.builds(GeoPoint, st.floats(-90, 90), st.floats(-180, 180)),
+    description=st.none() | st.text(max_size=20),
+    country=_refs,
+    city=_refs,
+    province=_refs,
+    postal_code=st.none() | st.text(max_size=6),
+    source_urls=st.lists(
+        st.text(alphabet='ab/?#%é<>"{}|^`\\ \n\x00', max_size=8).map(lambda p: f"https://h.example/{p}"),
+        max_size=2,
+    ).map(tuple),
+    comments=st.lists(st.text(min_size=1, max_size=8), max_size=2).map(tuple),
+    city_labels=st.dictionaries(st.sampled_from(["en", "uk", "nl"]), st.text(max_size=6), max_size=2),
+)
+
+
+@st.composite
+def _events_and_aggregates(draw):
+    events = draw(st.lists(_events, max_size=6, unique_by=lambda ev: ev.key))
+    aggregates = []
+    for ev in events:
+        if draw(st.booleans()):
+            aggregates.append(AggregateEvent(aggregate_iri([event_iri(*ev.key)]), (ev.key,), ev.key))
+    eor = [ev.key for ev in events if ev.dataset is Dataset.EOR]
+    ch = [ev.key for ev in events if ev.dataset is Dataset.CH]
+    if eor and ch and draw(st.booleans()):
+        members = (draw(st.sampled_from(eor)), draw(st.sampled_from(ch)))
+        aggregates.append(AggregateEvent(aggregate_iri([event_iri(*key) for key in members]),
+                                         members, draw(st.sampled_from(members))))
+    return events, aggregates
+
+
+def _emit(events, aggregates) -> list:
+    triples = [t for ev in events for t in emit_event_triples(ev)]
+    return triples + [t for agg in aggregates for t in emit_aggregate_triples(agg)]
 
 
 def _primaries(ds):
@@ -362,6 +405,27 @@ class TestUc6:
         assert len(shelters) == 2
         assert shelters[0].name == "Metro station"
         assert shelters[1].name is None
+
+
+class TestFromNtriples:
+    """The statement-row loader against from_triples, which never runs the reader."""
+
+    def test_fixture(self, dataset):
+        triples = _emit(dataset.events.values(), dataset.aggregates)
+        loaded = IntegratedDataset.from_ntriples(serialize_bytes(triples))
+        assert loaded == IntegratedDataset.from_triples(triples)
+        assert len(loaded.events) == len(dataset.events) and loaded.aggregates
+
+    @settings(max_examples=200, deadline=None)
+    @given(_events_and_aggregates())
+    def test_emitted_events_and_aggregates(self, drawn):
+        # a set, as the file holds it: a comment or URL listed twice is one triple
+        triples = list(dict.fromkeys(_emit(*drawn)))
+        data = serialize_bytes(triples)
+        assert IntegratedDataset.from_ntriples(data) == IntegratedDataset.from_triples(triples)
+        assert IntegratedDataset.from_ntriples(data.decode("utf-8")) == IntegratedDataset.from_triples(
+            triples
+        )
 
 
 class TestReloadEquivalence:

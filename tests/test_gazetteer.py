@@ -95,6 +95,26 @@ class TestLoadGazetteer:
             load_gazetteer(tmp_path / "p.tsv", tmp_path / "a.tsv", tmp_path / "z.tsv")
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize("brk", ["\u2028", "\x85", "\f", "\x1c", "\x1d", "\x1e"],
+                             ids=["U+2028", "U+0085", "form-feed", "x1c", "x1d", "x1e"])
+    def test_rows_break_only_at_newline(self, tmp_path, brk):
+        # str.splitlines also broke at these, so the row was rejected as
+        # "expected 10 columns, got 2" and later errors named the wrong line
+        name = f"Iz{brk}yum"
+        places = tmp_path / "p.tsv"
+        places.write_text(f"2\t{name}\tIzyum\t\t49.2\t37.3\tP\tPPL\tUA\t63\r\n", encoding="utf-8")
+        (tmp_path / "a.tsv").write_text("")
+        (tmp_path / "z.tsv").write_text("")
+        index = load_gazetteer(places, tmp_path / "a.tsv", tmp_path / "z.tsv")
+        (entry,) = index.place_entries
+        assert (entry.name, entry.admin1_code) == (name, "63")
+
+        with places.open("a", encoding="utf-8") as fp:
+            fp.write("3\tBalakliia\n")
+        with pytest.raises(GazetteerFormatError) as exc:
+            load_gazetteer(places, tmp_path / "a.tsv", tmp_path / "z.tsv")
+        assert str(exc.value) == f"{places}:2: expected 10 columns, got 2"
+
     @pytest.mark.parametrize("file, bad_row, message", [
         ("places", "2\tIzyum\tIzyum", "expected 10 columns, got 3"),
         ("places", _place_row(gid="2x"), "bad geonameid: '2x'"),

@@ -14,6 +14,7 @@ from resilink.rdf import (
     RDF_NS,
     SDO_NS,
     SEM_NS,
+    XSD_NS,
     NTriplesSyntaxError,
     RdfFormat,
     Term,
@@ -255,6 +256,33 @@ _vocab_triple_strategy = st.builds(
 )
 
 
+# Terms whose renderings are prefixes of one another: sorting whole lines
+# agrees with sorting (subject, predicate, object) only if every rendering
+# is extended by characters above the space that ends a term in a line.
+_prefix_iri_strategy = st.builds(
+    Term.iri, st.sampled_from(["https://x/a", "https://x/a!", "https://x/a/b", "https://x/ab"])
+)
+_prefix_literal_strategy = st.sampled_from([
+    Term.literal("a"),
+    Term.literal("a", language="en"),
+    Term.literal("a", language="en-gb"),
+    Term.literal("a", language="en-GB-x1"),
+    Term.literal("a", datatype=XSD_NS + "string"),
+    Term.literal("a", datatype=XSD_NS + "string2"),
+    Term.literal("a b"),
+    Term.literal("a!"),
+    Term.literal("a\n"),
+    Term.literal('a"'),
+    Term.literal(""),
+])
+_prefix_triple_strategy = st.builds(
+    Triple,
+    _prefix_iri_strategy,
+    _prefix_iri_strategy,
+    st.one_of(_prefix_iri_strategy, _prefix_literal_strategy),
+)
+
+
 def _ntriples_lines(triples) -> list[str]:
     # split on LF only: U+0085 and U+2028 may stand raw inside a literal
     return serialize_bytes(triples).decode("utf-8").split("\n")[:-1]
@@ -305,6 +333,13 @@ class TestSerialization:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_vocab_triple_strategy, max_size=12))
     def test_turtle_with_prefixed_names_expands_to_the_ntriples_lines(self, triples):
+        assert _turtle_lines(triples) == _ntriples_lines(triples)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_prefix_triple_strategy, max_size=16))
+    def test_lines_are_sorted_by_subject_predicate_object(self, triples):
+        rows = sorted({(s.render(), p.render(), o.render()) for s, p, o in triples})
+        assert _ntriples_lines(triples) == [f"{s} {p} {o} ." for s, p, o in rows]
         assert _turtle_lines(triples) == _ntriples_lines(triples)
 
     def test_turtle_of_the_integrated_fixture_expands_to_the_ntriples_lines(
