@@ -391,11 +391,11 @@ def ntriples_rows(text: str) -> Iterator[StatementRow]:
             raise NTriplesSyntaxError(lineno, _NOT_A_STATEMENT)
         row = m.groups()
         subject, predicate, obj, literal, _, datatype = row
-        if obj is not None:
-            known = obj in valid
+        if obj is None:
+            settled = "\\" not in literal and (datatype is None or datatype in valid)
         else:
-            known = "\\" not in literal and (datatype is None or datatype in valid)
-        if not (known and subject in valid and predicate in valid):
+            settled = obj in valid
+        if not (settled and subject in valid and predicate in valid):
             row = _checked_row(row, lineno, valid)
         yield row
 
@@ -403,19 +403,21 @@ def ntriples_rows(text: str) -> Iterator[StatementRow]:
 def _checked_row(row: StatementRow, lineno: int, valid: set[str]) -> StatementRow:
     """The row with its literal's escapes decoded, once its IRIs pass; adds them to valid.
 
-    The checks come in the order a whole-statement match made them: an IRI
-    outside the grammar means the line is no statement, then a bad escape,
-    then the absolute-IRI rule on subject, predicate and object, in turn.
+    Errors come in this order: an IRI outside the grammar (the line is no
+    statement), a bad escape, then the absolute-IRI rule on subject,
+    predicate and object, in turn.
     """
     subject, predicate, obj, literal, language, datatype = row
-    iris = (subject, predicate, obj, datatype)
-    # an absolute IRI is N-Triples-safe too, so a new IRI usually takes one scan
-    valid.update(
-        iri for iri in iris if iri is not None and iri not in valid and _ABSOLUTE_IRI_RE.fullmatch(iri)
-    )
-    for iri in iris:
-        if iri is not None and iri not in valid and _IRI_BODY_RE.fullmatch(iri) is None:
-            raise NTriplesSyntaxError(lineno, _NOT_A_STATEMENT)
+    rejected = []
+    for iri in (subject, predicate, obj, datatype):
+        if iri is None or iri in valid:
+            continue
+        if _ABSOLUTE_IRI_RE.fullmatch(iri):  # absolute implies N-Triples-safe
+            valid.add(iri)
+        else:
+            rejected.append(iri)
+    if any(_IRI_BODY_RE.fullmatch(iri) is None for iri in rejected):
+        raise NTriplesSyntaxError(lineno, _NOT_A_STATEMENT)
     if obj is None and "\\" in literal:
         row = (subject, predicate, None, _unescape_literal(literal, lineno), language, datatype)
     for iri in (subject, predicate, obj):

@@ -418,6 +418,28 @@ class TestParseNtriples:
             parse_ntriples(good + line + b"\n" + good)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("line, message", [
+        (b'<https://x/s> <https://x/p a> "\\q" .', "expected '<iri> <iri> <iri-or-literal> .'"),
+        (b'<rel> <https://x/p> "v"^^<a b> .', "expected '<iri> <iri> <iri-or-literal> .'"),
+        (b"<rel> <https://x/p> <https://x/{o}> .", "expected '<iri> <iri> <iri-or-literal> .'"),
+        (b'<rel> <https://x/p> "\\q" .', "bad escape \\q"),
+        (b"<https://x/s> <rel> <rel2> .", "IRI must be absolute and N-Triples-safe: 'rel'"),
+        (b"<https://x/s> <https://x/p> <rel2> .", "IRI must be absolute and N-Triples-safe: 'rel2'"),
+    ], ids=["grammar-before-escape", "datatype-grammar-before-absolute",
+            "grammar-before-absolute", "escape-before-absolute", "predicate-before-object",
+            "seen-iri-then-relative-object"])
+    def test_first_error_in_a_line(self, line, message):
+        # each IRI is held to the grammar once, but a line reports the error a
+        # whole-statement match would: grammar, then escapes, then the absolute rule
+        good = b'<https://x/s> <https://x/p> <https://x/o> .\n'
+        with pytest.raises(NTriplesSyntaxError) as exc:
+            parse_ntriples(good + line + b"\n" + good)
+        assert (exc.value.line, str(exc.value)) == (2, f"line 2: {message}")
+
+    def test_relative_datatype_is_read(self):
+        (t,) = parse_ntriples(b'<https://x/s> <https://x/p> "v"^^<rel> .\n')
+        assert t.object == Term.literal("v", datatype="rel")
+
     def test_escape_decoding(self):
         data = b'<https://x/s> <https://x/p> "tab\\there\\nline \\"q\\" \\\\done" .\n'
         (t,) = parse_ntriples(data)
