@@ -305,22 +305,14 @@ def serialize_bytes(triples: Iterable[Triple], fmt: RdfFormat = RdfFormat.NTRIPL
             text = rendered[term] = term.render()
         return text
 
-    # Sorting the lines sorts by (subject, predicate, object). No rendering
-    # is a prefix of another, except a literal's of the same literal with a
-    # language tag or datatype, or with a longer tag; what follows it then
-    # ('@', '^', '-', a letter or a digit) sorts above the ' ' that ends a
-    # term in a line.
+    # Sorting the lines sorts by (subject, predicate, object): where one
+    # term's rendering is a prefix of another's ('"a"' of '"a"@en', '"a"@en'
+    # of '"a"@en-gb'), the next character ('@', '^', '-', a letter or a
+    # digit) sorts above the ' ' that ends a term in a line.
     rows = {f"{nt(s)} {nt(p)} {nt(o)} .": (s, p, o) for s, p, o in triples}
     lines = sorted(rows)
     if fmt is RdfFormat.TURTLE:
-        short: dict[Term, str] = {}
-
-        def ttl(term: Term) -> str:
-            text = short.get(term)
-            if text is None:
-                text = short[term] = term.render(_prefixed)
-            return text
-
+        ttl = functools.cache(lambda term: term.render(_prefixed))
         rdf_type = RDF_NS + "type"
         body = [f"@prefix {prefix}: <{PREFIXES[prefix]}> ." for prefix in sorted(PREFIXES)]
         for subject, group in itertools.groupby(map(rows.get, lines), key=itemgetter(0)):
