@@ -73,6 +73,7 @@ from .analytics import (
     IntegratedDataset,
     MonthBucket,
     RegionRank,
+    ReportSettings,
     ShelterRecord,
     WktPoint,
     uc1_event_points,

@@ -166,6 +166,22 @@ def check_months(months: Sequence[str]) -> None:
         seen.add(month)
 
 
+@dataclass(frozen=True)
+class ReportSettings:
+    """Report defaults: the uc2/uc5 month list and the uc6 radius and grid cell size."""
+
+    months: tuple[str, ...] = DEFAULT_MONTHS
+    uc6_radius_km: float = 1.0
+    grid_deg: float = 0.005
+
+    def __post_init__(self):
+        check_months(self.months)
+        if not self.uc6_radius_km > 0:  # also rejects NaN
+            raise ValueError(f"uc6_radius_km must be positive: {self.uc6_radius_km!r}")
+        if not 0 < self.grid_deg < math.inf:
+            raise ValueError(f"grid_deg must be positive and finite: {self.grid_deg!r}")
+
+
 def _month_window(month: str) -> tuple[CivilDate, CivilDate]:
     """[first day of month, first day of next month) for exclusive-end filters."""
     y, mo = _year_month(month)
@@ -412,8 +428,8 @@ def load_shelters(fp: IO[str]) -> list[ShelterRecord]:
 def uc6_shelter_gap(
     dataset: IntegratedDataset,
     shelters: Sequence[ShelterRecord],
-    radius_km: float = 1.0,
-    grid_deg: float = 0.005,
+    radius_km: float = ReportSettings.uc6_radius_km,
+    grid_deg: float = ReportSettings.grid_deg,
 ) -> tuple[dict, list[GridCell]]:
     """Uncovered events (no shelter within radius_km) plus a density grid.
 
@@ -421,10 +437,7 @@ def uc6_shelter_gap(
     grid as cells of grid_deg x grid_deg degrees counting uncovered events;
     the cell coordinates are the cell's south-west corner.
     """
-    if not radius_km > 0:  # also rejects NaN
-        raise ValueError("radius_km must be positive")
-    if not 0 < grid_deg < math.inf:
-        raise ValueError("grid_deg must be positive and finite")
+    ReportSettings(uc6_radius_km=radius_km, grid_deg=grid_deg)  # the same rules as the config's
     targets = PointSet([s.point for s in shelters])
     uncovered = []
     for _, ev in dataset.primary_events():

@@ -19,7 +19,7 @@ import math
 import os
 import secrets
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import analytics, gazetteer, ingest, integration, rdf
@@ -42,11 +42,43 @@ class ConfigError(ResilinkError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class OnlineSettings:
-    base_url: str
-    username: str | None = None
+    """The online geocoder that fills what the offline gazetteer left unresolved."""
+
+    base_url: str = ""
+    username: str = ""  # empty: read from $GEONAMES_USERNAME
     rate_per_sec: float = 1.0
+
+    def __post_init__(self):
+        if not self.base_url:
+            raise ValueError("base_url must be a non-empty URL string")
+        if not self.rate_per_sec > 0:  # also rejects NaN
+            raise ValueError(f"rate_per_sec must be positive: {self.rate_per_sec!r}")
+
+
+@dataclass(frozen=True)
+class LinkcheckSettings:
+    """Request timeout, worker count and per-host politeness delay of linkcheck."""
+
+    timeout_s: float = 10.0
+    concurrency: int = 8
+    politeness_s: float = 0.2
+
+    def __post_init__(self):
+        if not 0 < self.timeout_s < math.inf:  # also rejects NaN
+            raise ValueError(f"timeout_s must be positive and finite: {self.timeout_s!r}")
+        if not 0 <= self.politeness_s < math.inf:
+            raise ValueError(f"politeness_s must be >= 0 and finite: {self.politeness_s!r}")
+        if not (self.concurrency >= 1 and self.concurrency % 1 == 0):
+            raise ValueError(f"concurrency must be a count >= 1: {self.concurrency!r}")
+        object.__setattr__(self, "concurrency", int(self.concurrency))
+
+
+_DOCUMENT_KEYS = (
+    "adapters", "gazetteer", "overrides", "match", "enrichment", "analytics", "online", "linkcheck"
+)
+_GAZETTEER_KEYS = ("places", "alternate_names", "postal_codes")
 
 
 @dataclass
@@ -54,19 +86,13 @@ class PipelineConfig:
     """Everything the stages need, loaded from one JSON document."""
 
     adapters: dict[Dataset, ingest.AdapterConfig] = field(default_factory=dict)
-    gazetteer_places: Path | None = None
-    gazetteer_alt_names: Path | None = None
-    gazetteer_postal: Path | None = None
+    gazetteer_files: tuple[Path | None, ...] = (None,) * len(_GAZETTEER_KEYS)
     overrides_path: Path | None = None
     match: integration.MatchConfig = field(default_factory=integration.MatchConfig)
     enrichment: gazetteer.EnrichmentConfig = field(default_factory=gazetteer.EnrichmentConfig)
-    months: tuple[str, ...] = analytics.DEFAULT_MONTHS
-    uc6_radius_km: float = 1.0
-    grid_deg: float = 0.005
+    analytics: analytics.ReportSettings = field(default_factory=analytics.ReportSettings)
     online: OnlineSettings | None = None
-    linkcheck_timeout_s: float = 10.0
-    linkcheck_concurrency: int = 8
-    linkcheck_politeness_s: float = 0.2
+    linkcheck: LinkcheckSettings = field(default_factory=LinkcheckSettings)
 
     @classmethod
     def load(cls, path: str | Path) -> PipelineConfig:
@@ -76,7 +102,7 @@ class PipelineConfig:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        raw = _object(raw, "document")
+        raw = _object(raw, "document", _DOCUMENT_KEYS)
 
         adapters = {}
         for name, mapping in _object(raw.get("adapters", {}), "adapters").items():
@@ -87,90 +113,25 @@ class PipelineConfig:
             except ValueError as exc:
                 raise ConfigError(f"config adapters.{name}: {exc}") from exc
 
-        gaz = _object(raw.get("gazetteer", {}), "gazetteer")
-        cfg = cls(
+        gaz = _object(raw.get("gazetteer", {}), "gazetteer", _GAZETTEER_KEYS)
+        return cls(
             adapters=adapters,
-            gazetteer_places=_resolve_path(gaz.get("places"), base, "gazetteer.places"),
-            gazetteer_alt_names=_resolve_path(
-                gaz.get("alternate_names"), base, "gazetteer.alternate_names"
-            ),
-            gazetteer_postal=_resolve_path(
-                gaz.get("postal_codes"), base, "gazetteer.postal_codes"
+            gazetteer_files=tuple(
+                _resolve_path(gaz.get(key), base, f"gazetteer.{key}") for key in _GAZETTEER_KEYS
             ),
             overrides_path=_resolve_path(raw.get("overrides"), base, "overrides"),
+            match=_section(raw, "match", integration.MatchConfig),
+            enrichment=_section(raw, "enrichment", gazetteer.EnrichmentConfig),
+            analytics=_section(raw, "analytics", analytics.ReportSettings),
+            online=None if raw.get("online") is None else _section(raw, "online", OnlineSettings),
+            linkcheck=_section(raw, "linkcheck", LinkcheckSettings),
         )
-
-        match_raw = _object(raw.get("match", {}), "match")
-        _strings(match_raw, "keywords", (), "match")
-        if not isinstance(match_raw.get("area_token", ""), str):
-            raise ConfigError("config match.area_token must be a string")
-        try:
-            cfg.match = integration.MatchConfig.from_dict(match_raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config match: {exc}") from exc
-
-        enrich_raw = _object(raw.get("enrichment", {}), "enrichment")
-        default = gazetteer.EnrichmentConfig()
-        try:
-            cfg.enrichment = gazetteer.EnrichmentConfig(
-                languages=_strings(enrich_raw, "languages", default.languages, "enrichment"),
-                reverse_max_km=_number(
-                    enrich_raw, "reverse_max_km", default.reverse_max_km, "enrichment"
-                ),
-                postal_max_km=_number(
-                    enrich_raw, "postal_max_km", default.postal_max_km, "enrichment"
-                ),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"config enrichment: {exc}") from exc
-
-        analytics_raw = _object(raw.get("analytics", {}), "analytics")
-        cfg.months = _strings(analytics_raw, "months", analytics.DEFAULT_MONTHS, "analytics")
-        try:
-            analytics.check_months(cfg.months)
-        except ValueError as exc:
-            raise ConfigError(f"config analytics.months: {exc}") from exc
-        cfg.uc6_radius_km = _positive(analytics_raw, "uc6_radius_km", 1.0, "analytics")
-        cfg.grid_deg = _positive(analytics_raw, "grid_deg", 0.005, "analytics")
-        if math.isinf(cfg.grid_deg):
-            raise ConfigError("config analytics.grid_deg must be finite")
-
-        if raw.get("online") is not None:
-            online_raw = _object(raw["online"], "online")
-            base_url = online_raw.get("base_url")
-            username = online_raw.get("username")
-            if not isinstance(base_url, str) or not base_url:
-                raise ConfigError("config online.base_url must be a non-empty URL string")
-            if username is not None and not isinstance(username, str):
-                raise ConfigError("config online.username must be a string")
-            cfg.online = OnlineSettings(
-                base_url=base_url,
-                username=username,
-                rate_per_sec=_positive(online_raw, "rate_per_sec", 1.0, "online"),
-            )
-
-        lc = _object(raw.get("linkcheck", {}), "linkcheck")
-        cfg.linkcheck_timeout_s = _positive(lc, "timeout_s", 10.0, "linkcheck")
-        concurrency = _number(lc, "concurrency", 8, "linkcheck")
-        if not (concurrency >= 1 and concurrency.is_integer()):
-            raise ConfigError(f"config linkcheck.concurrency must be a count >= 1: {concurrency}")
-        cfg.linkcheck_concurrency = int(concurrency)
-        cfg.linkcheck_politeness_s = _number(lc, "politeness_s", 0.2, "linkcheck")
-        if not cfg.linkcheck_politeness_s >= 0:
-            raise ConfigError("config linkcheck.politeness_s must not be negative")
-        return cfg
 
     def load_index(self) -> gazetteer.GazetteerIndex:
-        for name, p in (
-            ("places", self.gazetteer_places),
-            ("alternate_names", self.gazetteer_alt_names),
-            ("postal_codes", self.gazetteer_postal),
-        ):
+        for name, p in zip(_GAZETTEER_KEYS, self.gazetteer_files):
             if p is None:
                 raise ConfigError(f"config is missing gazetteer.{name}")
-        return gazetteer.load_gazetteer(
-            self.gazetteer_places, self.gazetteer_alt_names, self.gazetteer_postal
-        )
+        return gazetteer.load_gazetteer(*self.gazetteer_files)
 
     def load_overrides(self) -> gazetteer.OverrideTable:
         if self.overrides_path is None:
@@ -178,32 +139,44 @@ class PipelineConfig:
         return gazetteer.OverrideTable.from_json(self.overrides_path.read_text(encoding="utf-8"))
 
 
-def _object(value, label: str) -> dict:
+def _object(value, label: str, keys=None) -> dict:
+    """value, which must be a JSON object; given keys, each of its keys must be among them."""
     if not isinstance(value, dict):
         raise ConfigError(f"config {label} must be a JSON object")
+    for key in value if keys is not None else ():
+        if key not in keys:
+            raise ConfigError(f"config {label} has an unknown key: {key!r}")
     return value
 
 
-def _strings(section: dict, key: str, default: tuple[str, ...], label: str) -> tuple[str, ...]:
-    value = section.get(key, default)
-    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"config {label}.{key} must be a list of strings")
-    return tuple(value)
+def _section(raw: dict, name: str, cls):
+    """The config section `name` as an instance of the dataclass cls.
 
-
-def _number(section: dict, key: str, default: float, label: str) -> float:
-    value = section.get(key, default)
+    Each key must name a field of cls and hold the JSON type of that
+    field's default: a list of strings, a number or a string. The values'
+    rules are the constructor's, and its ValueError becomes one ConfigError.
+    """
+    defaults = {f.name: f.default for f in fields(cls)}
+    section = _object(raw.get(name, {}), name, defaults)
+    kwargs = {}
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config {label}.{key} must be a number: {value!r}") from None
-
-
-def _positive(section: dict, key: str, default: float, label: str) -> float:
-    value = _number(section, key, default, label)
-    if not value > 0:  # also false for NaN
-        raise ConfigError(f"config {label}.{key} must be positive: {value!r}")
-    return value
+        for key, value in section.items():
+            default = defaults[key]
+            if isinstance(default, tuple):
+                if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                    raise ConfigError(f"config {name}.{key} must be a list of strings")
+                value = tuple(value)
+            elif isinstance(default, str):
+                if not isinstance(value, str):
+                    raise ConfigError(f"config {name}.{key} must be a string")
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"config {name}.{key} must be a number: {value!r}")
+            elif isinstance(default, float):
+                value = float(value)  # overflows on a JSON integer beyond the float range
+            kwargs[key] = value
+        return cls(**kwargs)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"config {name}: {exc}") from exc
 
 
 def _resolve_path(value, base: Path, label: str) -> Path | None:
@@ -239,6 +212,22 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
 
 def _atomic_write_text(path: Path, text: str) -> None:
     _atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def _write_json(path: str | Path, doc) -> None:
+    _atomic_write_text(Path(path), json.dumps(doc, indent=2) + "\n")
+
+
+def _write_csv(path: str | Path, write, *rows) -> None:
+    """Render a report with write(*rows, fp) in memory, then write it atomically."""
+    buf = io.StringIO()
+    write(*rows, buf)
+    _atomic_write_text(Path(path), buf.getvalue())
+
+
+def _with_flags(section, **flags):
+    """The config section with each flag that was given put in; its constructor checks them."""
+    return replace(section, **{name: value for name, value in flags.items() if value is not None})
 
 
 def _read_events(path: str) -> list[Event]:
@@ -343,15 +332,12 @@ def _integrate(a_events: list[Event], b_events: list[Event], cfg: PipelineConfig
         triples.extend(rdf.emit_aggregate_triples(agg))
     _atomic_write_bytes(Path(out), rdf.serialize_bytes(triples, fmt))
     if pairs:
-        buf = io.StringIO()
-        integration.write_pair_report(result.pairs, buf)
-        _atomic_write_text(Path(pairs), buf.getvalue())
+        _write_csv(pairs, integration.write_pair_report, result.pairs)
     if counts:
-        counts_doc = {
+        _write_json(counts, {
             "a": c.a, "b": c.b, "identical": c.identical,
             "near_distinct": c.near_distinct, "integrated": c.integrated,
-        }
-        _atomic_write_text(Path(counts), json.dumps(counts_doc, indent=2) + "\n")
+        })
 
 
 def _cmd_integrate(args, cfg: PipelineConfig) -> int:
@@ -378,52 +364,40 @@ def _cmd_report(args, cfg: PipelineConfig) -> int:
             triples = analytics.uc1_wkt_triples(ds, city, start, end)
             _atomic_write_bytes(Path(args.out_nt), rdf.serialize_bytes(triples))
         if args.out_geojson:
-            doc = analytics.points_feature_collection(points)
-            _atomic_write_text(Path(args.out_geojson), json.dumps(doc, indent=2) + "\n")
+            _write_json(args.out_geojson, analytics.points_feature_collection(points))
     elif uc == "uc2":
-        months = args.months.split(",") if args.months else list(cfg.months)
+        months = args.months.split(",") if args.months else list(cfg.analytics.months)
         buckets = analytics.uc2_monthly_keyword_series(ds, args.keyword, months)
-        buf = io.StringIO()
-        analytics.write_month_csv(buckets, buf)
-        _atomic_write_text(Path(args.out), buf.getvalue())
+        _write_csv(args.out, analytics.write_month_csv, buckets)
     elif uc == "uc3":
         langs = args.langs.split(",")
         rows = analytics.uc3_multilingual_city_report(ds, langs, args.top)
-        buf = io.StringIO()
-        analytics.write_city_names_csv(rows, langs, buf)
-        _atomic_write_text(Path(args.out), buf.getvalue())
+        _write_csv(args.out, analytics.write_city_names_csv, rows, langs)
     elif uc == "uc4":
-        buf = io.StringIO()
         if args.months:
             timeline = analytics.uc4_monthly_timeline(ds, args.months.split(","), args.top)
-            analytics.write_region_timeline_csv(timeline, buf)
+            _write_csv(args.out, analytics.write_region_timeline_csv, timeline)
         else:
             start, end = parse_civil_date(args.start), parse_civil_date(args.end)
             rows = analytics.uc4_top_regions(ds, start, end, args.top)
-            analytics.write_region_csv(rows, buf)
-        _atomic_write_text(Path(args.out), buf.getvalue())
+            _write_csv(args.out, analytics.write_region_csv, rows)
     elif uc == "uc5":
-        months = args.months.split(",") if args.months else list(cfg.months)
+        months = args.months.split(",") if args.months else list(cfg.analytics.months)
         attacks = analytics.monthly_event_counts(ds, months)
         with open(args.deaths, encoding="utf-8") as fp:
             deaths = analytics.read_deaths_csv(fp)
-        rows = analytics.uc5_ratio_series(attacks, deaths)
-        buf = io.StringIO()
-        analytics.write_ratio_csv(rows, buf)
-        _atomic_write_text(Path(args.out), buf.getvalue())
+        _write_csv(args.out, analytics.write_ratio_csv, analytics.uc5_ratio_series(attacks, deaths))
     elif uc == "uc6":
+        settings = _with_flags(cfg.analytics, uc6_radius_km=args.radius_km)
         with open(args.shelters, encoding="utf-8") as fp:
             shelters = analytics.load_shelters(fp)
-        radius_km = cfg.uc6_radius_km if args.radius_km is None else args.radius_km
         collection, grid = analytics.uc6_shelter_gap(
-            ds, shelters, radius_km=radius_km, grid_deg=cfg.grid_deg
+            ds, shelters, radius_km=settings.uc6_radius_km, grid_deg=settings.grid_deg
         )
         if args.out_geojson:
-            _atomic_write_text(Path(args.out_geojson), json.dumps(collection, indent=2) + "\n")
+            _write_json(args.out_geojson, collection)
         if args.out:
-            buf = io.StringIO()
-            analytics.write_grid_csv(grid, buf)
-            _atomic_write_text(Path(args.out), buf.getvalue())
+            _write_csv(args.out, analytics.write_grid_csv, grid)
     else:  # unreachable through argparse
         raise ConfigError(f"unknown use case {uc!r}")
     return 0
@@ -432,27 +406,20 @@ def _cmd_report(args, cfg: PipelineConfig) -> int:
 def _cmd_linkcheck(args, cfg: PipelineConfig) -> int:
     from . import linkcheck  # imports requests: only this command pays for it
 
+    settings = _with_flags(cfg.linkcheck, timeout_s=args.timeout, concurrency=args.concurrency)
     events = []
     for path in args.input:
         events.extend(_read_events(path))
     checker = linkcheck.LinkChecker(
-        timeout_s=args.timeout if args.timeout is not None else cfg.linkcheck_timeout_s,
-        politeness_s=cfg.linkcheck_politeness_s,
+        timeout_s=settings.timeout_s,
+        politeness_s=settings.politeness_s,
         base_override=args.base_override,
     )
-    report = linkcheck.link_report(
-        events,
-        concurrency=cfg.linkcheck_concurrency if args.concurrency is None else args.concurrency,
-        checker=checker,
-    )
+    report = linkcheck.link_report(events, concurrency=settings.concurrency, checker=checker)
     if args.out_csv:
-        buf = io.StringIO()
-        linkcheck.write_link_csv(report, buf)
-        _atomic_write_text(Path(args.out_csv), buf.getvalue())
+        _write_csv(args.out_csv, linkcheck.write_link_csv, report)
     if args.out_json:
-        _atomic_write_text(
-            Path(args.out_json), json.dumps(linkcheck.summary_dict(report), indent=2) + "\n"
-        )
+        _write_json(args.out_json, linkcheck.summary_dict(report))
     return 0
 
 

@@ -286,10 +286,8 @@ def normalize_record(raw: RawEventRecord, cfg: AdapterConfig) -> Event:
         if parts:
             province_name = parts[0]
 
-    urls = []
     raw_url = _get("url")
-    if raw_url:
-        urls = [u for u in raw_url.split() if u]
+    urls = tuple(dict.fromkeys(raw_url.split())) if raw_url else ()  # each URL once, in order
 
     comments = []
     violence = _get("violence_level")
@@ -312,7 +310,7 @@ def normalize_record(raw: RawEventRecord, cfg: AdapterConfig) -> Event:
             country_name=country_name,
             city_name=city_name,
             province_name=province_name,
-            source_urls=tuple(urls),
+            source_urls=urls,
             comments=tuple(comments),
         )
     except ValueError as exc:

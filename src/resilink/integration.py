@@ -70,13 +70,6 @@ class MatchConfig:
         object.__setattr__(self, "keywords", tuple(k.lower() for k in self.keywords))
         object.__setattr__(self, "area_token", self.area_token.lower())
 
-    @classmethod
-    def from_dict(cls, d: dict) -> MatchConfig:
-        kwargs = dict(d)
-        if "keywords" in kwargs:
-            kwargs["keywords"] = tuple(kwargs["keywords"])
-        return cls(**kwargs)
-
 
 class Verdict(str, Enum):
     IDENTICAL = "Identical"

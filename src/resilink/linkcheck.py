@@ -169,11 +169,6 @@ class LinkChecker:
         return LinkStatus(url, LinkState.BROKEN, code)
 
 
-def check_url(url: str, timeout_s: float = 10.0, client: LinkChecker | None = None) -> LinkStatus:
-    client = client or LinkChecker(timeout_s=timeout_s)
-    return client.check(url)
-
-
 def _dataset_stats(dataset: Dataset, rows: list[LinkReportRow], total_events: int) -> DatasetLinkStats:
     counts = {state: 0 for state in LinkState}
     for row in rows:
@@ -200,7 +195,6 @@ def _dataset_stats(dataset: Dataset, rows: list[LinkReportRow], total_events: in
 def link_report(
     events: Iterable[Event],
     concurrency: int = 8,
-    timeout_s: float = 10.0,
     checker: LinkChecker | None = None,
 ) -> LinkReport:
     """Check every event's URLs and aggregate per-dataset statistics.
@@ -213,7 +207,7 @@ def link_report(
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
     events = list(events)
-    checker = checker or LinkChecker(timeout_s=timeout_s)
+    checker = checker or LinkChecker()
 
     unique_urls: list[str] = []
     seen: set[str] = set()

@@ -72,6 +72,14 @@ def _check_iri(value: str) -> None:
         raise ValueError(f"IRI must be absolute and N-Triples-safe: {value!r}")
 
 
+# The one language-tag grammar: the N-Triples LANGTAG, which the reader
+# parses and Term requires.
+_LANGUAGE_TAG = r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*"
+# Literals repeat a handful of tags and datatypes; each is checked once.
+_is_language_tag = functools.lru_cache(maxsize=256)(re.compile(_LANGUAGE_TAG).fullmatch)
+_check_datatype = functools.lru_cache(maxsize=256)(_check_iri)
+
+
 class NTriplesSyntaxError(ResilinkError):
     def __init__(self, line: int, message: str):
         self.line = line
@@ -90,7 +98,8 @@ class TermKind(Enum):
 
 
 class Term(tuple):
-    """An RDF term: an N-Triples-safe absolute IRI, or a literal with optional tag/datatype.
+    """An RDF term: an N-Triples-safe absolute IRI, or a literal with an optional
+    language tag (the reader's grammar) or datatype (an absolute IRI).
 
     A validating tuple ``(kind, value, language, datatype)``: immutable,
     hashable and compared by value, and as cheap to build as a tuple.
@@ -104,8 +113,13 @@ class Term(tuple):
             if language or datatype:
                 raise ValueError("only literals may carry a language or datatype")
             _check_iri(value)
-        elif language and datatype:
-            raise ValueError("language and datatype are mutually exclusive")
+        elif language is not None:
+            if datatype is not None:
+                raise ValueError("language and datatype are mutually exclusive")
+            if not _is_language_tag(language):
+                raise ValueError(f"language tag must match {_LANGUAGE_TAG}: {language!r}")
+        elif datatype is not None:
+            _check_datatype(datatype)
         return tuple.__new__(cls, (kind, value, language, datatype))
 
     def __getnewargs__(self):  # copy and pickle rebuild through __new__
@@ -338,7 +352,7 @@ _IRIREF = "<([^>]*)>"
 _STATEMENT_RE = re.compile(
     rf"{_IRIREF}[ \t]*{_IRIREF}[ \t]*"
     rf'(?:{_IRIREF}|"([^"\\]*(?:\\.[^"\\]*)*)"'
-    rf"(?:@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)|\^\^{_IRIREF})?)[ \t]*\."
+    rf"(?:@({_LANGUAGE_TAG})|\^\^{_IRIREF})?)[ \t]*\."
 )
 _NOT_A_STATEMENT = "expected '<iri> <iri> <iri-or-literal> .'"
 _ESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
@@ -367,8 +381,8 @@ def ntriples_rows(text: str) -> Iterator[StatementRow]:
     Statements are delimited by LF/CRLF only; unicode line separators such
     as U+0085 may appear raw inside literals per the grammar, so the
     generic splitlines() set must not be used here. A row passes every
-    check a Term would make: subject, predicate and IRI object are
-    absolute, and the grammar gives a literal a language or a datatype,
+    check a Term would make: subject, predicate, IRI object and datatype
+    are absolute, and the grammar gives a literal a language or a datatype,
     never both. Literal escapes are decoded.
     """
     valid: set[str] = set()  # IRIs already found N-Triples-safe and absolute
@@ -397,7 +411,7 @@ def _checked_row(row: StatementRow, lineno: int, valid: set[str]) -> StatementRo
 
     Errors come in this order: an IRI outside the grammar (the line is no
     statement), a bad escape, then the absolute-IRI rule on subject,
-    predicate and object, in turn.
+    predicate, object and datatype, in turn.
     """
     subject, predicate, obj, literal, language, datatype = row
     rejected = []
@@ -412,7 +426,7 @@ def _checked_row(row: StatementRow, lineno: int, valid: set[str]) -> StatementRo
         raise NTriplesSyntaxError(lineno, _NOT_A_STATEMENT)
     if obj is None and "\\" in literal:
         row = (subject, predicate, None, _unescape_literal(literal, lineno), language, datatype)
-    for iri in (subject, predicate, obj):
+    for iri in (subject, predicate, obj, datatype):
         if iri is not None and iri not in valid:
             try:
                 _check_iri(iri)

@@ -14,7 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resilink.cli import run_subcommand
+from resilink.analytics import ReportSettings
+from resilink.cli import LinkcheckSettings, PipelineConfig, run_subcommand
+from resilink.gazetteer import EnrichmentConfig
+from resilink.integration import MatchConfig
 from resilink.model import Dataset, events_from_json
 from resilink.rdf import parse_ntriples
 from tests.httpmock import ScriptedHandler, start_server, stop_server
@@ -81,7 +84,26 @@ MALFORMED_CONFIGS = [json.dumps(doc) for doc in [
     {"linkcheck": {"concurrency": float("inf")}},
     {"gazetteer": {"places": 5}},
     {"overrides": 5},
-]] + ["[" * 100_000 + "]" * 100_000]
+    # an unknown key, once ignored silently outside match
+    {"analytics": {"uc6_radius": 2.0}},
+    {"linkcheck": {"timout_s": 5}},
+    {"online": {"base_url": "http://127.0.0.1:9", "user": "demo"}},
+    {"enrichment": {"language": ["en"]}},
+    {"gazetteer": {"place": "places.tsv"}},
+    {"linkchek": {"timeout_s": 5}},
+    # not a JSON number where a number goes, once read as 1.0 and 2.0
+    {"linkcheck": {"timeout_s": True}},
+    {"analytics": {"grid_deg": "2"}},
+    {"enrichment": {"postal_max_km": True}},
+    {"match": {"sim_link": "0.5"}},
+    {"linkcheck": {"concurrency": 2.5}},
+    {"online": {"base_url": "http://127.0.0.1:9", "username": 5}},
+    {"analytics": {"grid_deg": 10 ** 400}},  # overflows a float
+]] + [
+    '{"linkcheck": {"timeout_s": 1e999}}',  # JSON reads 1e999 as inf
+    '{"linkcheck": {"politeness_s": 1e999}}',
+    "[" * 100_000 + "]" * 100_000,
+]
 
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -90,15 +112,16 @@ _json_values = st.recursive(
 )
 _CONFIG_SECTIONS = {
     "adapters": ("eor", "ch", "other"),
-    "gazetteer": ("places", "alternate_names", "postal_codes"),
+    "gazetteer": ("places", "alternate_names", "postal_codes", "other"),
     "match": ("sim_link", "dist_area_km", "keywords", "area_token", "other"),
-    "enrichment": ("languages", "reverse_max_km", "postal_max_km"),
-    "analytics": ("months", "uc6_radius_km", "grid_deg"),
-    "online": ("base_url", "username", "rate_per_sec"),
-    "linkcheck": ("timeout_s", "concurrency", "politeness_s"),
+    "enrichment": ("languages", "reverse_max_km", "postal_max_km", "other"),
+    "analytics": ("months", "uc6_radius_km", "grid_deg", "other"),
+    "online": ("base_url", "username", "rate_per_sec", "other"),
+    "linkcheck": ("timeout_s", "concurrency", "politeness_s", "other"),
 }
 config_documents = _json_values | st.fixed_dictionaries({}, optional={
     "overrides": _json_values,
+    "other": _json_values,
     **{
         name: _json_values | st.dictionaries(st.sampled_from(keys), _json_values, max_size=3)
         for name, keys in _CONFIG_SECTIONS.items()
@@ -411,6 +434,47 @@ class TestDataErrors:
                     "--concurrency", "0", "--out-json", workdir / "links.json")
         assert code == 1
 
+    @pytest.mark.parametrize("config, flags, key", [
+        ('{"linkcheck": {"timeout_s": 1e999}}', (), "timeout_s"),
+        ('{"linkcheck": {"politeness_s": 1e999}}', (), "politeness_s"),
+        ("{}", ("--timeout", "inf"), "timeout_s"),
+        ("{}", ("--timeout", "0"), "timeout_s"),
+        ("{}", ("--timeout", "-1"), "timeout_s"),
+        ("{}", ("--timeout", "nan"), "timeout_s"),
+    ], ids=["config-timeout-inf", "config-politeness-inf", "flag-timeout-inf", "flag-timeout-0",
+            "flag-timeout-negative", "flag-timeout-nan"])
+    def test_bad_linkcheck_timing_is_one_line_error(self, workdir, capsys, config, flags, key):
+        # an infinite timeout or delay ended in an OverflowError traceback, and a
+        # timeout of 0, -1 or nan in urllib3's message; a flag now obeys the config's rule
+        config_file = workdir / "config.json"
+        config_file.write_text(config)
+        events = workdir / "events.json"
+        events.write_text(json.dumps([
+            {"id": "e1", "dataset": "eor", "date": "2022-03-07", "lat": 50.0, "lon": 36.0,
+             "source_urls": ["https://t.me/a/1", "https://t.me/a/2"]}
+        ]))
+        out = workdir / "links.json"
+        # a closed local port: nothing leaves the machine even if the check were missing
+        code = _run("linkcheck", "--input", events, "--config", config_file,
+                    "--base-override", "http://127.0.0.1:9", *flags, "--out-json", out)
+        assert code == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("resilink: error: ") and key in line
+        assert not out.exists()
+
+
+def test_worked_config_loads_its_values_and_defaults():
+    cfg = PipelineConfig.load(PIPE / "config.json")
+    assert cfg.linkcheck == LinkcheckSettings(timeout_s=2.0, concurrency=8, politeness_s=0.0)
+    assert (cfg.match, cfg.enrichment, cfg.analytics, cfg.online) == (
+        MatchConfig(), EnrichmentConfig(), ReportSettings(), None
+    )
+    assert set(cfg.adapters) == {Dataset.EOR, Dataset.CH}
+    assert cfg.gazetteer_files == tuple(
+        PIPE / "../gazetteer" / name for name in ("places.tsv", "alt_names.tsv", "postal.tsv")
+    )
+    assert cfg.overrides_path == PIPE / "overrides.json"
+
 
 def test_cli_import_leaves_requests_unloaded():
     # only linkcheck and the online enrichment pass make HTTP calls, and only
@@ -547,6 +611,23 @@ class TestStageCommands:
         with uc6_csv.open() as fp:
             cells = list(csv.DictReader(fp))
         assert sum(int(c["count"]) for c in cells) == len(collection["features"])
+
+    def test_repeated_source_url_is_kept_once(self, workdir):
+        # the events JSON held the URL twice, while the .nt, a triple set, held it once
+        source = workdir / "eor.json"
+        source.write_text(json.dumps([
+            {"id": "r1", "happened": "2022-03-07", "latitude": 50.0, "longitude": 36.0,
+             "url": "https://t.me/a/1 https://t.me/b/2 https://t.me/a/1"}
+        ]))
+        events, nt = workdir / "eor.events.json", workdir / "eor.nt"
+        assert _run("ingest", "--dataset", "eor", "--format", "json", "--input", source,
+                    "--config", PIPE / "config.json", "--out", events) == 0
+        (ev,) = events_from_json(events.read_bytes())
+        assert ev.source_urls == ("https://t.me/a/1", "https://t.me/b/2")
+        assert _run("convert", "--input", events, "--out", nt) == 0
+        urls = [t.object.value for t in parse_ntriples(nt.read_bytes())
+                if t.predicate.value == "https://schema.org/url"]
+        assert sorted(urls) == sorted(ev.source_urls)
 
     def test_iri_unsafe_source_url_survives_to_the_reports(self, workdir):
         url = "https://t.me/s/chan?q={a}|b"

@@ -8,7 +8,6 @@ from resilink.linkcheck import (
     LinkChecker,
     LinkState,
     LinkStatus,
-    check_url,
     link_report,
     summary_dict,
     write_link_csv,
@@ -42,45 +41,45 @@ def _event(i: int, urls: tuple[str, ...], dataset=Dataset.EOR) -> Event:
 
 class TestCheckUrl:
     def test_ok(self, server):
-        st = check_url("https://example.com/ok", client=_checker(server))
+        st = _checker(server).check("https://example.com/ok")
         assert (st.status, st.http_code) == (LinkState.VALID, 200)
 
     def test_broken_404(self, server):
-        st = check_url("https://example.com/gone", client=_checker(server))
+        st = _checker(server).check("https://example.com/gone")
         assert (st.status, st.http_code) == (LinkState.BROKEN, 404)
 
     def test_broken_410(self, server):
-        st = check_url("https://example.com/deleted", client=_checker(server))
+        st = _checker(server).check("https://example.com/deleted")
         assert st.status is LinkState.BROKEN
 
     def test_permission_403(self, server):
-        st = check_url("https://example.com/forbidden", client=_checker(server))
+        st = _checker(server).check("https://example.com/forbidden")
         assert (st.status, st.http_code) == (LinkState.PERMISSION_REQUIRED, 403)
 
     def test_permission_401(self, server):
-        st = check_url("https://example.com/login", client=_checker(server))
+        st = _checker(server).check("https://example.com/login")
         assert st.status is LinkState.PERMISSION_REQUIRED
 
     def test_server_error_is_broken(self, server):
-        st = check_url("https://example.com/oops", client=_checker(server))
+        st = _checker(server).check("https://example.com/oops")
         assert (st.status, st.http_code) == (LinkState.BROKEN, 500)
 
     def test_timeout(self, server):
-        st = check_url("https://example.com/slow", client=_checker(server))
+        st = _checker(server).check("https://example.com/slow")
         assert st.status is LinkState.TIMEOUT
         assert st.http_code is None
 
     def test_redirect_followed(self, server):
-        st = check_url("https://example.com/redirect", client=_checker(server))
+        st = _checker(server).check("https://example.com/redirect")
         assert (st.status, st.http_code) == (LinkState.VALID, 200)
 
     def test_redirect_loop_is_broken(self, server):
-        st = check_url("https://example.com/loop", client=_checker(server))
+        st = _checker(server).check("https://example.com/loop")
         assert st.status is LinkState.BROKEN
 
     def test_head_falls_back_to_get_on_405(self, server):
         server.request_log.clear()
-        st = check_url("https://example.com/post-only", client=_checker(server))
+        st = _checker(server).check("https://example.com/post-only")
         assert st.status is LinkState.VALID
         assert ("HEAD", "/post-only") in server.request_log
         assert ("GET", "/post-only") in server.request_log

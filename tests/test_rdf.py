@@ -53,6 +53,33 @@ class TestTermModel:
         with pytest.raises(ValueError):
             Triple(lit, iri, iri)
 
+    @pytest.mark.parametrize("language", ["e n", "", "en-", "-en", "en\n", "e_n", "\u00e9n"])
+    def test_language_outside_the_tag_grammar_rejected(self, language):
+        # "e n" used to serialize to `"a"@e n .`, a line the reader rejects
+        with pytest.raises(ValueError, match="language tag"):
+            Term.literal("a", language=language)
+
+    @pytest.mark.parametrize("datatype", ["not an iri", "", "rel", "http://x/a b", "x:<y>"])
+    def test_datatype_that_is_no_absolute_iri_rejected(self, datatype):
+        with pytest.raises(ValueError, match="IRI must be absolute"):
+            Term.literal("a", datatype=datatype)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        value=st.text(max_size=20),
+        language=st.none() | st.text(max_size=6)
+        | st.from_regex(r"[a-zA-Z]{1,3}(-[a-zA-Z0-9]{1,3}){0,2}", fullmatch=True),
+        datatype=st.none() | st.text(max_size=8) | st.sampled_from([XSD_NS + "date", "a:", "é:b"])
+        | st.from_regex(r'[a-z][a-z0-9+.-]{0,3}:[^<>"{}|^`\\\x00-\x20]{0,8}', fullmatch=True),
+    )
+    def test_every_literal_that_constructs_round_trips(self, value, language, datatype):
+        try:
+            literal = Term.literal(value, language, datatype)
+        except ValueError:
+            return
+        triple = Triple(Term.iri("https://x/s"), Term.iri("https://x/p"), literal)
+        assert parse_ntriples(serialize_bytes([triple])) == [triple]
+
 
 class TestEventIri:
     def test_eor(self):
@@ -436,9 +463,11 @@ class TestParseNtriples:
             parse_ntriples(good + line + b"\n" + good)
         assert (exc.value.line, str(exc.value)) == (2, f"line 2: {message}")
 
-    def test_relative_datatype_is_read(self):
-        (t,) = parse_ntriples(b'<https://x/s> <https://x/p> "v"^^<rel> .\n')
-        assert t.object == Term.literal("v", datatype="rel")
+    def test_relative_datatype_is_rejected(self):
+        # a Term's datatype is an absolute IRI, and the reader makes every check a Term makes
+        with pytest.raises(NTriplesSyntaxError) as exc:
+            parse_ntriples(b'<https://x/s> <https://x/p> "v"^^<rel> .\n')
+        assert str(exc.value) == "line 1: IRI must be absolute and N-Triples-safe: 'rel'"
 
     def test_escape_decoding(self):
         data = b'<https://x/s> <https://x/p> "tab\\there\\nline \\"q\\" \\\\done" .\n'
