@@ -11,6 +11,7 @@ import csv
 import logging
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import IO, Iterable, Mapping, Sequence
@@ -279,24 +280,26 @@ def uc2_monthly_keyword_series(
     """
     if not keyword.strip():
         raise ValueError(f"keyword must not be blank: {keyword!r}")
-    check_months(months)
     needle = keyword.lower()
-    counts: dict[str, int] = {}
-    for _, ev in dataset.primary_events():
-        if any(needle in text.lower() for text in _literal_fields(ev)):
-            counts[ev.date.month_key()] = counts.get(ev.date.month_key(), 0) + 1
-    return [MonthBucket(m, counts.get(m, 0)) for m in months]
+    return _month_tally(
+        (ev for _, ev in dataset.primary_events()
+         if any(needle in text.lower() for text in _literal_fields(ev))),
+        months,
+    )
 
 
 def monthly_event_counts(
     dataset: IntegratedDataset, months: Sequence[str] = DEFAULT_MONTHS
 ) -> list[MonthBucket]:
     """Total aggregates per month (the attack series used by uc5)."""
+    return _month_tally((ev for _, ev in dataset.primary_events()), months)
+
+
+def _month_tally(events: Iterable[Event], months: Sequence[str]) -> list[MonthBucket]:
+    """Events per month, one bucket for each of months in its order, 0 when none."""
     check_months(months)
-    counts: dict[str, int] = {}
-    for _, ev in dataset.primary_events():
-        counts[ev.date.month_key()] = counts.get(ev.date.month_key(), 0) + 1
-    return [MonthBucket(m, counts.get(m, 0)) for m in months]
+    counts = Counter(ev.date.isoformat()[:7] for ev in events)
+    return [MonthBucket(m, counts[m]) for m in months]
 
 
 def uc3_multilingual_city_report(

@@ -414,7 +414,7 @@ def enrich_event(
         if city_ref is None:
             reverse_scanned = True
             city_ref = reverse_geocode(index, ev.point, cfg.reverse_max_km)
-            if city_ref is not None and ev.city_name and REVERSE_GEOCODED_NOTE not in ev.comments:
+            if city_ref is not None and ev.city_name:
                 notes.append(REVERSE_GEOCODED_NOTE)
         if city_entry is None and city_ref is not None:
             city_entry = index.entry(city_ref.geoname_id)

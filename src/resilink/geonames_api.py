@@ -9,14 +9,13 @@ are interchangeable.
 
 from __future__ import annotations
 
-import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import requests
 
 from .gazetteer import GazetteerEntry, PostalCodeEntry
+from .linkcheck import RateLimiter
 from .model import GeoPoint, ResilinkError
 
 
@@ -47,26 +46,6 @@ def _parsing_reply(path: str):
         raise GeoNamesError(f"malformed reply from {path}: {exc!r}") from exc
 
 
-class RateLimiter:
-    """Serializes callers so requests never exceed rate_per_sec."""
-
-    def __init__(self, rate_per_sec: float):
-        if rate_per_sec <= 0:
-            raise ValueError("rate must be positive")
-        self._interval = 1.0 / rate_per_sec
-        self._lock = threading.Lock()
-        self._next = 0.0
-
-    def wait(self) -> None:
-        with self._lock:
-            now = time.monotonic()
-            slot = max(now, self._next)
-            self._next = slot + self._interval
-        delay = slot - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-
-
 @dataclass
 class GeoNamesClient:
     """Client for findNearbyPlaceNameJSON / findNearbyPostalCodesJSON / getJSON."""
@@ -78,8 +57,10 @@ class GeoNamesClient:
     max_attempts: int = 3
 
     def __post_init__(self):
+        if not self.rate_per_sec > 0:
+            raise ValueError("rate must be positive")
         self.base_url = self.base_url.rstrip("/")
-        self._limiter = RateLimiter(self.rate_per_sec)
+        self._limiter = RateLimiter(1.0 / self.rate_per_sec)
         self._session = requests.Session()
 
     def _request(self, path: str, params: dict) -> dict:

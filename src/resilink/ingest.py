@@ -287,7 +287,7 @@ def normalize_record(raw: RawEventRecord, cfg: AdapterConfig) -> Event:
             province_name = parts[0]
 
     raw_url = _get("url")
-    urls = tuple(dict.fromkeys(raw_url.split())) if raw_url else ()  # each URL once, in order
+    urls = tuple(raw_url.split()) if raw_url else ()
 
     comments = []
     violence = _get("violence_level")

@@ -360,40 +360,34 @@ def integrate(
                 raise ValueError(f"duplicate event id within dataset: {ev.key}")
             seen.add(ev.key)
 
-    lookup_a = {ev.id: ev for ev in a_events}
-    lookup_b = {ev.id: ev for ev in b_events}
-    pairs = [classify_pair(a, b, basis, cfg) for a, b, basis in candidate_pairs(a_events, b_events)]
+    candidates = candidate_pairs(a_events, b_events)
+    pairs = [classify_pair(a, b, basis, cfg) for a, b, basis in candidates]
 
-    survivors: list[MatchPair] = []
-    demoted: set[tuple[str, str]] = set()
+    survivors: set[tuple[str, str]] = set()
     used_a: set[str] = set()
     used_b: set[str] = set()
     identical = [p for p in pairs if p.verdict is Verdict.IDENTICAL]
     for p in sorted(identical, key=lambda p: (-p.similarity, p.distance_km, p.a, p.b)):
-        if p.a in used_a or p.b in used_b:
-            demoted.add((p.a, p.b))
-        else:
+        if p.a not in used_a and p.b not in used_b:
             used_a.add(p.a)
             used_b.add(p.b)
-            survivors.append(p)
+            survivors.add((p.a, p.b))
 
     final_pairs = tuple(
-        replace(p, verdict=Verdict.UNCLASSIFIED) if (p.a, p.b) in demoted else p for p in pairs
+        replace(p, verdict=Verdict.UNCLASSIFIED)
+        if p.verdict is Verdict.IDENTICAL and (p.a, p.b) not in survivors else p
+        for p in pairs
     )
 
-    aggregates: list[AggregateEvent] = []
-    surviving_keys = {(p.a, p.b) for p in survivors}
-    for p in pairs:
-        if p.verdict is Verdict.IDENTICAL and (p.a, p.b) in surviving_keys:
-            a, b = lookup_a[p.a], lookup_b[p.b]
-            member_iris = [event_iri(*a.key), event_iri(*b.key)]
-            aggregates.append(
-                AggregateEvent(
-                    iri=aggregate_iri(member_iris),
-                    members=(a.key, b.key),
-                    primary=choose_primary(a, b),
-                )
-            )
+    aggregates = [
+        AggregateEvent(
+            iri=aggregate_iri([event_iri(*a.key), event_iri(*b.key)]),
+            members=(a.key, b.key),
+            primary=choose_primary(a, b),
+        )
+        for (a, b, _), p in zip(candidates, final_pairs)
+        if p.verdict is Verdict.IDENTICAL
+    ]
     for events, used in ((a_events, used_a), (b_events, used_b)):
         for ev in events:
             if ev.id in used:

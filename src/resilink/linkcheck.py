@@ -3,18 +3,20 @@
 Checks each distinct URL exactly once (HEAD, falling back to GET on 405)
 and classifies the outcome; counts are aggregated per dataset. Results are
 deterministic regardless of worker count because statuses are keyed by URL
-and assembled in event order afterwards.
+and assembled in event order afterwards. The politeness scheduler,
+:class:`RateLimiter`, also paces the GeoNames client.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import IO, Iterable, Mapping
+from typing import IO, Hashable, Iterable, Mapping
 from urllib.parse import urlsplit, urlunsplit
 
 import requests
@@ -93,6 +95,28 @@ class LinkReport:
         object.__setattr__(self, "stats", MappingProxyType(dict(self.stats)))
 
 
+class RateLimiter:
+    """Spaces the calls that share a key at least interval_s apart; 0 never waits."""
+
+    def __init__(self, interval_s: float):
+        if not 0 <= interval_s < math.inf:
+            raise ValueError(f"interval must be >= 0 and finite: {interval_s!r}")
+        self._interval = interval_s
+        self._lock = threading.Lock()
+        self._next: dict[Hashable, float] = {}
+
+    def wait(self, key: Hashable = None) -> None:
+        if not self._interval:
+            return
+        with self._lock:
+            now = time.monotonic()
+            slot = max(now, self._next.get(key, now))
+            self._next[key] = slot + self._interval
+        delay = slot - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
+
+
 class LinkChecker:
     """HTTP checker with a per-host politeness delay.
 
@@ -109,11 +133,9 @@ class LinkChecker:
         base_override: str | None = None,
     ):
         self.timeout_s = timeout_s
-        self.politeness_s = politeness_s
         self.base_override = base_override
         self._local = threading.local()
-        self._lock = threading.Lock()
-        self._next_slot: dict[str, float] = {}
+        self._politeness = RateLimiter(politeness_s)
 
     def _session(self) -> requests.Session:
         session = getattr(self._local, "session", None)
@@ -131,21 +153,10 @@ class LinkChecker:
         parts = urlsplit(url)
         return urlunsplit((base.scheme, base.netloc, parts.path, parts.query, ""))
 
-    def _wait_turn(self, host: str) -> None:
-        if self.politeness_s <= 0:
-            return
-        with self._lock:
-            now = time.monotonic()
-            slot = max(now, self._next_slot.get(host, now))
-            self._next_slot[host] = slot + self.politeness_s
-        delay = slot - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-
     def check(self, url: str) -> LinkStatus:
         """Classify one URL; every outcome is a status, never an exception."""
         target = self._effective_url(url)
-        self._wait_turn(urlsplit(target).netloc)
+        self._politeness.wait(urlsplit(target).netloc)
         session = self._session()
         try:
             resp = session.request("HEAD", target, allow_redirects=True, timeout=self.timeout_s)

@@ -76,28 +76,9 @@ def validate_point(lat: float, lon: float) -> GeoPoint:
     return GeoPoint(float(lat), float(lon))
 
 
-@dataclass(frozen=True, order=True)
-class CivilDate:
-    """A calendar day with no time-of-day component."""
-
-    year: int
-    month: int
-    day: int
-
-    def __post_init__(self):
-        try:
-            datetime.date(self.year, self.month, self.day)
-        except (ValueError, TypeError) as exc:
-            raise InvalidDateError(
-                f"not a real calendar date: {self.year}-{self.month}-{self.day}"
-            ) from exc
-
-    def isoformat(self) -> str:
-        return f"{self.year:04d}-{self.month:02d}-{self.day:02d}"
-
-    def month_key(self) -> str:
-        """The "YYYY-MM" bucket this date falls into."""
-        return f"{self.year:04d}-{self.month:02d}"
+# A calendar day with no time-of-day component; its month bucket is
+# ``isoformat()[:7]``, since ``strftime("%Y-%m")`` leaves years below 1000 unpadded.
+CivilDate = datetime.date
 
 
 _ISO_DATE_RE = re.compile(
@@ -116,7 +97,11 @@ def parse_civil_date(s: str) -> CivilDate:
     m = _ISO_DATE_RE.match(s.strip())
     if m is None:
         raise MalformedDateError(f"not an ISO-8601 date: {s!r}")
-    return CivilDate(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+    year, month, day = map(int, m.groups())
+    try:
+        return CivilDate(year, month, day)
+    except ValueError as exc:
+        raise InvalidDateError(f"not a real calendar date: {year}-{month}-{day}") from exc
 
 
 _GEONAMES_IRI_RE = re.compile(r"http://sws\.geonames\.org/([0-9]+)/")
@@ -191,8 +176,9 @@ class Event:
     def __post_init__(self):
         if not self.id:
             raise ValueError("event id must be non-empty")
-        object.__setattr__(self, "source_urls", tuple(self.source_urls))
-        object.__setattr__(self, "comments", tuple(self.comments))
+        # each URL and comment once, in first-seen order, as the .nt's triple set holds them
+        object.__setattr__(self, "source_urls", tuple(dict.fromkeys(self.source_urls)))
+        object.__setattr__(self, "comments", tuple(dict.fromkeys(self.comments)))
         for c in self.comments:
             if not c:
                 raise ValueError("comments must not contain empty strings")

@@ -268,7 +268,7 @@ class TestCriterion7Analytics:
             for bucket in buckets:
                 naive = 0
                 for ev in primaries:
-                    if ev.date.month_key() != bucket.month_year:
+                    if ev.date.isoformat()[:7] != bucket.month_year:
                         continue
                     literals = (
                         ([ev.description] if ev.description else [])

@@ -11,10 +11,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from resilink.analytics import ReportSettings
+from resilink.analytics import IntegratedDataset, ReportSettings
 from resilink.cli import LinkcheckSettings, PipelineConfig, run_subcommand
 from resilink.gazetteer import EnrichmentConfig
 from resilink.integration import MatchConfig
@@ -135,6 +135,33 @@ _flag_parts = st.sampled_from(
      "EN", " uk", "uk ", "", " ", "\n"]
 ) | st.text(max_size=8)
 report_flag_text = st.lists(_flag_parts, max_size=4).map(",".join) | st.text(max_size=12)
+
+
+# Text a source field may hold: lone surrogates, C0 controls, NUL, NEL, the
+# Unicode line and paragraph separators, CSV syntax, and long strings.
+_field_text = st.text(
+    st.sampled_from(["\ud800", "\udfff", "\x00", "\x01", "\x1f", "\x7f", "\x85", "\u2028",
+                     "\u2029", "\r", "\n", ",", '"', " "])
+    | st.characters(exclude_categories=()),  # surrogates included
+    max_size=12,
+)
+_source_text = _field_text | st.builds(lambda text, n: text * n, _field_text, st.integers(50, 500))
+
+
+def _with_hostile_fields(records: list[dict], edits: list) -> list[dict]:
+    records = [dict(r) for r in records]
+    for index, name, text in edits:
+        records[index % len(records)][name] = text
+    return records
+
+
+def _csv_bytes(records: list[dict]) -> bytes:
+    # a lone surrogate cannot be UTF-8: "surrogatepass" writes the bytes a careless writer would
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=list(records[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(records)
+    return out.getvalue().encode("utf-8", "surrogatepass")
 
 
 class TestUsageErrors:
@@ -478,12 +505,66 @@ def test_worked_config_loads_its_values_and_defaults():
 
 def test_cli_import_leaves_requests_unloaded():
     # only linkcheck and the online enrichment pass make HTTP calls, and only
-    # nearest-neighbour queries (gazetteer, uc6) use numpy
-    code = ("import resilink.cli, sys; assert 'requests' not in sys.modules, 'requests imported'; "
-            "assert 'numpy' not in sys.modules, 'numpy imported'")
+    # nearest-neighbour queries (gazetteer, uc6) use numpy; linkcheck's rate
+    # limiter also paces the online gazetteer, which must not pull numpy in
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    for module, unloaded in (("resilink.cli", ("requests", "numpy")), ("resilink.linkcheck", ("numpy",))):
+        code = f"import {module}, sys; print([m for m in {unloaded!r} if m in sys.modules])"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (0, "[]\n"), (module, done.stdout, done.stderr)
+
+
+class TestSourceBoundary:
+    """Arbitrary text in otherwise valid source records ends in exit 0 or 1, never a traceback."""
+
+    EOR_FIELDS = ("id", "happened", "latitude", "longitude", "description", "country", "city",
+                  "province", "url", "violence_level")
+    CH_FIELDS = ("date", "latitude", "longitude", "description", "location", "sources")
+
+    def _pipeline(self, workdir: Path, caplog, eor: bytes, ch: bytes, n_records: int) -> None:
+        (workdir / "eor.json").write_bytes(eor)
+        (workdir / "ch.csv").write_bytes(ch)
+        outdir = workdir / "out"
+        caplog.clear()
+        err = io.StringIO()
+        with caplog.at_level(logging.WARNING, logger="resilink"), contextlib.redirect_stderr(err):
+            code = _run("pipeline", "--config", PIPE / "config.json",
+                        "--eor-input", workdir / "eor.json",
+                        "--ch-input", workdir / "ch.csv", "--ch-format", "csv", "--outdir", outdir)
+        assert code in (0, 1)
+        assert "Traceback" not in err.getvalue() + caplog.text
+        if code == 1:
+            (line,) = err.getvalue().strip().splitlines()
+            assert line.startswith("resilink: error: ")
+            return
+        written = sum(len(events_from_json((outdir / f"{ds}.events.json").read_bytes()))
+                      for ds in ("eor", "ch"))
+        rejected = sum(1 for r in caplog.records if r.getMessage().startswith("rejected "))
+        assert written + rejected == n_records
+        assert _run("report", "uc2", "--input", outdir / "integrated.nt", "--keyword", "school",
+                    "--out", workdir / "uc2.csv") == 0
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(EOR_FIELDS), _source_text),
+                          min_size=1, max_size=4))
+    def test_eor_json(self, tmp_path_factory, caplog, edits):
+        eor = _with_hostile_fields(json.loads((PIPE / "eor.json").read_text())[:6], edits)
+        with (PIPE / "ch.csv").open(newline="") as fp:
+            ch = list(csv.DictReader(fp))[:6]
+        self._pipeline(tmp_path_factory.mktemp("eor"), caplog,
+                       json.dumps(eor).encode("utf-8"), _csv_bytes(ch), len(eor) + len(ch))
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(CH_FIELDS), _source_text),
+                          min_size=1, max_size=4))
+    def test_ch_csv(self, tmp_path_factory, caplog, edits):
+        eor = json.loads((PIPE / "eor.json").read_text())[:6]
+        with (PIPE / "ch.csv").open(newline="") as fp:
+            ch = _with_hostile_fields(list(csv.DictReader(fp))[:6], edits)
+        self._pipeline(tmp_path_factory.mktemp("ch"), caplog,
+                       json.dumps(eor).encode("utf-8"), _csv_bytes(ch), len(eor) + len(ch))
 
 
 class TestStageCommands:
@@ -628,6 +709,24 @@ class TestStageCommands:
         urls = [t.object.value for t in parse_ntriples(nt.read_bytes())
                 if t.predicate.value == "https://schema.org/url"]
         assert sorted(urls) == sorted(ev.source_urls)
+
+    def test_repeated_source_url_in_event_json_is_kept_once(self, workdir):
+        # the reader once kept both, so linkcheck wrote the URL's row twice
+        events, nt, links = workdir / "e.events.json", workdir / "e.nt", workdir / "links.csv"
+        events.write_text(json.dumps([
+            {"id": "e1", "dataset": "eor", "date": "2022-03-07", "lat": 50.0, "lon": 36.0,
+             "source_urls": ["https://t.me/a/1", "https://t.me/a/1"]}
+        ]))
+        assert _run("convert", "--input", events, "--out", nt) == 0
+        (ev,) = events_from_json(events.read_bytes())
+        assert ev.source_urls == ("https://t.me/a/1",)
+        (reloaded,) = IntegratedDataset.from_ntriples(nt.read_bytes()).events.values()
+        assert reloaded.source_urls == ev.source_urls
+        assert _run("linkcheck", "--input", events, "--base-override", "http://127.0.0.1:9",
+                    "--out-csv", links) == 0
+        with links.open() as fp:
+            rows = list(csv.DictReader(fp))
+        assert [row["url"] for row in rows] == ["https://t.me/a/1"]
 
     def test_iri_unsafe_source_url_survives_to_the_reports(self, workdir):
         url = "https://t.me/s/chan?q={a}|b"

@@ -117,7 +117,7 @@ class TestMalformedReplies:
 
 class TestRateLimiter:
     def test_spacing_enforced(self):
-        limiter = RateLimiter(rate_per_sec=50.0)  # 20 ms interval
+        limiter = RateLimiter(0.02)  # 20 ms interval
         t0 = time.monotonic()
         for _ in range(4):
             limiter.wait()

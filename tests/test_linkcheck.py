@@ -8,6 +8,7 @@ from resilink.linkcheck import (
     LinkChecker,
     LinkState,
     LinkStatus,
+    RateLimiter,
     link_report,
     summary_dict,
     write_link_csv,
@@ -163,3 +164,42 @@ class TestLinkReport:
         link_report(events, concurrency=8, checker=checker)
         elapsed = time.monotonic() - t0
         assert elapsed >= 0.15  # second request to the same host waited its slot
+
+    def test_politeness_is_per_host(self, server):
+        other = start_server(ScriptedHandler)
+        try:
+            hosts = [f"http://127.0.0.1:{srv.server_address[1]}" for srv in (server, other)]
+            events = [_event(1, (hosts[0] + "/ok",)), _event(2, (hosts[1] + "/ok",)),
+                      _event(3, (hosts[0] + "/ok2",))]
+            checker = LinkChecker(timeout_s=0.5, politeness_s=0.15)
+            t0 = time.monotonic()
+            report = link_report(events, concurrency=8, checker=checker)
+            elapsed = time.monotonic() - t0
+        finally:
+            stop_server(other)
+        assert {row.status for row in report.rows} == {LinkState.VALID}
+        # the first host's second request waits one slot; the other host waits on neither
+        assert 0.15 <= elapsed < 0.3
+
+
+class TestRateLimiter:
+    def test_keys_are_spaced_apart_independently(self):
+        limiter = RateLimiter(0.15)
+        t0 = time.monotonic()
+        limiter.wait("a")
+        limiter.wait("b")
+        assert time.monotonic() - t0 < 0.15
+        limiter.wait("a")
+        assert time.monotonic() - t0 >= 0.15
+
+    def test_zero_interval_never_waits(self):
+        limiter = RateLimiter(0.0)
+        t0 = time.monotonic()
+        for _ in range(100):
+            limiter.wait("a")
+        assert time.monotonic() - t0 < 0.1
+
+    @pytest.mark.parametrize("interval", [-0.1, float("inf"), float("nan")])
+    def test_bad_interval_rejected(self, interval):
+        with pytest.raises(ValueError):
+            RateLimiter(interval)

@@ -63,6 +63,15 @@ class TestParseCivilDate:
         with pytest.raises(InvalidDateError):
             parse_civil_date("2022-02-30")
 
+    @pytest.mark.parametrize("text, message", [
+        ("0000-01-01", "not a real calendar date: 0-1-1"),
+        ("2023-02-29", "not a real calendar date: 2023-2-29"),
+    ])
+    def test_impossible_date_message(self, text, message):
+        with pytest.raises(InvalidDateError) as info:
+            parse_civil_date(text)
+        assert str(info.value) == message
+
     def test_malformed(self):
         for bad in ("07/03/2022", "not a date", "2022-3-7", ""):
             with pytest.raises(MalformedDateError):
@@ -119,6 +128,10 @@ class TestEvent:
     def test_url_that_urlsplit_must_repair_rejected(self, url):
         with pytest.raises(ValueError):
             _event(source_urls=(url,))
+
+    def test_repeats_kept_once_in_first_seen_order(self):
+        ev = _event(source_urls=["https://x/b", "https://x/a", "https://x/b"], comments=("0", "1", "0"))
+        assert (ev.source_urls, ev.comments) == (("https://x/b", "https://x/a"), ("0", "1"))
 
     def test_label_language_must_be_two_lowercase_letters(self):
         with pytest.raises(ValueError):
