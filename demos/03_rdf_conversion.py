@@ -11,6 +11,7 @@ from resilink import (
     parse_ntriples,
     serialize_bytes,
 )
+from resilink.rdf import render_literal
 
 event = Event(
     id="123",
@@ -26,14 +27,22 @@ event = Event(
     city_labels={"en": "Izyum", "uk": "Ізюм", "nl": "Izjoem", "fr": "Izioum"},
 )
 
-triples = emit_event_triples(event)
-print(f"{len(triples)} triples\n")
+# each triple is written as its N-Triples line
+lines = emit_event_triples(event)
+print(f"{len(lines)} triples\n")
 print("--- Turtle ---")
-print(serialize_bytes(triples, RdfFormat.TURTLE).decode())
+print(serialize_bytes(lines, RdfFormat.TURTLE).decode())
 print("--- N-Triples (first 5 statements) ---")
-nt = serialize_bytes(triples, RdfFormat.NTRIPLES)
+nt = serialize_bytes(lines, RdfFormat.NTRIPLES)
 print("\n".join(nt.decode().splitlines()[:5]))
 
-reparsed = parse_ntriples(nt)
-print("\nround trip preserves the triple set:", set(reparsed) == set(triples))
-print("second serialization is byte-identical:", serialize_bytes(reparsed) == nt)
+# and read back as a statement row:
+# (subject, predicate, IRI object or None, literal, language, datatype)
+rows = list(parse_ntriples(nt))
+print("\nfirst row:", rows[0])
+rendered = [
+    f"<{s}> <{p}> {f'<{o}>' if o is not None else render_literal(literal, language, datatype)} ."
+    for s, p, o, literal, language, datatype in rows
+]
+print("round trip preserves the line set:", set(rendered) == set(lines))
+print("second serialization is byte-identical:", serialize_bytes(rendered) == nt)

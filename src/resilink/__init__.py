@@ -48,8 +48,6 @@ from .gazetteer import (
 )
 from .rdf import (
     RdfFormat,
-    Term,
-    Triple,
     emit_aggregate_triples,
     emit_event_triples,
     event_iri,

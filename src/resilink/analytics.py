@@ -31,12 +31,11 @@ from .model import (
 from .rdf import (
     GEOSPARQL_NS,
     WKT_DATATYPE,
-    Term,
-    Triple,
+    StatementRow,
     event_iri,
-    events_from_ntriples,
-    events_from_triples,
+    events_from_rows,
     format_decimal,
+    render_literal,
 )
 
 logger = logging.getLogger(__name__)
@@ -60,7 +59,7 @@ class MonthBucket:
     count: int
 
     def __post_init__(self):
-        _year_month(self.month_year)
+        _check_month(self.month_year)
         if self.count < 0:
             raise ValueError("count must be non-negative")
 
@@ -136,23 +135,17 @@ class IntegratedDataset:
         return cls(aggregates=tuple(aggregates), events={ev.key: ev for ev in events})
 
     @classmethod
-    def from_triples(cls, triples: Iterable[Triple]) -> IntegratedDataset:
-        events, aggregates = events_from_triples(triples)
-        return cls(aggregates=tuple(aggregates), events=events)
-
-    @classmethod
-    def from_ntriples(cls, data: bytes | str) -> IntegratedDataset:
-        """from_triples(parse_ntriples(data)), with no Term or Triple per statement."""
-        events, aggregates = events_from_ntriples(data)
+    def from_triples(cls, rows: Iterable[StatementRow]) -> IntegratedDataset:
+        """The dataset in the statement rows of an integrated .nt (see rdf.parse_ntriples)."""
+        events, aggregates = events_from_rows(rows)
         return cls(aggregates=tuple(aggregates), events=events)
 
 
-def _year_month(month: str) -> tuple[int, int]:
-    """The year and month number of a "YYYY-MM" string; anything else raises ValueError."""
+def _check_month(month: str) -> None:
+    """Raise ValueError unless month is a "YYYY-MM" string."""
     m = _MONTH_RE.fullmatch(month)
     if m is None or not 1 <= int(m.group(2)) <= 12:
         raise ValueError(f"not a YYYY-MM month: {month!r}")
-    return int(m.group(1)), int(m.group(2))
 
 
 def check_months(months: Sequence[str]) -> None:
@@ -161,7 +154,7 @@ def check_months(months: Sequence[str]) -> None:
         raise ValueError("months must be non-empty")
     seen = set()
     for month in months:
-        _year_month(month)
+        _check_month(month)
         if month in seen:
             raise ValueError(f"month listed twice: {month!r}")
         seen.add(month)
@@ -181,13 +174,6 @@ class ReportSettings:
             raise ValueError(f"uc6_radius_km must be positive: {self.uc6_radius_km!r}")
         if not 0 < self.grid_deg < math.inf:
             raise ValueError(f"grid_deg must be positive and finite: {self.grid_deg!r}")
-
-
-def _month_window(month: str) -> tuple[CivilDate, CivilDate]:
-    """[first day of month, first day of next month) for exclusive-end filters."""
-    y, mo = _year_month(month)
-    nxt = (y + 1, 1) if mo == 12 else (y, mo + 1)
-    return CivilDate(y, mo, 1), CivilDate(nxt[0], nxt[1], 1)
 
 
 def _uc1_selection(
@@ -225,14 +211,10 @@ def uc1_wkt_triples(
     city: GazetteerRef | None,
     start: CivilDate,
     end: CivilDate,
-) -> list[Triple]:
-    """The uc1 selection as wktLiteral triples on the aggregate nodes."""
+) -> list[str]:
+    """The uc1 selection as wktLiteral N-Triples lines on the aggregate nodes."""
     return [
-        Triple(
-            Term.iri(agg.iri),
-            Term.iri(GEOSPARQL_NS + "asWKT"),
-            Term.literal(wkt, datatype=WKT_DATATYPE),
-        )
+        f"<{agg.iri}> <{GEOSPARQL_NS}asWKT> {render_literal(wkt, datatype=WKT_DATATYPE)} ."
         for agg, _, wkt in _uc1_selection(dataset, city, start, end)
     ]
 
@@ -331,35 +313,38 @@ def uc3_multilingual_city_report(
     ]
 
 
+def _top_regions(events: Iterable[Event], n: int) -> list[RegionRank]:
+    """The n regions with the most events, by count descending (ties: name order)."""
+    if n < 1:
+        raise ValueError(f"top must be at least 1: {n}")
+    counts = Counter(
+        ev.province.preferred_name for ev in events
+        if ev.province is not None and ev.province.preferred_name
+    )
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [RegionRank(region, occurrences) for region, occurrences in ranked[:n]]
+
+
 def uc4_top_regions(
     dataset: IntegratedDataset, start: CivilDate, end: CivilDate, n: int
 ) -> list[RegionRank]:
     """Top regions by event count within [start, end); the end is exclusive."""
     if not start < end:
         raise ValueError("start must be before end")
-    if n < 1:
-        raise ValueError(f"top must be at least 1: {n}")
-    counts: dict[str, int] = {}
-    for _, ev in dataset.primary_events():
-        if ev.province is None or not ev.province.preferred_name:
-            continue
-        if start <= ev.date < end:
-            region = ev.province.preferred_name
-            counts[region] = counts.get(region, 0) + 1
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [RegionRank(region, occurrences) for region, occurrences in ranked[:n]]
+    return _top_regions((ev for _, ev in dataset.primary_events() if start <= ev.date < end), n)
 
 
 def uc4_monthly_timeline(
     dataset: IntegratedDataset, months: Sequence[str], n: int
 ) -> list[tuple[str, list[RegionRank]]]:
-    """uc4 applied month by month (each month is a [start, next-month) window)."""
+    """uc4 month by month; an event counts in the month of its date, as in uc2."""
     check_months(months)
-    out = []
-    for month in months:
-        start, end = _month_window(month)
-        out.append((month, uc4_top_regions(dataset, start, end, n)))
-    return out
+    by_month: dict[str, list[Event]] = {month: [] for month in months}
+    for _, ev in dataset.primary_events():
+        month = ev.date.isoformat()[:7]
+        if month in by_month:
+            by_month[month].append(ev)
+    return [(month, _top_regions(events, n)) for month, events in by_month.items()]
 
 
 def read_deaths_csv(fp: IO[str]) -> dict[str, int]:

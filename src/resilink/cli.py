@@ -309,10 +309,10 @@ def _cmd_enrich(args, cfg: PipelineConfig) -> int:
 
 def _cmd_convert(args, cfg: PipelineConfig) -> int:
     events = _read_events(args.input)
-    triples = []
+    lines = []
     for ev in events:
-        triples.extend(rdf.emit_event_triples(ev))
-    _atomic_write_bytes(Path(args.out), rdf.serialize_bytes(triples, rdf.RdfFormat(args.rdf_format)))
+        lines.extend(rdf.emit_event_triples(ev))
+    _atomic_write_bytes(Path(args.out), rdf.serialize_bytes(lines, rdf.RdfFormat(args.rdf_format)))
     return 0
 
 
@@ -325,12 +325,12 @@ def _integrate(a_events: list[Event], b_events: list[Event], cfg: PipelineConfig
         "integrate: |A|=%d |B|=%d identical=%d near-distinct=%d integrated=%d",
         c.a, c.b, c.identical, c.near_distinct, c.integrated,
     )
-    triples = []
+    lines = []
     for ev in a_events + b_events:
-        triples.extend(rdf.emit_event_triples(ev))
+        lines.extend(rdf.emit_event_triples(ev))
     for agg in result.aggregates:
-        triples.extend(rdf.emit_aggregate_triples(agg))
-    _atomic_write_bytes(Path(out), rdf.serialize_bytes(triples, fmt))
+        lines.extend(rdf.emit_aggregate_triples(agg))
+    _atomic_write_bytes(Path(out), rdf.serialize_bytes(lines, fmt))
     if pairs:
         _write_csv(pairs, integration.write_pair_report, result.pairs)
     if counts:
@@ -350,7 +350,9 @@ def _cmd_integrate(args, cfg: PipelineConfig) -> int:
 
 def _load_dataset(path: str) -> analytics.IntegratedDataset:
     # decoded here, so that the file's bytes are freed before the load
-    return analytics.IntegratedDataset.from_ntriples(Path(path).read_bytes().decode("utf-8"))
+    return analytics.IntegratedDataset.from_triples(
+        rdf.parse_ntriples(Path(path).read_bytes().decode("utf-8"))
+    )
 
 
 def _cmd_report(args, cfg: PipelineConfig) -> int:
@@ -361,8 +363,8 @@ def _cmd_report(args, cfg: PipelineConfig) -> int:
         start, end = parse_civil_date(args.start), parse_civil_date(args.end)
         points = analytics.uc1_event_points(ds, city, start, end)
         if args.out_nt:
-            triples = analytics.uc1_wkt_triples(ds, city, start, end)
-            _atomic_write_bytes(Path(args.out_nt), rdf.serialize_bytes(triples))
+            lines = analytics.uc1_wkt_triples(ds, city, start, end)
+            _atomic_write_bytes(Path(args.out_nt), rdf.serialize_bytes(lines))
         if args.out_geojson:
             _write_json(args.out_geojson, analytics.points_feature_collection(points))
     elif uc == "uc2":

@@ -130,6 +130,18 @@ class GazetteerRef:
         return cls(int(m.group(1)), preferred_name)
 
 
+# The one IRI grammar: absolute, with a body that fits an N-Triples IRIREF
+# (https://www.w3.org/TR/n-triples/). rdf.py percent-encodes source URLs
+# into it and holds each IRI it reads to it.
+IRI_BODY = r'[^<>"{}|^`\\\x00-\x20]*'
+ABSOLUTE_IRI_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:" + IRI_BODY)
+
+
+def check_iri(value: str) -> None:
+    if ABSOLUTE_IRI_RE.fullmatch(value) is None:
+        raise ValueError(f"IRI must be absolute and N-Triples-safe: {value!r}")
+
+
 _LANG_RE = re.compile(r"[a-z]{2}")
 
 
@@ -218,6 +230,7 @@ class AggregateEvent:
     primary: EventKey
 
     def __post_init__(self):
+        check_iri(self.iri)
         object.__setattr__(self, "members", tuple(self.members))
         if not 1 <= len(self.members) <= 2:
             raise ValueError("aggregate must have 1 or 2 members")

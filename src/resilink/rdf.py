@@ -1,12 +1,13 @@
-"""RDF statement model, the event-to-triple mapping, and serialization.
+"""The event-to-triple mapping, serialization, and the N-Triples reader.
 
 The triple mapping (canonical event field -> predicate, object kind,
 datatype/language, cardinality) is documented in docs/rdf-mapping.md; the
 constants below are the single source of truth for the namespaces it uses.
 
-Serialization is byte-deterministic: triples are de-duplicated and sorted
-by the N-Triples rendering of subject, predicate, object before writing,
-so identical triple sets always produce identical files.
+A triple is written as its N-Triples line and read back as a statement
+row. Serialization is byte-deterministic: lines are de-duplicated and
+sorted before writing, so identical triple sets always produce identical
+files.
 """
 
 from __future__ import annotations
@@ -16,17 +17,19 @@ import hashlib
 import itertools
 import re
 from enum import Enum
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 from urllib.parse import quote, unquote
 
 from .model import (
+    ABSOLUTE_IRI_RE,
+    IRI_BODY,
     AggregateEvent,
     Dataset,
     Event,
     EventKey,
     GazetteerRef,
     ResilinkError,
+    check_iri,
     parse_civil_date,
     validate_point,
 )
@@ -54,30 +57,12 @@ PREFIXES = {
 
 WKT_DATATYPE = GEOSPARQL_NS + "wktLiteral"
 
-# The one IRI grammar: the body of an N-Triples IRIREF
-# (https://www.w3.org/TR/n-triples/). Term requires it after a scheme, the
-# emitter percent-encodes source URLs into it, and the reader checks each
-# distinct IRI it reads against it.
-_IRI_BODY = r'[^<>"{}|^`\\\x00-\x20]*'
-_IRI_BODY_RE = re.compile(_IRI_BODY)
-_ABSOLUTE_IRI_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:" + _IRI_BODY)
-# The ASCII characters the body forbids, as %XX (RFC 3987 section 3.1).
-_IRI_PERCENT_ENCODE = {
-    c: f"%{c:02X}" for c in range(0x80) if not re.fullmatch(_IRI_BODY, chr(c))
-}
+# The ASCII characters an IRI body forbids, as %XX (RFC 3987 section 3.1).
+_IRI_BODY_RE = re.compile(IRI_BODY)
+_IRI_PERCENT_ENCODE = {c: f"%{c:02X}" for c in range(0x80) if not _IRI_BODY_RE.fullmatch(chr(c))}
 
-
-def _check_iri(value: str) -> None:
-    if _ABSOLUTE_IRI_RE.fullmatch(value) is None:
-        raise ValueError(f"IRI must be absolute and N-Triples-safe: {value!r}")
-
-
-# The one language-tag grammar: the N-Triples LANGTAG, which the reader
-# parses and Term requires.
+# The N-Triples LANGTAG, which the reader parses.
 _LANGUAGE_TAG = r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*"
-# Literals repeat a handful of tags and datatypes; each is checked once.
-_is_language_tag = functools.lru_cache(maxsize=256)(re.compile(_LANGUAGE_TAG).fullmatch)
-_check_datatype = functools.lru_cache(maxsize=256)(_check_iri)
 
 
 class NTriplesSyntaxError(ResilinkError):
@@ -92,86 +77,14 @@ _LITERAL_ESCAPES = str.maketrans(
 )
 
 
-class TermKind(Enum):
-    IRI = "iri"
-    LITERAL = "literal"
-
-
-class Term(tuple):
-    """An RDF term: an N-Triples-safe absolute IRI, or a literal with an optional
-    language tag (the reader's grammar) or datatype (an absolute IRI).
-
-    A validating tuple ``(kind, value, language, datatype)``: immutable,
-    hashable and compared by value, and as cheap to build as a tuple.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, kind: TermKind, value: str, language: str | None = None,
-                datatype: str | None = None):
-        if kind is TermKind.IRI:
-            if language or datatype:
-                raise ValueError("only literals may carry a language or datatype")
-            _check_iri(value)
-        elif language is not None:
-            if datatype is not None:
-                raise ValueError("language and datatype are mutually exclusive")
-            if not _is_language_tag(language):
-                raise ValueError(f"language tag must match {_LANGUAGE_TAG}: {language!r}")
-        elif datatype is not None:
-            _check_datatype(datatype)
-        return tuple.__new__(cls, (kind, value, language, datatype))
-
-    def __getnewargs__(self):  # copy and pickle rebuild through __new__
-        return tuple(self)
-
-    kind = property(itemgetter(0))
-    value = property(itemgetter(1))
-    language = property(itemgetter(2))
-    datatype = property(itemgetter(3))
-
-    @classmethod
-    def iri(cls, value: str) -> Term:
-        return cls(TermKind.IRI, value)
-
-    @classmethod
-    def literal(cls, value: str, language: str | None = None, datatype: str | None = None) -> Term:
-        return cls(TermKind.LITERAL, value, language, datatype)
-
-    def render(self, prefixed: Callable[[str], str | None] | None = None) -> str:
-        """The N-Triples form of the term.
-
-        Turtle passes `prefixed`, which may shorten an IRI (the term's own or
-        a literal's datatype) to a prefixed name; None keeps `<iri>`.
-        """
-        kind, value, language, datatype = self
-        if kind is TermKind.IRI:
-            return prefixed and prefixed(value) or f"<{value}>"
-        text = f'"{value.translate(_LITERAL_ESCAPES)}"'
-        if language:
-            return f"{text}@{language}"
-        if datatype:
-            datatype = prefixed and prefixed(datatype) or f"<{datatype}>"
-            return f"{text}^^{datatype}"
-        return text
-
-
-class Triple(tuple):
-    """A validating tuple ``(subject, predicate, object)`` of terms."""
-
-    __slots__ = ()
-
-    def __new__(cls, subject: Term, predicate: Term, object: Term):
-        if subject.kind is not TermKind.IRI or predicate.kind is not TermKind.IRI:
-            raise ValueError("subject and predicate must be IRIs")
-        return tuple.__new__(cls, (subject, predicate, object))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    subject = property(itemgetter(0))
-    predicate = property(itemgetter(1))
-    object = property(itemgetter(2))
+def render_literal(value: str, language: str | None = None, datatype: str | None = None) -> str:
+    """The one term renderer: a literal in its N-Triples form, escaped, then tagged or typed."""
+    text = f'"{value.translate(_LITERAL_ESCAPES)}"'
+    if language:
+        return f"{text}@{language}"
+    if datatype:
+        return f"{text}^^<{datatype}>"
+    return text
 
 
 def event_iri(dataset: Dataset, event_id: str) -> str:
@@ -207,93 +120,87 @@ def format_decimal(x: float) -> str:
     return text if text else "0"
 
 
-# The mapping's vocabulary IRIs, each built once. Only namespace constants
-# reach this cache, so it stays bounded.
-_vocab = functools.cache(Term.iri)
+# Every IRI the emitters write is safe by construction, so no line is
+# checked again here: event_iri percent-encodes the id, Event requires
+# absolute source URLs, which _IRI_PERCENT_ENCODE then encodes,
+# GazetteerRef.iri is built from an integer, AggregateEvent checks its IRI,
+# and the vocabulary comes from the namespace constants. City-label
+# languages pass model.is_language_code. tests/oracles.py holds the
+# Term-based emitters these lines are judged against.
 
-
-def emit_event_triples(ev: Event) -> list[Triple]:
-    """Map one event to its triples.
+def emit_event_triples(ev: Event) -> list[str]:
+    """Map one event to its N-Triples lines.
 
     Always emitted: the type, the typed date, and the location/geo node
     carrying both coordinates. Everything else is conditional on the field
     being present. Location and geo nodes are IRIs derived from the event
     IRI so output is deterministic and joinable.
     """
-    subject = Term.iri(event_iri(ev.dataset, ev.id))
-    loc = Term.iri(subject.value + "/location")
-    geo = Term.iri(subject.value + "/geo")
-    xsd_date = XSD_NS + "date"
-    xsd_decimal = XSD_NS + "decimal"
-
-    triples = [
-        Triple(subject, _vocab(RDF_NS + "type"), _vocab(SEM_NS + "Event")),
-        Triple(subject, _vocab(DCT_NS + "date"), Term.literal(ev.date.isoformat(), datatype=xsd_date)),
-        Triple(subject, _vocab(SDO_NS + "location"), loc),
-        Triple(loc, _vocab(SDO_NS + "geo"), geo),
-        Triple(geo, _vocab(RDF_NS + "type"), _vocab(SDO_NS + "GeoCoordinates")),
-        Triple(geo, _vocab(SDO_NS + "latitude"),
-               Term.literal(format_decimal(ev.point.latitude), datatype=xsd_decimal)),
-        Triple(geo, _vocab(SDO_NS + "longitude"),
-               Term.literal(format_decimal(ev.point.longitude), datatype=xsd_decimal)),
+    iri = event_iri(ev.dataset, ev.id)
+    s, loc, geo = f"<{iri}>", f"<{iri}/location>", f"<{iri}/geo>"
+    lat, lon = (
+        render_literal(format_decimal(x), datatype=XSD_NS + "decimal")
+        for x in (ev.point.latitude, ev.point.longitude)
+    )
+    lines = [
+        f"{s} <{RDF_NS}type> <{SEM_NS}Event> .",
+        f"{s} <{DCT_NS}date> {render_literal(ev.date.isoformat(), datatype=XSD_NS + 'date')} .",
+        f"{s} <{SDO_NS}location> {loc} .",
+        f"{loc} <{SDO_NS}geo> {geo} .",
+        f"{geo} <{RDF_NS}type> <{SDO_NS}GeoCoordinates> .",
+        f"{geo} <{SDO_NS}latitude> {lat} .",
+        f"{geo} <{SDO_NS}longitude> {lon} .",
     ]
     if ev.description is not None:
-        triples.append(Triple(subject, _vocab(DCT_NS + "description"), Term.literal(ev.description)))
+        lines.append(f"{s} <{DCT_NS}description> {render_literal(ev.description)} .")
     for url in ev.source_urls:
-        triples.append(
-            Triple(subject, _vocab(SDO_NS + "url"), Term.iri(url.translate(_IRI_PERCENT_ENCODE)))
-        )
+        lines.append(f"{s} <{SDO_NS}url> <{url.translate(_IRI_PERCENT_ENCODE)}> .")
     for comment in ev.comments:
-        triples.append(Triple(subject, _vocab(RDFS_NS + "comment"), Term.literal(comment)))
+        lines.append(f"{s} <{RDFS_NS}comment> {render_literal(comment)} .")
     for lang in sorted(ev.city_labels):
-        triples.append(
-            Triple(subject, _vocab(ONTOLOGY_NS + "cityName"),
-                   Term.literal(ev.city_labels[lang], language=lang))
-        )
-    if ev.province is not None and ev.province.preferred_name:
-        triples.append(
-            Triple(subject, _vocab(ONTOLOGY_NS + "addressRegion"),
-                   Term.literal(ev.province.preferred_name))
-        )
+        lines.append(f"{s} <{ONTOLOGY_NS}cityName> {render_literal(ev.city_labels[lang], lang)} .")
+    if ev.province is not None and (region := ev.province.preferred_name):
+        lines.append(f"{s} <{ONTOLOGY_NS}addressRegion> {render_literal(region)} .")
     for predicate, ref in (
         ("cityGeoNames", ev.city),
         ("provinceGeoNames", ev.province),
         ("countryGeoNames", ev.country),
     ):
         if ref is not None:
-            triples.append(Triple(subject, _vocab(ONTOLOGY_NS + predicate), Term.iri(ref.iri)))
+            lines.append(f"{s} <{ONTOLOGY_NS}{predicate}> <{ref.iri}> .")
     if ev.postal_code is not None:
-        triples.append(
-            Triple(subject, _vocab(ONTOLOGY_NS + "postalCode"), Term.literal(ev.postal_code))
-        )
-    return triples
+        lines.append(f"{s} <{ONTOLOGY_NS}postalCode> {render_literal(ev.postal_code)} .")
+    return lines
 
 
-def emit_aggregate_triples(agg: AggregateEvent) -> list[Triple]:
+def emit_aggregate_triples(agg: AggregateEvent) -> list[str]:
     """Type the aggregate and link it to its primary source and members."""
-    subject = Term.iri(agg.iri)
-    triples = [
-        Triple(subject, _vocab(RDF_NS + "type"), _vocab(SEM_NS + "Event")),
-        Triple(subject, _vocab(ONTOLOGY_NS + "hasPrimarySource"),
-               Term.iri(event_iri(*agg.primary))),
+    s = f"<{agg.iri}>"
+    return [
+        f"{s} <{RDF_NS}type> <{SEM_NS}Event> .",
+        f"{s} <{ONTOLOGY_NS}hasPrimarySource> <{event_iri(*agg.primary)}> .",
+        *(f"{s} <{ONTOLOGY_NS}hasMember> <{event_iri(*member)}> ." for member in agg.members),
     ]
-    for member in agg.members:
-        triples.append(
-            Triple(subject, _vocab(ONTOLOGY_NS + "hasMember"), Term.iri(event_iri(*member)))
-        )
-    return triples
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _prefixed(iri: str) -> str | None:
-    for prefix, ns in PREFIXES.items():
-        if iri.startswith(ns):
-            local = iri[len(ns):]
-            if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_-]*", local):
-                return f"{prefix}:{local}"
-    return None
+_LOCAL_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
+_PREFIX_OF = {ns: prefix for prefix, ns in PREFIXES.items()}
+
+
+def _turtle_name(ref: str) -> str:
+    """An `<iri>` as a prefixed name where one fits, else as given.
+
+    Every namespace ends in '/' or '#' and no local part holds either, so
+    an IRI's namespace can only be the IRI up to its last '/' or '#'.
+    """
+    cut = max(ref.rfind("/"), ref.rfind("#")) + 1
+    prefix = _PREFIX_OF.get(ref[1:cut])
+    if prefix is not None and _LOCAL_NAME_RE.fullmatch(ref, cut, len(ref) - 1):
+        return f"{prefix}:{ref[cut:-1]}"
+    return ref
 
 
 class RdfFormat(str, Enum):
@@ -301,40 +208,35 @@ class RdfFormat(str, Enum):
     TURTLE = "turtle"
 
 
-def serialize_bytes(triples: Iterable[Triple], fmt: RdfFormat = RdfFormat.NTRIPLES) -> bytes:
-    """The triple set as UTF-8 bytes, deterministically.
+def serialize_bytes(lines: Iterable[str], fmt: RdfFormat = RdfFormat.NTRIPLES) -> bytes:
+    """N-Triples lines as UTF-8 bytes, deterministically.
 
-    Both formats are written from the same rows: the triples de-duplicated
-    and sorted by the N-Triples rendering of subject, predicate, object.
-    N-Triples: one statement per line, literals escaped per the grammar.
+    Both formats are written from the same rows: the lines de-duplicated
+    and sorted, which sorts them by subject, predicate, object. Where one
+    term's rendering is a prefix of another's ('"a"' of '"a"@en', '"a"@en'
+    of '"a"@en-gb'), the next character ('@', '^', '-', a letter or a
+    digit) sorts above the ' ' that ends a term in a line.
+    N-Triples: one statement per line.
     Turtle: a single prefix block followed by the rows grouped by subject,
-    using prefixed names where possible and `a` for rdf:type.
-    Each distinct term is rendered once per call and format.
+    using prefixed names where possible and `a` for rdf:type. A subject
+    ends at a line's first space, since no IRI holds one.
     """
-    rendered: dict[Term, str] = {}
-
-    def nt(term: Term) -> str:
-        text = rendered.get(term)
-        if text is None:
-            text = rendered[term] = term.render()
-        return text
-
-    # Sorting the lines sorts by (subject, predicate, object): where one
-    # term's rendering is a prefix of another's ('"a"' of '"a"@en', '"a"@en'
-    # of '"a"@en-gb'), the next character ('@', '^', '-', a letter or a
-    # digit) sorts above the ' ' that ends a term in a line.
-    rows = {f"{nt(s)} {nt(p)} {nt(o)} .": (s, p, o) for s, p, o in triples}
-    lines = sorted(rows)
+    lines = sorted(set(lines))
     if fmt is RdfFormat.TURTLE:
-        ttl = functools.cache(lambda term: term.render(_prefixed))
-        rdf_type = RDF_NS + "type"
+        name = functools.cache(_turtle_name)
+        rdf_type = f"<{RDF_NS}type>"
         body = [f"@prefix {prefix}: <{PREFIXES[prefix]}> ." for prefix in sorted(PREFIXES)]
-        for subject, group in itertools.groupby(map(rows.get, lines), key=itemgetter(0)):
-            statements = [
-                f"{'a' if predicate.value == rdf_type else ttl(predicate)} {ttl(obj)}"
-                for _, predicate, obj in group
-            ]
-            body += ["", nt(subject), "    " + " ;\n    ".join(statements) + " ."]
+        for subject, group in itertools.groupby(lines, key=lambda line: line[:line.index(" ")]):
+            statements = []
+            for line in group:
+                predicate, obj = line[len(subject) + 1:-2].split(" ", 1)
+                if obj[0] == "<":
+                    obj = name(obj)
+                elif obj[-1] == ">":  # a typed literal; no IRI holds '^'
+                    value, _, datatype = obj.rpartition("^^")
+                    obj = f"{value}^^{name(datatype)}"
+                statements.append(f"{'a' if predicate == rdf_type else name(predicate)} {obj}")
+            body += ["", subject, "    " + " ;\n    ".join(statements) + " ."]
         lines = body
     elif fmt is not RdfFormat.NTRIPLES:
         raise ValueError(f"unsupported format: {fmt!r}")
@@ -343,11 +245,11 @@ def serialize_bytes(triples: Iterable[Triple], fmt: RdfFormat = RdfFormat.NTRIPL
 
 
 # ---------------------------------------------------------------------------
-# N-Triples parsing (inverse of the serializer; also the round-trip oracle)
+# N-Triples parsing (inverse of the serializer)
 
 # An IRIREF is anything up to the next '>': a statement whose IRIs all fit
-# _IRI_BODY matches this as it would match with _IRI_BODY in their place,
-# and the reader holds each distinct IRI to _IRI_BODY once, not per statement.
+# IRI_BODY matches this as it would match with IRI_BODY in their place,
+# and the reader holds each distinct IRI to IRI_BODY once, not per statement.
 _IRIREF = "<([^>]*)>"
 _STATEMENT_RE = re.compile(
     rf"{_IRIREF}[ \t]*{_IRIREF}[ \t]*"
@@ -375,18 +277,20 @@ def _unescape_literal(raw: str, line: int) -> str:
 StatementRow = tuple[str, str, str | None, str | None, str | None, str | None]
 
 
-def ntriples_rows(text: str) -> Iterator[StatementRow]:
-    """The statements of N-Triples text as rows; errors carry the 1-based line.
+def parse_ntriples(data: bytes | str) -> Iterator[StatementRow]:
+    """The statements of N-Triples text as rows, lazily; errors carry the 1-based line.
 
     Statements are delimited by LF/CRLF only; unicode line separators such
     as U+0085 may appear raw inside literals per the grammar, so the
-    generic splitlines() set must not be used here. A row passes every
-    check a Term would make: subject, predicate, IRI object and datatype
-    are absolute, and the grammar gives a literal a language or a datatype,
-    never both. Literal escapes are decoded.
+    generic splitlines() set must not be used here. Every IRI in a row is
+    absolute and fits the N-Triples IRIREF grammar, and the grammar gives a
+    literal a language or a datatype, never both. Literal escapes are
+    decoded.
     """
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
     valid: set[str] = set()  # IRIs already found N-Triples-safe and absolute
-    lines = text.split("\n")
+    lines = data.split("\n")
     lines.reverse()  # popped in file order, so each line is freed once read
     for lineno in range(1, len(lines) + 1):
         line = lines.pop().strip()
@@ -418,7 +322,7 @@ def _checked_row(row: StatementRow, lineno: int, valid: set[str]) -> StatementRo
     for iri in (subject, predicate, obj, datatype):
         if iri is None or iri in valid:
             continue
-        if _ABSOLUTE_IRI_RE.fullmatch(iri):  # absolute implies N-Triples-safe
+        if ABSOLUTE_IRI_RE.fullmatch(iri):  # absolute implies N-Triples-safe
             valid.add(iri)
         else:
             rejected.append(iri)
@@ -426,37 +330,21 @@ def _checked_row(row: StatementRow, lineno: int, valid: set[str]) -> StatementRo
         raise NTriplesSyntaxError(lineno, _NOT_A_STATEMENT)
     if obj is None and "\\" in literal:
         row = (subject, predicate, None, _unescape_literal(literal, lineno), language, datatype)
-    for iri in (subject, predicate, obj, datatype):
-        if iri is not None and iri not in valid:
-            try:
-                _check_iri(iri)
-            except ValueError as exc:
-                raise NTriplesSyntaxError(lineno, str(exc)) from exc
+    for iri in rejected:
+        try:
+            check_iri(iri)
+        except ValueError as exc:
+            raise NTriplesSyntaxError(lineno, str(exc)) from exc
     return row
 
 
-def parse_ntriples(data: bytes | str) -> list[Triple]:
-    """Parse N-Triples text into triples; errors carry the 1-based line."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    # terms are immutable: build each distinct IRI and literal once
-    iri = functools.cache(Term.iri)
-    literal_term = functools.cache(Term.literal)
-    return [
-        Triple(iri(subject), iri(predicate),
-               iri(obj) if obj is not None else literal_term(literal, language, datatype))
-        for subject, predicate, obj, literal, language, datatype in ntriples_rows(data)
-    ]
-
-
 # ---------------------------------------------------------------------------
-# Loading events and aggregates back out of a triple set
+# Loading events and aggregates back out of the statement rows
 
 # subject -> predicate -> the (value, language) of each object, in file order.
 # Only the lexical value and the language tag are read back; IRI objects
 # carry language None.
 Predicates = dict[str, list[tuple[str, str | None]]]
-SubjectMap = dict[str, Predicates]
 
 
 def _first(preds: Predicates, predicate: str) -> str | None:
@@ -465,48 +353,26 @@ def _first(preds: Predicates, predicate: str) -> str | None:
     return objs[0][0] if objs else None
 
 
-def events_from_triples(
-    triples: Iterable[Triple],
+def events_from_rows(
+    rows: Iterable[StatementRow],
 ) -> tuple[dict[EventKey, Event], list[AggregateEvent]]:
-    """Rebuild events and aggregates from an emitted triple set.
+    """Rebuild events and aggregates from the statement rows of an emitted triple set.
 
     The inverse of emit_event_triples/emit_aggregate_triples up to field
     ordering: comment and URL order is not preserved by RDF's set
     semantics, so both come back sorted. GazetteerRefs are rebuilt from the
     linking IRIs; the province's preferred name is recovered from the
-    addressRegion literal.
+    addressRegion literal. The rows are grouped by subject and predicate
+    first; each distinct predicate and (value, language) pair is kept once.
     """
-    by_subject: SubjectMap = {}
-    for subject, predicate, obj in triples:
-        by_subject.setdefault(subject.value, {}).setdefault(predicate.value, []).append(
-            (obj.value, obj.language)
-        )
-    return _events_from_subject_map(by_subject)
-
-
-def events_from_ntriples(
-    data: bytes | str,
-) -> tuple[dict[EventKey, Event], list[AggregateEvent]]:
-    """events_from_triples(parse_ntriples(data)), with no Term or Triple per statement.
-
-    The subject map is built straight from the statement rows; each
-    distinct predicate and (value, language) pair is kept once.
-    """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    by_subject: SubjectMap = {}
+    by_subject: dict[str, Predicates] = {}
     interned: dict = {}  # predicate -> itself, (value, language) -> itself
-    for subject, predicate, obj, literal, language, _ in ntriples_rows(data):
+    for subject, predicate, obj, literal, language, _ in rows:
         pair = (literal, language) if obj is None else (obj, None)
         by_subject.setdefault(subject, {}).setdefault(
             interned.setdefault(predicate, predicate), []
         ).append(interned.setdefault(pair, pair))
-    return _events_from_subject_map(by_subject)
 
-
-def _events_from_subject_map(
-    by_subject: SubjectMap,
-) -> tuple[dict[EventKey, Event], list[AggregateEvent]]:
     events: dict[EventKey, Event] = {}
     aggregates: list[AggregateEvent] = []
     # Event IRIs recur as aggregate members, GeoNames IRIs and dates across

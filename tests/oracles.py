@@ -3,14 +3,24 @@
 These deliberately avoid the library's code paths: the similarity oracles
 find blocks by exhaustive scanning and with the standard library's
 difflib, the distance oracle uses the spherical law of cosines, and the
-nearest-neighbor oracle is a pure-Python linear scan.
+nearest-neighbor oracle is a pure-Python linear scan. The RDF term model
+builds every triple as validated terms with its own IRI, language-tag and
+escape rules, and renders and sorts them term by term.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 import re
 from difflib import SequenceMatcher
+from enum import Enum
+from operator import itemgetter
+from typing import Callable
+
+from resilink import rdf
+from resilink.model import Event, GazetteerRef, GeoPoint
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -131,3 +141,240 @@ def turtle_statements(text: str) -> list[str]:
             subject = line
     assert subject is None, "last statement group not closed"
     return statements
+
+
+# ---------------------------------------------------------------------------
+# The RDF term model: the judge of the line writer and the statement reader.
+# It holds its own IRI, language-tag and escape rules, so a term that
+# constructs here is one the N-Triples grammar can carry.
+
+_ORACLE_IRI_RE = re.compile(r'[A-Za-z][A-Za-z0-9+.-]*:[^<>"{}|^`\\\x00-\x20]*')
+_ORACLE_LANGUAGE_TAG_RE = re.compile(r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*")
+# The ASCII characters an N-Triples IRIREF forbids.
+IRIREF_FORBIDDEN = '<>"{}|^`\\' + "".join(map(chr, range(0x21)))
+
+
+def _check_iri(value: str) -> None:
+    if _ORACLE_IRI_RE.fullmatch(value) is None:
+        raise ValueError(f"IRI must be absolute and N-Triples-safe: {value!r}")
+
+
+def percent_encoded(url: str) -> str:
+    """The URL with each character an IRIREF forbids written as %XX."""
+    return "".join(f"%{ord(c):02X}" if c in IRIREF_FORBIDDEN else c for c in url)
+
+
+def _escaped(value: str) -> str:
+    named = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+    return "".join(
+        named.get(c) or (f"\\u{ord(c):04X}" if ord(c) < 0x20 else c) for c in value
+    )
+
+
+class TermKind(Enum):
+    IRI = "iri"
+    LITERAL = "literal"
+
+
+class Term(tuple):
+    """An RDF term: an N-Triples-safe absolute IRI, or a literal with an optional
+    language tag (the reader's grammar) or datatype (an absolute IRI).
+
+    A validating tuple ``(kind, value, language, datatype)``: immutable,
+    hashable and compared by value.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: TermKind, value: str, language: str | None = None,
+                datatype: str | None = None):
+        if kind is TermKind.IRI:
+            if language or datatype:
+                raise ValueError("only literals may carry a language or datatype")
+            _check_iri(value)
+        elif language is not None:
+            if datatype is not None:
+                raise ValueError("language and datatype are mutually exclusive")
+            if not _ORACLE_LANGUAGE_TAG_RE.fullmatch(language):
+                raise ValueError(f"language tag must match the N-Triples LANGTAG: {language!r}")
+        elif datatype is not None:
+            _check_iri(datatype)
+        return tuple.__new__(cls, (kind, value, language, datatype))
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return tuple(self)
+
+    kind = property(itemgetter(0))
+    value = property(itemgetter(1))
+    language = property(itemgetter(2))
+    datatype = property(itemgetter(3))
+
+    @classmethod
+    def iri(cls, value: str) -> Term:
+        return cls(TermKind.IRI, value)
+
+    @classmethod
+    def literal(cls, value: str, language: str | None = None, datatype: str | None = None) -> Term:
+        return cls(TermKind.LITERAL, value, language, datatype)
+
+    def render(self, prefixed: Callable[[str], str | None] | None = None) -> str:
+        """The N-Triples form of the term.
+
+        Turtle passes `prefixed`, which may shorten an IRI (the term's own or
+        a literal's datatype) to a prefixed name; None keeps `<iri>`.
+        """
+        kind, value, language, datatype = self
+        if kind is TermKind.IRI:
+            return prefixed and prefixed(value) or f"<{value}>"
+        text = f'"{_escaped(value)}"'
+        if language:
+            return f"{text}@{language}"
+        if datatype:
+            datatype = prefixed and prefixed(datatype) or f"<{datatype}>"
+            return f"{text}^^{datatype}"
+        return text
+
+
+class Triple(tuple):
+    """A validating tuple ``(subject, predicate, object)`` of terms."""
+
+    __slots__ = ()
+
+    def __new__(cls, subject: Term, predicate: Term, object: Term):
+        if subject.kind is not TermKind.IRI or predicate.kind is not TermKind.IRI:
+            raise ValueError("subject and predicate must be IRIs")
+        return tuple.__new__(cls, (subject, predicate, object))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    subject = property(itemgetter(0))
+    predicate = property(itemgetter(1))
+    object = property(itemgetter(2))
+
+    def render(self) -> str:
+        """The triple's N-Triples line."""
+        return " ".join(term.render() for term in self) + " ."
+
+
+def event_triples(ev: Event) -> list[Triple]:
+    """The documented mapping of one event (docs/rdf-mapping.md), as validated terms."""
+    subject = Term.iri(rdf.event_iri(ev.dataset, ev.id))
+    loc = Term.iri(subject.value + "/location")
+    geo = Term.iri(subject.value + "/geo")
+
+    def vocab(ns: str, local: str) -> Term:
+        return Term.iri(ns + local)
+
+    def decimal(x: float) -> Term:
+        return Term.literal(rdf.format_decimal(x), datatype=rdf.XSD_NS + "decimal")
+
+    triples = [
+        Triple(subject, vocab(rdf.RDF_NS, "type"), vocab(rdf.SEM_NS, "Event")),
+        Triple(subject, vocab(rdf.DCT_NS, "date"),
+               Term.literal(ev.date.isoformat(), datatype=rdf.XSD_NS + "date")),
+        Triple(subject, vocab(rdf.SDO_NS, "location"), loc),
+        Triple(loc, vocab(rdf.SDO_NS, "geo"), geo),
+        Triple(geo, vocab(rdf.RDF_NS, "type"), vocab(rdf.SDO_NS, "GeoCoordinates")),
+        Triple(geo, vocab(rdf.SDO_NS, "latitude"), decimal(ev.point.latitude)),
+        Triple(geo, vocab(rdf.SDO_NS, "longitude"), decimal(ev.point.longitude)),
+    ]
+    if ev.description is not None:
+        triples.append(Triple(subject, vocab(rdf.DCT_NS, "description"), Term.literal(ev.description)))
+    for url in ev.source_urls:
+        triples.append(Triple(subject, vocab(rdf.SDO_NS, "url"), Term.iri(percent_encoded(url))))
+    for comment in ev.comments:
+        triples.append(Triple(subject, vocab(rdf.RDFS_NS, "comment"), Term.literal(comment)))
+    for lang in sorted(ev.city_labels):
+        triples.append(Triple(subject, vocab(rdf.ONTOLOGY_NS, "cityName"),
+                              Term.literal(ev.city_labels[lang], language=lang)))
+    if ev.province is not None and ev.province.preferred_name:
+        triples.append(Triple(subject, vocab(rdf.ONTOLOGY_NS, "addressRegion"),
+                              Term.literal(ev.province.preferred_name)))
+    for predicate, ref in (
+        ("cityGeoNames", ev.city),
+        ("provinceGeoNames", ev.province),
+        ("countryGeoNames", ev.country),
+    ):
+        if ref is not None:
+            triples.append(Triple(subject, vocab(rdf.ONTOLOGY_NS, predicate), Term.iri(ref.iri)))
+    if ev.postal_code is not None:
+        triples.append(Triple(subject, vocab(rdf.ONTOLOGY_NS, "postalCode"),
+                              Term.literal(ev.postal_code)))
+    return triples
+
+
+def aggregate_triples(agg) -> list[Triple]:
+    """The documented mapping of one aggregate, as validated terms."""
+    subject = Term.iri(agg.iri)
+    triples = [
+        Triple(subject, Term.iri(rdf.RDF_NS + "type"), Term.iri(rdf.SEM_NS + "Event")),
+        Triple(subject, Term.iri(rdf.ONTOLOGY_NS + "hasPrimarySource"),
+               Term.iri(rdf.event_iri(*agg.primary))),
+    ]
+    for member in agg.members:
+        triples.append(Triple(subject, Term.iri(rdf.ONTOLOGY_NS + "hasMember"),
+                              Term.iri(rdf.event_iri(*member))))
+    return triples
+
+
+def triples_from_rows(rows) -> list[Triple]:
+    """Statement rows of rdf.parse_ntriples as validated triples."""
+    return [
+        Triple(Term.iri(subject), Term.iri(predicate),
+               Term.iri(obj) if obj is not None else Term.literal(literal, language, datatype))
+        for subject, predicate, obj, literal, language, datatype in rows
+    ]
+
+
+def reloaded_event(ev: Event) -> Event:
+    """The event a .nt round trip gives back.
+
+    The mapping writes no raw place names and no city or country preferred
+    name, rounds coordinates to 7 fraction digits and percent-encodes
+    source URLs; RDF's set semantics give URLs and comments back sorted.
+    """
+    def bare(ref: GazetteerRef | None) -> GazetteerRef | None:
+        return None if ref is None else GazetteerRef(ref.geoname_id)
+
+    return dataclasses.replace(
+        ev,
+        point=GeoPoint(float(rdf.format_decimal(ev.point.latitude)),
+                       float(rdf.format_decimal(ev.point.longitude))),
+        country=bare(ev.country),
+        city=bare(ev.city),
+        country_name=None,
+        city_name=None,
+        province_name=None,
+        source_urls=tuple(sorted({percent_encoded(url) for url in ev.source_urls})),
+        comments=tuple(sorted(ev.comments)),
+    )
+
+
+def _turtle_prefixed(iri: str) -> str | None:
+    for prefix, ns in rdf.PREFIXES.items():
+        if iri.startswith(ns) and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_-]*", iri[len(ns):]):
+            return f"{prefix}:{iri[len(ns):]}"
+    return None
+
+
+def serialize_terms(triples, turtle: bool = False) -> bytes:
+    """The writer's output for a set of triples, from the terms alone.
+
+    Rows are the triples de-duplicated and sorted by the renderings of
+    subject, predicate and object, each compared on its own. Turtle
+    groups them by subject under one prefix block.
+    """
+    rows = sorted(set(triples), key=lambda t: tuple(term.render() for term in t))
+    if not turtle:
+        lines = [t.render() for t in rows]
+    else:
+        lines = [f"@prefix {p}: <{rdf.PREFIXES[p]}> ." for p in sorted(rdf.PREFIXES)]
+        for subject, group in itertools.groupby(rows, key=itemgetter(0)):
+            statements = [
+                f"{'a' if p.value == rdf.RDF_NS + 'type' else p.render(_turtle_prefixed)} "
+                f"{o.render(_turtle_prefixed)}"
+                for _, p, o in group
+            ]
+            lines += ["", subject.render(), "    " + " ;\n    ".join(statements) + " ."]
+    return "".join(line + "\n" for line in lines).encode("utf-8")

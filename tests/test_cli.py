@@ -330,6 +330,25 @@ class TestDataErrors:
         assert line.startswith("resilink: error: ") and "month" in line
         assert not out.exists()
 
+    @pytest.mark.parametrize("month", ["9999-12", "0000-05"])
+    def test_month_at_the_calendar_edge_counts_no_event(self, fixture_nt, workdir, month):
+        # uc4 built the day after the month, or a day in year 0, and exited 1 with
+        # "year 10000 is out of range" or "year 0 is out of range", while uc2 wrote 0
+        uc2, uc4 = workdir / "uc2.csv", workdir / "uc4.csv"
+        assert _run("report", "uc2", "--input", fixture_nt, "--keyword", "school",
+                    "--months", month, "--out", uc2) == 0
+        assert _run("report", "uc4", "--input", fixture_nt, "--months", month,
+                    "--top", "3", "--out", uc4) == 0
+        assert uc2.read_text() == f"month,count\n{month},0\n"
+        assert uc4.read_text() == "month,region,occurrences\n"
+        # beside a month that holds events, it changes nothing
+        both, alone = workdir / "both.csv", workdir / "alone.csv"
+        assert _run("report", "uc4", "--input", fixture_nt, "--months", f"2022-03,{month}",
+                    "--top", "3", "--out", both) == 0
+        assert _run("report", "uc4", "--input", fixture_nt, "--months", "2022-03",
+                    "--top", "3", "--out", alone) == 0
+        assert both.read_text() == alone.read_text() != "month,region,occurrences\n"
+
     def test_label_language_with_trailing_newline_is_one_line_error(self, workdir, capsys):
         # "en\n" passed the ^[a-z]{2}$ check, so convert wrote `"Kyiv"@en` and a line
         # break: an .nt that every report then rejected
@@ -614,8 +633,7 @@ class TestStageCommands:
         assert sum(1 for r in rows if r["verdict"] == "NearDistinct") == 2
 
         integrated = outdir / "integrated.nt"
-        triples = parse_ntriples(integrated.read_bytes())
-        assert triples
+        assert list(parse_ntriples(integrated.read_bytes()))
 
         # the single stages, run one by one, write the same seven files
         staged = workdir / "staged"
@@ -654,7 +672,7 @@ class TestStageCommands:
         ) == 0
         geo = json.loads(uc1_geo.read_text())
         assert geo["type"] == "FeatureCollection"
-        assert parse_ntriples(uc1_nt.read_bytes())
+        assert list(parse_ntriples(uc1_nt.read_bytes()))
 
         # uc3 multilingual top-5
         uc3 = workdir / "uc3.csv"
@@ -706,8 +724,8 @@ class TestStageCommands:
         (ev,) = events_from_json(events.read_bytes())
         assert ev.source_urls == ("https://t.me/a/1", "https://t.me/b/2")
         assert _run("convert", "--input", events, "--out", nt) == 0
-        urls = [t.object.value for t in parse_ntriples(nt.read_bytes())
-                if t.predicate.value == "https://schema.org/url"]
+        urls = [obj for _, predicate, obj, *_ in parse_ntriples(nt.read_bytes())
+                if predicate == "https://schema.org/url"]
         assert sorted(urls) == sorted(ev.source_urls)
 
     def test_repeated_source_url_in_event_json_is_kept_once(self, workdir):
@@ -720,7 +738,7 @@ class TestStageCommands:
         assert _run("convert", "--input", events, "--out", nt) == 0
         (ev,) = events_from_json(events.read_bytes())
         assert ev.source_urls == ("https://t.me/a/1",)
-        (reloaded,) = IntegratedDataset.from_ntriples(nt.read_bytes()).events.values()
+        (reloaded,) = IntegratedDataset.from_triples(parse_ntriples(nt.read_bytes())).events.values()
         assert reloaded.source_urls == ev.source_urls
         assert _run("linkcheck", "--input", events, "--base-override", "http://127.0.0.1:9",
                     "--out-csv", links) == 0

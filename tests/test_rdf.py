@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resilink.analytics import IntegratedDataset
 from resilink.model import AggregateEvent, CivilDate, Dataset, Event, GazetteerRef, GeoPoint
 from resilink.rdf import (
     DCT_NS,
@@ -17,19 +18,28 @@ from resilink.rdf import (
     XSD_NS,
     NTriplesSyntaxError,
     RdfFormat,
-    Term,
-    Triple,
     aggregate_iri,
     emit_aggregate_triples,
     emit_event_triples,
     event_iri,
-    events_from_triples,
+    events_from_rows,
     format_decimal,
     parse_event_iri,
     parse_ntriples,
+    render_literal,
     serialize_bytes,
 )
-from tests.oracles import turtle_statements
+from tests import oracles
+from tests.oracles import Term, TermKind, Triple, percent_encoded, turtle_statements
+
+
+def _triples(lines) -> list[Triple]:
+    """Lines read back through parse_ntriples, as the oracle's validated triples."""
+    return oracles.triples_from_rows(parse_ntriples("\n".join(lines)))
+
+
+def _lines(triples) -> list[str]:
+    return [t.render() for t in triples]
 
 
 class TestTermModel:
@@ -38,8 +48,6 @@ class TestTermModel:
             Term.literal("x", language="en", datatype="http://x/dt")
 
     def test_iri_cannot_carry_language(self):
-        from resilink.rdf import TermKind
-
         with pytest.raises(ValueError):
             Term(TermKind.IRI, "http://x", language="en")
 
@@ -77,8 +85,9 @@ class TestTermModel:
             literal = Term.literal(value, language, datatype)
         except ValueError:
             return
+        assert render_literal(value, language, datatype) == literal.render()
         triple = Triple(Term.iri("https://x/s"), Term.iri("https://x/p"), literal)
-        assert parse_ntriples(serialize_bytes([triple])) == [triple]
+        assert _triples(_lines([triple])) == [triple]
 
 
 class TestEventIri:
@@ -128,7 +137,7 @@ def _event(**kwargs) -> Event:
 
 class TestEmitEventTriples:
     def test_minimal_event_exact_triples(self):
-        triples = emit_event_triples(_event())
+        triples = _triples(emit_event_triples(_event()))
         assert len(triples) == 7
         preds = sorted(t.predicate.value for t in triples)
         assert preds == sorted(
@@ -149,7 +158,7 @@ class TestEmitEventTriples:
             postal_code="64305",
             province=GazetteerRef(706483, "Kharkiv"),
         )
-        triples = emit_event_triples(ev)
+        triples = _triples(emit_event_triples(ev))
         rendered = {(t.predicate.value, t.object.value, t.object.datatype, t.object.language) for t in triples}
         assert (DCT_NS + "date", "2022-03-07", "http://www.w3.org/2001/XMLSchema#date", None) in rendered
         assert (ONTOLOGY_NS + "postalCode", "64305", None, None) in rendered
@@ -160,7 +169,7 @@ class TestEmitEventTriples:
         ev = _event(city_labels={"uk": "Ізюм", "en": "Izyum"})
         labels = [
             (t.object.language, t.object.value)
-            for t in emit_event_triples(ev)
+            for t in _triples(emit_event_triples(ev))
             if t.predicate.value == ONTOLOGY_NS + "cityName"
         ]
         assert sorted(labels) == [("en", "Izyum"), ("uk", "Ізюм")]
@@ -173,7 +182,7 @@ class TestEmitEventTriples:
             city=GazetteerRef(689558, "Izyum"),
         )
         subject = event_iri(ev.dataset, ev.id)
-        triples = emit_event_triples(ev)
+        triples = _triples(emit_event_triples(ev))
         types = [t for t in triples if t.subject.value == subject and t.predicate.value == RDF_NS + "type"]
         dates = [t for t in triples if t.predicate.value == DCT_NS + "date"]
         assert len(types) == 1 and types[0].object.value == SEM_NS + "Event"
@@ -181,7 +190,7 @@ class TestEmitEventTriples:
 
     def test_no_literal_carries_tag_and_datatype(self):
         ev = _event(description="d", city_labels={"en": "x"}, postal_code="1")
-        for t in emit_event_triples(ev):
+        for t in _triples(emit_event_triples(ev)):
             assert not (t.object.language and t.object.datatype)
 
 
@@ -193,7 +202,7 @@ class TestEmitAggregateTriples:
             members=members,
             primary=(Dataset.EOR, "1"),
         )
-        triples = emit_aggregate_triples(agg)
+        triples = _triples(emit_aggregate_triples(agg))
         assert len(triples) == 4  # type + hasPrimarySource + 2 hasMember
         by_pred = {}
         for t in triples:
@@ -224,9 +233,118 @@ class TestEmitAggregateTriples:
                 primary=(Dataset.EOR, "1"),
             )
 
+    @pytest.mark.parametrize("iri", [
+        "", "relative/agg", "https://x/a b", "https://x/<agg>", 'https://x/"a"', "https://x/{a}",
+        "https://x/a\\b", "https://x/a\nb", "https://x/a\x00", "1x:agg", ":agg",
+    ])
+    def test_iri_that_is_no_absolute_iri_rejected(self, iri):
+        # the writer emits the IRI as given, so it is checked when the aggregate is built
+        key = (Dataset.EOR, "1")
+        with pytest.raises(ValueError, match="IRI must be absolute"):
+            AggregateEvent(iri=iri, members=(key,), primary=key)
+
     def test_aggregate_iri_order_independent(self):
         iris = [event_iri(Dataset.EOR, "1"), event_iri(Dataset.CH, "2")]
         assert aggregate_iri(iris) == aggregate_iri(list(reversed(iris)))
+
+
+# Arbitrary text in every field an Event takes. Source URLs and label
+# languages are drawn from valid and invalid forms, so some events construct
+# and some do not.
+_any_text = st.text(max_size=12)
+_maybe_url = st.builds(
+    str.__add__,
+    st.sampled_from(["https://", "HTTP://h", "ftp://", "x+y.z://", "https://a b",
+                     "mailto:", "", " https://", "h\tttps://"]),
+    st.text(max_size=12),
+)
+_refs = st.none() | st.builds(GazetteerRef, st.integers(1, 10**9), _any_text)
+_event_fields = st.fixed_dictionaries(dict(
+    id=st.text(max_size=8),
+    dataset=st.sampled_from(Dataset),
+    date=st.dates(),
+    point=st.builds(GeoPoint, st.floats(-90, 90), st.floats(-180, 180)),
+    description=st.none() | _any_text,
+    country=_refs,
+    city=_refs,
+    province=_refs,
+    postal_code=st.none() | _any_text,
+    source_urls=st.lists(_maybe_url, max_size=2).map(tuple),
+    comments=st.lists(_any_text, max_size=3).map(tuple),
+    city_labels=st.dictionaries(st.sampled_from(["en", "uk", "nl", "fr", "EN"]), _any_text,
+                                max_size=3),
+))
+
+
+@st.composite
+def _constructed_events(draw):
+    """Events that construct, drawn from arbitrary field values, unique by key."""
+    events = {}
+    for _ in range(draw(st.integers(0, 6))):
+        try:
+            ev = Event(**draw(_event_fields))
+        except ValueError:
+            continue
+        events[ev.key] = ev
+    return list(events.values())
+
+
+@st.composite
+def _constructed_aggregates(draw, events):
+    """Aggregates over the events, each event in at most one, with minted IRIs."""
+    keys = draw(st.permutations([ev.key for ev in events]))
+    aggregates = []
+    while keys:
+        members = [keys.pop()]
+        if keys and keys[-1][0] != members[0][0] and draw(st.booleans()):
+            members.append(keys.pop())
+        members.sort()
+        iri = aggregate_iri([event_iri(*key) for key in members])
+        aggregates.append(AggregateEvent(iri, tuple(members), draw(st.sampled_from(members))))
+    return aggregates
+
+
+class TestWriterAgainstOracle:
+    """The line writer and the statement reader, judged by the oracle's Term model."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_event_and_aggregate_that_constructs(self, data):
+        events = data.draw(_constructed_events())
+        aggregates = data.draw(_constructed_aggregates(events))
+        lines = []
+        for ev in events:
+            emitted = emit_event_triples(ev)
+            # the oracle builds each term with its checks, so no IRI escapes them
+            assert emitted == _lines(oracles.event_triples(ev))
+            lines += emitted
+        for agg in aggregates:
+            emitted = emit_aggregate_triples(agg)
+            assert emitted == _lines(oracles.aggregate_triples(agg))
+            lines += emitted
+        for line in lines:
+            assert _lines(_triples([line])) == [line]
+
+        data_bytes = serialize_bytes(lines)
+        assert data_bytes == oracles.serialize_terms(_triples(lines))
+        loaded = IntegratedDataset.from_triples(parse_ntriples(data_bytes))
+        assert loaded.events == {ev.key: oracles.reloaded_event(ev) for ev in events}
+        assert sorted(loaded.aggregates, key=lambda a: a.iri) == sorted(aggregates, key=lambda a: a.iri)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=12) | st.builds(str.__add__, st.sampled_from(["https://x/", "a:", "1:"]),
+                                             st.text(max_size=8)))
+    def test_aggregate_iri_constructs_where_a_term_does(self, iri):
+        key = (Dataset.CH, "1")
+        try:
+            agg = AggregateEvent(iri=iri, members=(key,), primary=key)
+        except ValueError:
+            with pytest.raises(ValueError):
+                Term.iri(iri)
+            return
+        lines = emit_aggregate_triples(agg)
+        assert lines == _lines(oracles.aggregate_triples(agg))
+        assert _lines(_triples(lines)) == lines
 
 
 _iri_strategy = st.builds(
@@ -241,16 +359,11 @@ _literal_strategy = st.builds(
 )
 # Source URLs may hold characters an N-Triples IRIREF forbids; the emitter
 # percent-encodes exactly the forbidden ASCII ones.
-_IRIREF_FORBIDDEN = '<>"{}|^`\\' + "".join(map(chr, range(0x21)))
 _source_url_strategy = st.builds(
     lambda host, path: f"https://{host}/{path}",
     st.text(alphabet="abcdefgh", min_size=1, max_size=8),
-    st.text(alphabet="ab09/?=&%#\x7fé" + _IRIREF_FORBIDDEN, max_size=16),
+    st.text(alphabet="ab09/?=&%#\x7fé" + oracles.IRIREF_FORBIDDEN, max_size=16),
 )
-
-
-def _percent_encoded(url: str) -> str:
-    return "".join(f"%{ord(c):02X}" if c in _IRIREF_FORBIDDEN else c for c in url)
 
 
 _term_strategy = st.one_of(st.builds(Term.iri, _iri_strategy), _literal_strategy)
@@ -267,7 +380,7 @@ _triple_strategy = st.builds(
 _vocab_iri_strategy = st.builds(
     lambda ns, local: ns + local,
     st.sampled_from(sorted(PREFIXES.values())),
-    st.sampled_from(["type", "Event", "date", "a-b_c", "_x", "1st", "a.b", "", "x/y", "é"]),
+    st.sampled_from(["type", "Event", "date", "a-b_c", "_x", "1st", "a.b", "", "x/y", "é", "a#b"]),
 )
 _vocab_triple_strategy = st.builds(
     Triple,
@@ -300,6 +413,7 @@ _prefix_literal_strategy = st.sampled_from([
     Term.literal("a!"),
     Term.literal("a\n"),
     Term.literal('a"'),
+    Term.literal("a^^<x:y>"),
     Term.literal(""),
 ])
 _prefix_triple_strategy = st.builds(
@@ -310,19 +424,19 @@ _prefix_triple_strategy = st.builds(
 )
 
 
-def _ntriples_lines(triples) -> list[str]:
+def _ntriples_lines(lines) -> list[str]:
     # split on LF only: U+0085 and U+2028 may stand raw inside a literal
-    return serialize_bytes(triples).decode("utf-8").split("\n")[:-1]
+    return serialize_bytes(lines).decode("utf-8").split("\n")[:-1]
 
 
-def _turtle_lines(triples) -> list[str]:
-    return turtle_statements(serialize_bytes(triples, RdfFormat.TURTLE).decode("utf-8"))
+def _turtle_lines(lines) -> list[str]:
+    return turtle_statements(serialize_bytes(lines, RdfFormat.TURTLE).decode("utf-8"))
 
 
 class TestSerialization:
     def test_newline_escaped(self):
         t = Triple(Term.iri("https://x/s"), Term.iri("https://x/p"), Term.literal("a\nb"))
-        assert b'"a\\nb"' in serialize_bytes([t])
+        assert b'"a\\nb"' in serialize_bytes(_lines([t]))
 
     def test_empty_input(self):
         assert serialize_bytes([]) == b""
@@ -331,16 +445,16 @@ class TestSerialization:
         assert all(line.startswith("@prefix") for line in turtle.strip().splitlines())
 
     def test_seven_triple_round_trip(self):
-        triples = emit_event_triples(_event())
-        assert set(parse_ntriples(serialize_bytes(triples))) == set(triples)
+        lines = emit_event_triples(_event())
+        assert set(_triples(_ntriples_lines(lines))) == set(oracles.event_triples(_event()))
 
     def test_deterministic_bytes(self):
-        triples = emit_event_triples(_event(description="x", comments=("c",)))
-        assert serialize_bytes(triples) == serialize_bytes(list(reversed(triples)))
+        lines = emit_event_triples(_event(description="x", comments=("c",)))
+        assert serialize_bytes(lines) == serialize_bytes(list(reversed(lines)))
 
     def test_duplicates_collapse(self):
-        t = emit_event_triples(_event())
-        assert serialize_bytes(t + t) == serialize_bytes(t)
+        lines = emit_event_triples(_event())
+        assert serialize_bytes(lines + lines) == serialize_bytes(lines)
 
     def test_turtle_uses_prefixes_and_groups_subjects(self):
         text = serialize_bytes(emit_event_triples(_event()), RdfFormat.TURTLE).decode()
@@ -355,74 +469,84 @@ class TestSerialization:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_triple_strategy, max_size=12))
     def test_turtle_expands_to_the_ntriples_lines(self, triples):
-        assert _turtle_lines(triples) == _ntriples_lines(triples)
+        lines = _lines(triples)
+        assert _turtle_lines(lines) == _ntriples_lines(lines)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_vocab_triple_strategy, max_size=12))
     def test_turtle_with_prefixed_names_expands_to_the_ntriples_lines(self, triples):
-        assert _turtle_lines(triples) == _ntriples_lines(triples)
+        lines = _lines(triples)
+        assert _turtle_lines(lines) == _ntriples_lines(lines)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_vocab_triple_strategy | _prefix_triple_strategy, max_size=12))
+    def test_both_formats_match_the_term_serializer(self, triples):
+        lines = _lines(triples)
+        assert serialize_bytes(lines) == oracles.serialize_terms(triples)
+        assert serialize_bytes(lines, RdfFormat.TURTLE) == oracles.serialize_terms(triples, turtle=True)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_prefix_triple_strategy, max_size=16))
     def test_lines_are_sorted_by_subject_predicate_object(self, triples):
         rows = sorted({(s.render(), p.render(), o.render()) for s, p, o in triples})
-        assert _ntriples_lines(triples) == [f"{s} {p} {o} ." for s, p, o in rows]
-        assert _turtle_lines(triples) == _ntriples_lines(triples)
+        lines = _lines(triples)
+        assert _ntriples_lines(lines) == [f"{s} {p} {o} ." for s, p, o in rows]
+        assert _turtle_lines(lines) == _ntriples_lines(lines)
 
     def test_turtle_of_the_integrated_fixture_expands_to_the_ntriples_lines(
         self, enriched_events, integrated
     ):
         eor, ch = enriched_events
-        triples = [t for ev in eor + ch for t in emit_event_triples(ev)]
-        triples += [t for agg in integrated.aggregates for t in emit_aggregate_triples(agg)]
-        turtle = _turtle_lines(triples)
-        assert turtle == _ntriples_lines(triples)
-        assert len(turtle) == len(set(triples)) > 1000
+        lines = [line for ev in eor + ch for line in emit_event_triples(ev)]
+        lines += [line for agg in integrated.aggregates for line in emit_aggregate_triples(agg)]
+        turtle = _turtle_lines(lines)
+        assert turtle == _ntriples_lines(lines)
+        assert len(turtle) == len(set(lines)) > 1000
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_triple_strategy, max_size=12))
     def test_round_trip_property(self, triples):
-        assert set(parse_ntriples(serialize_bytes(triples))) == set(triples)
+        assert set(_triples(_ntriples_lines(_lines(triples)))) == set(triples)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_triple_strategy, max_size=12))
     def test_serialize_parse_serialize_fixed_point(self, triples):
-        first = serialize_bytes(triples)
-        assert serialize_bytes(parse_ntriples(first)) == first
+        first = serialize_bytes(_lines(triples))
+        assert serialize_bytes(_lines(oracles.triples_from_rows(parse_ntriples(first)))) == first
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_source_url_strategy, max_size=4))
     def test_source_urls_round_trip_percent_encoded(self, urls):
         ev = _event(source_urls=tuple(urls))
-        triples = parse_ntriples(serialize_bytes(emit_event_triples(ev)))
-        encoded = sorted({_percent_encoded(u) for u in urls})
-        assert sorted(t.object.value for t in triples if t.predicate.value == SDO_NS + "url") == encoded
-        events, _ = events_from_triples(triples)
+        rows = list(parse_ntriples(serialize_bytes(emit_event_triples(ev))))
+        encoded = sorted({percent_encoded(u) for u in urls})
+        assert sorted(obj for _, predicate, obj, *_ in rows if predicate == SDO_NS + "url") == encoded
+        events, _ = events_from_rows(rows)
         assert events[ev.key] == dataclasses.replace(ev, source_urls=tuple(encoded))
 
 
 class TestParseNtriples:
     def test_missing_terminator(self):
         with pytest.raises(NTriplesSyntaxError) as exc:
-            parse_ntriples(b"<https://x/s> <https://x/p> <https://x/o>\n")
+            list(parse_ntriples(b"<https://x/s> <https://x/p> <https://x/o>\n"))
         assert exc.value.line == 1
 
     def test_empty_input(self):
-        assert parse_ntriples(b"") == []
+        assert list(parse_ntriples(b"")) == []
 
     def test_comments_and_blank_lines_skipped(self):
         data = b"# comment\n\n<https://x/s> <https://x/p> \"v\" .\n"
-        assert len(parse_ntriples(data)) == 1
+        assert len(list(parse_ntriples(data))) == 1
 
     def test_error_line_number(self):
         good = b'<https://x/s> <https://x/p> "v" .\n'
         with pytest.raises(NTriplesSyntaxError) as exc:
-            parse_ntriples(good + b"garbage\n")
+            list(parse_ntriples(good + b"garbage\n"))
         assert exc.value.line == 2
 
     def test_blank_node_rejected(self):
         with pytest.raises(NTriplesSyntaxError):
-            parse_ntriples(b"_:b <https://x/p> <https://x/o> .\n")
+            list(parse_ntriples(b"_:b <https://x/p> <https://x/o> .\n"))
 
     @pytest.mark.parametrize(
         "line",
@@ -442,7 +566,7 @@ class TestParseNtriples:
     def test_malformed_line_reports_its_number(self, line):
         good = b'<https://x/s> <https://x/p> "v" .\n'
         with pytest.raises(NTriplesSyntaxError) as exc:
-            parse_ntriples(good + line + b"\n" + good)
+            list(parse_ntriples(good + line + b"\n" + good))
         assert exc.value.line == 2
 
     @pytest.mark.parametrize("line, message", [
@@ -460,18 +584,18 @@ class TestParseNtriples:
         # whole-statement match would: grammar, then escapes, then the absolute rule
         good = b'<https://x/s> <https://x/p> <https://x/o> .\n'
         with pytest.raises(NTriplesSyntaxError) as exc:
-            parse_ntriples(good + line + b"\n" + good)
+            list(parse_ntriples(good + line + b"\n" + good))
         assert (exc.value.line, str(exc.value)) == (2, f"line 2: {message}")
 
     def test_relative_datatype_is_rejected(self):
         # a Term's datatype is an absolute IRI, and the reader makes every check a Term makes
         with pytest.raises(NTriplesSyntaxError) as exc:
-            parse_ntriples(b'<https://x/s> <https://x/p> "v"^^<rel> .\n')
+            list(parse_ntriples(b'<https://x/s> <https://x/p> "v"^^<rel> .\n'))
         assert str(exc.value) == "line 1: IRI must be absolute and N-Triples-safe: 'rel'"
 
     def test_escape_decoding(self):
         data = b'<https://x/s> <https://x/p> "tab\\there\\nline \\"q\\" \\\\done" .\n'
-        (t,) = parse_ntriples(data)
+        (t,) = oracles.triples_from_rows(parse_ntriples(data))
         assert t.object.value == 'tab\there\nline "q" \\done'
 
 
@@ -489,13 +613,12 @@ class TestEventsFromTriples:
         )
         key = (Dataset.EOR, "123")
         agg = AggregateEvent(iri=aggregate_iri([event_iri(*key)]), members=(key,), primary=key)
-        triples = emit_event_triples(ev) + emit_aggregate_triples(agg)
-        events, aggregates = events_from_triples(triples)
+        lines = emit_event_triples(ev) + emit_aggregate_triples(agg)
+        events, aggregates = events_from_rows(parse_ntriples("\n".join(lines)))
         assert events[key] == ev
         assert aggregates == [agg]
 
     def test_survives_serialization(self):
         ev = _event(description="x", comments=("a", "b"))
-        triples = parse_ntriples(serialize_bytes(emit_event_triples(ev)))
-        events, _ = events_from_triples(triples)
+        events, _ = events_from_rows(parse_ntriples(serialize_bytes(emit_event_triples(ev))))
         assert events[(Dataset.EOR, "123")].comments == ("a", "b")
