@@ -148,14 +148,14 @@ def turtle_statements(text: str) -> list[str]:
 # It holds its own IRI, language-tag and escape rules, so a term that
 # constructs here is one the N-Triples grammar can carry.
 
-_ORACLE_IRI_RE = re.compile(r'[A-Za-z][A-Za-z0-9+.-]*:[^<>"{}|^`\\\x00-\x20]*')
-_ORACLE_LANGUAGE_TAG_RE = re.compile(r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*")
+_IRI_RE = re.compile(r'[A-Za-z][A-Za-z0-9+.-]*:[^<>"{}|^`\\\x00-\x20]*')
+_LANGUAGE_TAG_RE = re.compile(r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*")
 # The ASCII characters an N-Triples IRIREF forbids.
 IRIREF_FORBIDDEN = '<>"{}|^`\\' + "".join(map(chr, range(0x21)))
 
 
 def _check_iri(value: str) -> None:
-    if _ORACLE_IRI_RE.fullmatch(value) is None:
+    if _IRI_RE.fullmatch(value) is None:
         raise ValueError(f"IRI must be absolute and N-Triples-safe: {value!r}")
 
 
@@ -195,7 +195,7 @@ class Term(tuple):
         elif language is not None:
             if datatype is not None:
                 raise ValueError("language and datatype are mutually exclusive")
-            if not _ORACLE_LANGUAGE_TAG_RE.fullmatch(language):
+            if not _LANGUAGE_TAG_RE.fullmatch(language):
                 raise ValueError(f"language tag must match the N-Triples LANGTAG: {language!r}")
         elif datatype is not None:
             _check_iri(datatype)

@@ -312,21 +312,17 @@ class TestWriterAgainstOracle:
     def test_every_event_and_aggregate_that_constructs(self, data):
         events = data.draw(_constructed_events())
         aggregates = data.draw(_constructed_aggregates(events))
-        lines = []
-        for ev in events:
-            emitted = emit_event_triples(ev)
-            # the oracle builds each term with its checks, so no IRI escapes them
-            assert emitted == _lines(oracles.event_triples(ev))
-            lines += emitted
-        for agg in aggregates:
-            emitted = emit_aggregate_triples(agg)
-            assert emitted == _lines(oracles.aggregate_triples(agg))
-            lines += emitted
+        # the oracle builds each term with its checks, so no IRI escapes them
+        triples = [t for ev in events for t in oracles.event_triples(ev)]
+        triples += [t for agg in aggregates for t in oracles.aggregate_triples(agg)]
+        lines = [line for ev in events for line in emit_event_triples(ev)]
+        lines += [line for agg in aggregates for line in emit_aggregate_triples(agg)]
+        assert lines == _lines(triples)
         for line in lines:
             assert _lines(_triples([line])) == [line]
 
         data_bytes = serialize_bytes(lines)
-        assert data_bytes == oracles.serialize_terms(_triples(lines))
+        assert data_bytes == oracles.serialize_terms(triples)
         loaded = IntegratedDataset.from_triples(parse_ntriples(data_bytes))
         assert loaded.events == {ev.key: oracles.reloaded_event(ev) for ev in events}
         assert sorted(loaded.aggregates, key=lambda a: a.iri) == sorted(aggregates, key=lambda a: a.iri)
