@@ -4,11 +4,13 @@ Candidate pairs share a city and a date across the two datasets; each pair
 is then classified by three ordered rules (shared social-media link,
 "area" reports with a wider radius, facility keywords with a tight
 radius). Description similarity is the Ratcliff/Obershelp ratio, equal
-to difflib's with autojunk off. A suffix automaton finds each longest
-matching block in time linear in its range, so the worst case over a
-pair is quadratic where difflib's is cubic. Within one dataset, distinct
-records are assumed to describe distinct events, so matching is
-cross-dataset only and one-to-one.
+to difflib's with autojunk off. Each longest matching block of a small
+range is found by a ``str.find`` scan, which is quick on ordinary
+descriptions but cubic at worst; a range larger than ``_SCAN_CELLS``
+goes to a suffix automaton, linear in the range, so the worst case over
+a pair stays quadratic where difflib's is cubic. Within one dataset,
+distinct records are assumed to describe distinct events, so matching
+is cross-dataset only and one-to-one.
 """
 
 from __future__ import annotations
@@ -120,12 +122,54 @@ class IntegrationResult:
 # ---------------------------------------------------------------------------
 # String similarity (Ratcliff/Obershelp)
 
+# Ranges of at most this many cells, (ahi - alo) * (bhi - blo), are
+# scanned with str.find; larger ones use the suffix automaton. The scan's
+# C-level search beats building the automaton's per-state dicts up to
+# about 256 x 256 characters and loses beyond it.
+_SCAN_CELLS = 1 << 16
+
+
 def _longest_block(a: str, alo: int, ahi: int, b: str, blo: int, bhi: int) -> tuple[int, int, int]:
     """(i, j, k): the longest common block a[i:i+k] == b[j:j+k] in the ranges.
 
     Ties go to the smallest i, then the smallest j; k is 0 when the ranges
-    share no character. A suffix automaton of b[blo:bhi] is built and
-    a[alo:ahi] streamed through it, in time linear in the two ranges.
+    share no character. Ranges of at most ``_SCAN_CELLS`` cells are
+    scanned, larger ones go to the suffix automaton, so no range pays the
+    scan's cubic worst case on more than that many cells.
+    """
+    if (ahi - alo) * (bhi - blo) <= _SCAN_CELLS:
+        return _scan_block(a, alo, ahi, b, blo, bhi)
+    return _automaton_block(a, alo, ahi, b, blo, bhi)
+
+
+def _scan_block(a: str, alo: int, ahi: int, b: str, blo: int, bhi: int) -> tuple[int, int, int]:
+    """_longest_block by a str.find scan; cubic at worst, fast on short ranges.
+
+    Each start x in a's range asks for the earliest occurrence in b's
+    range of a needle one longer than the best block so far, and on a hit
+    keeps growing at x. A longer needle's earliest occurrence cannot start
+    before the shorter one's, so each search resumes at the last hit.
+    Only a strict improvement is kept, which gives the earliest block in
+    a, and each hit is the earliest occurrence of its needle in b.
+    """
+    find = b.find
+    i = j = k = 0
+    x = alo
+    while x + k < ahi:
+        y = find(a[x:x + k + 1], blo, bhi)
+        while y >= 0:
+            i, j, k = x, y, k + 1
+            if x + k == ahi:
+                break
+            y = find(a[x:x + k + 1], y, bhi)
+        x += 1
+    return i, j, k
+
+
+def _automaton_block(a: str, alo: int, ahi: int, b: str, blo: int, bhi: int) -> tuple[int, int, int]:
+    """_longest_block by a suffix automaton, in time linear in the ranges.
+
+    The automaton of b[blo:bhi] is built and a[alo:ahi] streamed through it.
     """
     # per state: transitions, suffix link, longest length, earliest end in b
     nxt = [{}]
@@ -197,9 +241,11 @@ def similarity(a: str, b: str) -> float:
     ``difflib.SequenceMatcher(None, a.lower(), b.lower(),
     autojunk=False).ratio()``. Two empty strings rate 1.0.
 
-    Each block costs time linear in its ranges, so the worst case over a
-    pair is quadratic. The work queue is explicit, so long texts need no
-    deep recursion.
+    Each block is found by ``_longest_block``: a scan on small ranges,
+    a suffix automaton, linear in its ranges, on large ones. The scan's
+    cost is bounded by the cutoff, so the worst case over a pair is
+    quadratic. The work queue is explicit, so long texts need no deep
+    recursion.
     """
     a, b = a.lower(), b.lower()
     n = len(a) + len(b)

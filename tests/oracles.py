@@ -25,26 +25,30 @@ from resilink.model import Event, GazetteerRef, GeoPoint
 EARTH_RADIUS_KM = 6371.0
 
 
-def brute_force_ratio(a: str, b: str) -> float:
-    """Ratcliff/Obershelp by exhaustive longest-block search.
+def longest_block(a: str, alo: int, ahi: int, b: str, blo: int, bhi: int) -> tuple[int, int, int]:
+    """(i, j, k) of the longest common block a[i:i+k] == b[j:j+k], by exhaustive search.
 
-    All (i, j) starting positions are scanned and common-prefix lengths
-    measured directly; ties prefer the earliest start in a, then in b.
+    All (i, j) starting positions in the ranges are scanned and
+    common-prefix lengths measured directly; ties prefer the earliest
+    start in a, then in b. k is 0, with i and j 0, when the ranges share
+    no character.
     """
+    best_i = best_j = best_k = 0
+    for i in range(alo, ahi):
+        for j in range(blo, bhi):
+            k = 0
+            while i + k < ahi and j + k < bhi and a[i + k] == b[j + k]:
+                k += 1
+            if k > best_k:
+                best_i, best_j, best_k = i, j, k
+    return best_i, best_j, best_k
 
-    def longest(alo: int, ahi: int, blo: int, bhi: int) -> tuple[int, int, int]:
-        best_k, best_i, best_j = 0, alo, blo
-        for i in range(alo, ahi):
-            for j in range(blo, bhi):
-                k = 0
-                while i + k < ahi and j + k < bhi and a[i + k] == b[j + k]:
-                    k += 1
-                if k > best_k:
-                    best_k, best_i, best_j = k, i, j
-        return best_k, best_i, best_j
+
+def brute_force_ratio(a: str, b: str) -> float:
+    """Ratcliff/Obershelp with every block found by ``longest_block``."""
 
     def total(alo: int, ahi: int, blo: int, bhi: int) -> int:
-        k, i, j = longest(alo, ahi, blo, bhi)
+        i, j, k = longest_block(a, alo, ahi, b, blo, bhi)
         if k == 0:
             return 0
         return k + total(alo, i, blo, j) + total(i + k, ahi, j + k, bhi)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resilink import integration
 from resilink.integration import (
     IntegrationCounts,
     MatchConfig,
@@ -87,9 +88,21 @@ class TestSimilarity:
         # "İ".lower() is two characters, so the lowercased lengths set the ratio
         assert similarity(a, b) == oracles.difflib_ratio(a, b)
 
+    def test_long_small_alphabet_pairs_match_difflib(self):
+        # 200-600 characters put the top-level blocks above the scan cutoff
+        # and most of their sub-blocks below it
+        rng = random.Random(2024)
+        for _ in range(20):
+            alphabet = "abcdef"[:rng.randint(2, 6)]
+            a = "".join(rng.choice(alphabet) for _ in range(rng.randint(200, 600)))
+            b = "".join(rng.choice(alphabet) for _ in range(rng.randint(200, 600)))
+            assert similarity(a, b) == oracles.difflib_ratio(a, b)
+
     def test_periodic_text_is_not_cubic(self):
         # difflib spends about |a| x (occurrences in b) per block here: ~50 s at
-        # 2,000 characters; this bound leaves a 20x margin over the ~0.5 s taken
+        # 2,000 characters; this bound leaves a 10x margin over the ~0.9 s taken
+        # on a 2-CPU VM. Ranges above the scan cutoff go to the automaton, so the
+        # pair stays quadratic
         start = time.perf_counter()
         assert similarity("ab" * 1000, "ax" * 1000) == 0.5
         assert time.perf_counter() - start < 10.0
@@ -105,6 +118,73 @@ class TestSimilarity:
     @given(short_text, short_text)
     def test_bounded(self, a, b):
         assert 0.0 <= similarity(a, b) <= 1.0
+
+
+def _random_range(rng: random.Random, n: int) -> tuple[int, int]:
+    lo = rng.randint(0, n)
+    return lo, rng.randint(lo, n)  # empty when hi == lo
+
+
+class TestBlockFinders:
+    """The scan and the automaton, each judged directly on ranges of every size."""
+
+    FINDERS = (integration._scan_block, integration._automaton_block)
+
+    def test_sub_ranges_against_oracle(self):
+        rng = random.Random(4711)
+        for alphabet in ("a", "ab", "abc", "abc d", "abcdefghij"):
+            for _ in range(300):
+                a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+                b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+                alo, ahi = _random_range(rng, len(a))
+                blo, bhi = _random_range(rng, len(b))
+                want = oracles.longest_block(a, alo, ahi, b, blo, bhi)
+                for finder in self.FINDERS:
+                    assert finder(a, alo, ahi, b, blo, bhi) == want, (finder, a, b)
+
+    def test_ranges_with_no_shared_character(self):
+        for finder in self.FINDERS:
+            assert finder("abcabc", 0, 6, "xyzabc", 0, 3) == (0, 0, 0)
+            assert finder("abcabc", 1, 4, "", 0, 0) == (0, 0, 0)
+            assert finder("", 0, 0, "abc", 0, 3) == (0, 0, 0)
+
+    def test_ranges_above_the_cutoff_against_oracle(self):
+        assert 300 * 300 > integration._SCAN_CELLS
+        rng = random.Random(8128)
+        for alphabet in ("ab", "abc", "abcdef"):
+            a = "".join(rng.choice(alphabet) for _ in range(300))
+            b = "".join(rng.choice(alphabet) for _ in range(300))
+            want = oracles.longest_block(a, 0, 300, b, 0, 300)
+            for finder in self.FINDERS:
+                assert finder(a, 0, 300, b, 0, 300) == want
+
+    def test_large_ranges_go_to_the_automaton(self, monkeypatch):
+        # the scan is cubic at worst, so a range above the cutoff must never reach it
+        calls = {"scan": [], "automaton": []}
+
+        def spy(name, finder):
+            def wrapped(a, alo, ahi, b, blo, bhi):
+                calls[name].append((ahi - alo) * (bhi - blo))
+                return finder(a, alo, ahi, b, blo, bhi)
+            return wrapped
+
+        monkeypatch.setattr(integration, "_scan_block", spy("scan", integration._scan_block))
+        monkeypatch.setattr(
+            integration, "_automaton_block", spy("automaton", integration._automaton_block))
+        assert similarity("ab" * 150, "ax" * 150) == 0.5
+        assert calls["automaton"][0] == 300 * 300  # the top-level block
+        assert all(cells > integration._SCAN_CELLS for cells in calls["automaton"])
+        assert calls["scan"] and all(cells <= integration._SCAN_CELLS for cells in calls["scan"])
+
+    def test_cutoff_boundary(self, monkeypatch):
+        used = []
+        monkeypatch.setattr(integration, "_scan_block", lambda *r: used.append("scan"))
+        monkeypatch.setattr(integration, "_automaton_block", lambda *r: used.append("automaton"))
+        cells = integration._SCAN_CELLS
+        b = "a" * (cells + 1)
+        integration._longest_block("a", 0, 1, b, 0, cells)
+        integration._longest_block("a", 0, 1, b, 0, cells + 1)
+        assert used == ["scan", "automaton"]
 
 
 class TestNormalizeUrl:
