@@ -4,7 +4,6 @@ The sample plants five true duplicate pairs (shared-link, area and keyword
 rules) plus two near-misses; the matcher must find exactly those.
 """
 
-import io
 import json
 from pathlib import Path
 
@@ -20,7 +19,6 @@ from resilink import (
     similarity,
 )
 from resilink.gazetteer import enrich_events
-from resilink.integration import write_pair_report
 
 ROOT = Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 
@@ -52,9 +50,10 @@ print(f"\n|A|={c.a}  |B|={c.b}  identical={c.identical}  "
       f"near-distinct={c.near_distinct}  integrated={c.integrated}")
 print(f"arithmetic: {c.a} + {c.b} - {c.identical} = {c.a + c.b - c.identical}\n")
 
-buf = io.StringIO()
-write_pair_report(result.pairs, buf)
-print(buf.getvalue())
+print("a_id,b_id,verdict,rule,distance_km,similarity")
+for p in result.pairs:
+    print(f"{p.a},{p.b},{p.verdict.value},{p.rule.value},{p.distance_km:.6f},{p.similarity:.6f}")
+print()
 
 pair_aggregates = [a for a in result.aggregates if len(a.members) == 2]
 print("a pair aggregate and its primary source:")

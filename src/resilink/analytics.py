@@ -357,9 +357,13 @@ def read_deaths_csv(fp: IO[str]) -> dict[str, int]:
     for i, row in enumerate(reader, start=2):
         if not row:
             continue
-        month = row[0].strip()
-        if len(row) != 2 or not _MONTH_RE.fullmatch(month):
+        if len(row) != 2:
             raise ReportFormatError(f"deaths CSV line {i}: expected 'YYYY-MM,integer'")
+        month = row[0].strip()
+        try:
+            _check_month(month)
+        except ValueError as exc:
+            raise ReportFormatError(f"deaths CSV line {i}: {exc}") from exc
         try:
             deaths = int(row[1])
         except ValueError as exc:
@@ -377,8 +381,8 @@ def uc5_ratio_series(attacks: Sequence[MonthBucket], deaths_by_month: Mapping[st
 
     Months present in the external data but absent from the attack series
     are dropped with a warning; a zero-attack month reports no ratio. This
-    is a proof-of-concept join over unvalidated external data; the CSV
-    writer marks it as such.
+    is a proof-of-concept join over unvalidated external data; the uc5
+    report marks it as such in its first line.
     """
     attack_months = {b.month_year for b in attacks}
     for month in sorted(set(deaths_by_month) - attack_months):
@@ -459,53 +463,3 @@ def uc6_shelter_gap(
         for (ki, kj), n in sorted(cells.items())
     ]
     return collection, grid
-
-
-# ---------------------------------------------------------------------------
-# CSV writers for the report files
-
-def write_month_csv(buckets: Sequence[MonthBucket], fp: IO[str]) -> None:
-    w = csv.writer(fp, lineterminator="\n")
-    w.writerow(("month", "count"))
-    for b in buckets:
-        w.writerow((b.month_year, b.count))
-
-
-def write_city_names_csv(rows: Sequence[CityNamesRow], langs: Sequence[str], fp: IO[str]) -> None:
-    w = csv.writer(fp, lineterminator="\n")
-    w.writerow((*langs, "occurrences"))
-    for row in rows:
-        w.writerow((*(row.names[lang] for lang in langs), row.occurrences))
-
-
-def write_region_csv(rows: Sequence[RegionRank], fp: IO[str]) -> None:
-    w = csv.writer(fp, lineterminator="\n")
-    w.writerow(("region", "occurrences"))
-    for r in rows:
-        w.writerow((r.region, r.occurrences))
-
-
-def write_region_timeline_csv(
-    timeline: Sequence[tuple[str, list[RegionRank]]], fp: IO[str]
-) -> None:
-    w = csv.writer(fp, lineterminator="\n")
-    w.writerow(("month", "region", "occurrences"))
-    for month, rows in timeline:
-        for r in rows:
-            w.writerow((month, r.region, r.occurrences))
-
-
-def write_ratio_csv(rows: Sequence[RatioRow], fp: IO[str]) -> None:
-    fp.write("# proof-of-concept: joins unvalidated external data; not for operational decisions\n")
-    w = csv.writer(fp, lineterminator="\n")
-    w.writerow(("month", "attacks", "deaths", "ratio"))
-    for r in rows:
-        ratio = "" if r.ratio is None else f"{r.ratio:.6f}"
-        w.writerow((r.month_year, r.attacks, r.deaths, ratio))
-
-
-def write_grid_csv(cells: Sequence[GridCell], fp: IO[str]) -> None:
-    w = csv.writer(fp, lineterminator="\n")
-    w.writerow(("cell_lat", "cell_lon", "count"))
-    for c in cells:
-        w.writerow((format_decimal(c.cell_lat), format_decimal(c.cell_lon), c.count))

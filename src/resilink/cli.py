@@ -12,6 +12,7 @@ in memory but writes the same files. Exit codes: 0 success, 1 data error,
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import logging
@@ -218,10 +219,10 @@ def _write_json(path: str | Path, doc) -> None:
     _atomic_write_text(Path(path), json.dumps(doc, indent=2) + "\n")
 
 
-def _write_csv(path: str | Path, write, *rows) -> None:
-    """Render a report with write(*rows, fp) in memory, then write it atomically."""
+def _write_csv(path: str | Path, rows: list[tuple]) -> None:
+    """Write the rows, the header row first, as one CSV file, atomically."""
     buf = io.StringIO()
-    write(*rows, buf)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     _atomic_write_text(Path(path), buf.getvalue())
 
 
@@ -332,7 +333,11 @@ def _integrate(a_events: list[Event], b_events: list[Event], cfg: PipelineConfig
         lines.extend(rdf.emit_aggregate_triples(agg))
     _atomic_write_bytes(Path(out), rdf.serialize_bytes(lines, fmt))
     if pairs:
-        _write_csv(pairs, integration.write_pair_report, result.pairs)
+        _write_csv(pairs, [
+            ("a_id", "b_id", "verdict", "rule", "distance_km", "similarity"),
+            *((p.a, p.b, p.verdict.value, p.rule.value, f"{p.distance_km:.6f}", f"{p.similarity:.6f}")
+              for p in result.pairs),
+        ])
     if counts:
         _write_json(counts, {
             "a": c.a, "b": c.b, "identical": c.identical,
@@ -340,9 +345,18 @@ def _integrate(a_events: list[Event], b_events: list[Event], cfg: PipelineConfig
         })
 
 
+def _read_events_of(path: str, dataset: Dataset) -> list[Event]:
+    """The events of path, each of which must belong to dataset."""
+    events = _read_events(path)
+    for ev in events:
+        if ev.dataset is not dataset:
+            raise ResilinkError(f"--{dataset.value} file holds a {ev.dataset.value} event: {ev.id}")
+    return events
+
+
 def _cmd_integrate(args, cfg: PipelineConfig) -> int:
     _integrate(
-        _read_events(args.eor), _read_events(args.ch), cfg,
+        _read_events_of(args.eor, Dataset.EOR), _read_events_of(args.ch, Dataset.CH), cfg,
         args.out, args.pairs, args.counts, rdf.RdfFormat(args.rdf_format),
     )
     return 0
@@ -355,53 +369,80 @@ def _load_dataset(path: str) -> analytics.IntegratedDataset:
     )
 
 
-def _cmd_report(args, cfg: PipelineConfig) -> int:
-    ds = _load_dataset(args.input)
-    uc = args.use_case
-    if uc == "uc1":
-        city = GazetteerRef(args.city_geoname_id) if args.city_geoname_id is not None else None
-        start, end = parse_civil_date(args.start), parse_civil_date(args.end)
+def _months(args, cfg: PipelineConfig) -> list[str]:
+    return args.months.split(",") if args.months else list(cfg.analytics.months)
+
+
+def _uc1(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
+    city = GazetteerRef(args.city_geoname_id) if args.city_geoname_id is not None else None
+    start, end = parse_civil_date(args.start), parse_civil_date(args.end)
+    if args.out_nt:
+        lines = analytics.uc1_wkt_triples(ds, city, start, end)
+        _atomic_write_bytes(Path(args.out_nt), rdf.serialize_bytes(lines))
+    if args.out_geojson:
         points = analytics.uc1_event_points(ds, city, start, end)
-        if args.out_nt:
-            lines = analytics.uc1_wkt_triples(ds, city, start, end)
-            _atomic_write_bytes(Path(args.out_nt), rdf.serialize_bytes(lines))
-        if args.out_geojson:
-            _write_json(args.out_geojson, analytics.points_feature_collection(points))
-    elif uc == "uc2":
-        months = args.months.split(",") if args.months else list(cfg.analytics.months)
-        buckets = analytics.uc2_monthly_keyword_series(ds, args.keyword, months)
-        _write_csv(args.out, analytics.write_month_csv, buckets)
-    elif uc == "uc3":
-        langs = args.langs.split(",")
-        rows = analytics.uc3_multilingual_city_report(ds, langs, args.top)
-        _write_csv(args.out, analytics.write_city_names_csv, rows, langs)
-    elif uc == "uc4":
-        if args.months:
-            timeline = analytics.uc4_monthly_timeline(ds, args.months.split(","), args.top)
-            _write_csv(args.out, analytics.write_region_timeline_csv, timeline)
-        else:
-            start, end = parse_civil_date(args.start), parse_civil_date(args.end)
-            rows = analytics.uc4_top_regions(ds, start, end, args.top)
-            _write_csv(args.out, analytics.write_region_csv, rows)
-    elif uc == "uc5":
-        months = args.months.split(",") if args.months else list(cfg.analytics.months)
-        attacks = analytics.monthly_event_counts(ds, months)
-        with open(args.deaths, encoding="utf-8") as fp:
-            deaths = analytics.read_deaths_csv(fp)
-        _write_csv(args.out, analytics.write_ratio_csv, analytics.uc5_ratio_series(attacks, deaths))
-    elif uc == "uc6":
-        settings = _with_flags(cfg.analytics, uc6_radius_km=args.radius_km)
-        with open(args.shelters, encoding="utf-8") as fp:
-            shelters = analytics.load_shelters(fp)
-        collection, grid = analytics.uc6_shelter_gap(
-            ds, shelters, radius_km=settings.uc6_radius_km, grid_deg=settings.grid_deg
-        )
-        if args.out_geojson:
-            _write_json(args.out_geojson, collection)
-        if args.out:
-            _write_csv(args.out, analytics.write_grid_csv, grid)
-    else:  # unreachable through argparse
-        raise ConfigError(f"unknown use case {uc!r}")
+        _write_json(args.out_geojson, analytics.points_feature_collection(points))
+
+
+def _uc2(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
+    buckets = analytics.uc2_monthly_keyword_series(ds, args.keyword, _months(args, cfg))
+    _write_csv(args.out, [("month", "count"), *((b.month_year, b.count) for b in buckets)])
+
+
+def _uc3(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
+    langs = args.langs.split(",")
+    rows = analytics.uc3_multilingual_city_report(ds, langs, args.top)
+    _write_csv(args.out, [
+        (*langs, "occurrences"),
+        *((*(row.names[lang] for lang in langs), row.occurrences) for row in rows),
+    ])
+
+
+def _uc4(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
+    if args.months:
+        timeline = analytics.uc4_monthly_timeline(ds, args.months.split(","), args.top)
+        _write_csv(args.out, [
+            ("month", "region", "occurrences"),
+            *((month, r.region, r.occurrences) for month, ranks in timeline for r in ranks),
+        ])
+    else:
+        start, end = parse_civil_date(args.start), parse_civil_date(args.end)
+        ranks = analytics.uc4_top_regions(ds, start, end, args.top)
+        _write_csv(args.out, [("region", "occurrences"), *((r.region, r.occurrences) for r in ranks)])
+
+
+def _uc5(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
+    attacks = analytics.monthly_event_counts(ds, _months(args, cfg))
+    with open(args.deaths, encoding="utf-8") as fp:
+        deaths = analytics.read_deaths_csv(fp)
+    _write_csv(args.out, [
+        ("# proof-of-concept: joins unvalidated external data; not for operational decisions",),
+        ("month", "attacks", "deaths", "ratio"),
+        *((r.month_year, r.attacks, r.deaths, "" if r.ratio is None else f"{r.ratio:.6f}")
+          for r in analytics.uc5_ratio_series(attacks, deaths)),
+    ])
+
+
+def _uc6(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
+    settings = _with_flags(cfg.analytics, uc6_radius_km=args.radius_km)
+    with open(args.shelters, encoding="utf-8") as fp:
+        shelters = analytics.load_shelters(fp)
+    collection, grid = analytics.uc6_shelter_gap(
+        ds, shelters, radius_km=settings.uc6_radius_km, grid_deg=settings.grid_deg
+    )
+    if args.out_geojson:
+        _write_json(args.out_geojson, collection)
+    if args.out:
+        _write_csv(args.out, [
+            ("cell_lat", "cell_lon", "count"),
+            *((rdf.format_decimal(c.cell_lat), rdf.format_decimal(c.cell_lon), c.count)
+              for c in grid),
+        ])
+
+
+def _cmd_report(args, cfg: PipelineConfig) -> int:
+    """Load the dataset once and run the use case's handler (_uc1 .. _uc6) on it."""
+    args.use_case_handler(_load_dataset(args.input), args, cfg)
     return 0
 
 
@@ -419,7 +460,10 @@ def _cmd_linkcheck(args, cfg: PipelineConfig) -> int:
     )
     report = linkcheck.link_report(events, concurrency=settings.concurrency, checker=checker)
     if args.out_csv:
-        _write_csv(args.out_csv, linkcheck.write_link_csv, report)
+        _write_csv(args.out_csv, [
+            ("url", "status", "http_code", "event_id"),
+            *((row.url, row.status.value, row.http_code, row.event_id) for row in report.rows),
+        ])  # csv writes a missing http_code (None) as an empty field
     if args.out_json:
         _write_json(args.out_json, linkcheck.summary_dict(report))
     return 0
@@ -464,25 +508,30 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="parse a source file into canonical event JSON")
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("ingest", _cmd_ingest, "parse a source file into canonical event JSON")
     p.add_argument("--dataset", required=True, choices=[d.value for d in Dataset])
     p.add_argument("--format", required=True, choices=[f.value for f in ingest.SourceFormat])
     p.add_argument("--input", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("enrich", help="resolve places, postal codes and labels")
+    p = command("enrich", _cmd_enrich, "resolve places, postal codes and labels")
     p.add_argument("--input", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("convert", help="emit event triples as N-Triples or Turtle")
+    p = command("convert", _cmd_convert, "emit event triples as N-Triples or Turtle")
     p.add_argument("--input", required=True)
     p.add_argument("--config", required=False)
     p.add_argument("--out", required=True)
     p.add_argument("--rdf-format", default="ntriples", choices=["ntriples", "turtle"])
 
-    p = sub.add_parser("integrate", help="detect cross-dataset duplicates and mint aggregates")
+    p = command("integrate", _cmd_integrate, "detect cross-dataset duplicates and mint aggregates")
     p.add_argument("--eor", required=True, help="enriched EoR event JSON")
     p.add_argument("--ch", required=True, help="enriched CH event JSON")
     p.add_argument("--config", required=False)
@@ -491,25 +540,49 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", help="counts summary JSON")
     p.add_argument("--rdf-format", default="ntriples", choices=["ntriples", "turtle"])
 
-    p = sub.add_parser("report", help="run one use-case report over an integrated dataset")
-    p.add_argument("use_case", choices=["uc1", "uc2", "uc3", "uc4", "uc5", "uc6"])
-    p.add_argument("--input", required=True, help="integrated dataset .nt")
-    p.add_argument("--config", required=False)
-    p.add_argument("--start")
-    p.add_argument("--end")
-    p.add_argument("--months", help="comma-separated YYYY-MM list")
-    p.add_argument("--keyword")
-    p.add_argument("--langs", default="en,uk,nl,fr")
-    p.add_argument("--top", type=int, default=3)
+    report = command("report", _cmd_report, "run one use-case report over an integrated dataset")
+    use_cases = report.add_subparsers(dest="use_case", required=True)
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--input", required=True, help="integrated dataset .nt")
+    dataset.add_argument("--config", required=False)
+
+    def use_case(name, handler, help):
+        p = use_cases.add_parser(name, parents=[dataset], help=help)
+        p.set_defaults(use_case_handler=handler)
+        return p
+
+    months = "comma-separated YYYY-MM list"
+    p = use_case("uc1", _uc1, "event points in a date window, optionally in one city")
+    p.add_argument("--start", required=True)
+    p.add_argument("--end", required=True)
     p.add_argument("--city-geoname-id", type=int)
-    p.add_argument("--deaths", help="external month,deaths CSV (uc5)")
-    p.add_argument("--shelters", help="shelter name,lat,lon CSV (uc6)")
-    p.add_argument("--radius-km", type=float)
-    p.add_argument("--out")
     p.add_argument("--out-nt")
     p.add_argument("--out-geojson")
+    p = use_case("uc2", _uc2, "monthly counts of events that mention a keyword")
+    p.add_argument("--keyword", required=True)
+    p.add_argument("--months", help=months)
+    p.add_argument("--out", required=True)
+    p = use_case("uc3", _uc3, "most-hit cities with their names in several languages")
+    p.add_argument("--langs", default="en,uk,nl,fr")
+    p.add_argument("--top", type=int, default=3)
+    p.add_argument("--out", required=True)
+    p = use_case("uc4", _uc4, "top regions in a date window or per month")
+    p.add_argument("--months", help=f"{months}, instead of --start/--end")
+    p.add_argument("--start")
+    p.add_argument("--end")
+    p.add_argument("--top", type=int, default=3)
+    p.add_argument("--out", required=True)
+    p = use_case("uc5", _uc5, "deaths per attack, joined with an external month,deaths CSV")
+    p.add_argument("--deaths", required=True, help="external month,deaths CSV")
+    p.add_argument("--months", help=months)
+    p.add_argument("--out", required=True)
+    p = use_case("uc6", _uc6, "events with no shelter nearby, and their density grid")
+    p.add_argument("--shelters", required=True, help="shelter name,lat,lon CSV")
+    p.add_argument("--radius-km", type=float)
+    p.add_argument("--out")
+    p.add_argument("--out-geojson")
 
-    p = sub.add_parser("linkcheck", help="validate source URLs against the live web or a mock")
+    p = command("linkcheck", _cmd_linkcheck, "validate source URLs against the live web or a mock")
     p.add_argument("--input", required=True, action="append",
                    help="canonical event JSON (repeatable)")
     p.add_argument("--config", required=False)
@@ -519,7 +592,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float)
     p.add_argument("--base-override", help="redirect all traffic to this base URL (testing)")
 
-    p = sub.add_parser("pipeline", help="ingest + enrich + integrate in one run")
+    p = command("pipeline", _cmd_pipeline, "ingest + enrich + integrate in one run")
     p.add_argument("--config", required=True)
     p.add_argument("--eor-input", required=True)
     p.add_argument("--eor-format", default="json", choices=["json", "csv"])
@@ -530,14 +603,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_REQUIRED_REPORT_ARGS = {
-    "uc1": ("start", "end"),
-    "uc2": ("keyword", "out"),
-    "uc3": ("out",),
-    "uc4": ("out",),
-    "uc5": ("deaths", "out"),
-    "uc6": ("shelters",),
-}
+def _report_usage_error(args) -> str | None:
+    """What a use case's flags break beyond argparse's checks, or None.
+
+    uc1 and uc6 write at least one of their two outputs, and uc4 takes
+    either --months or both --start and --end.
+    """
+    if args.use_case == "uc4":
+        if args.months and (args.start or args.end):
+            return "give --months or --start/--end, not both"
+        if not (args.months or args.start and args.end):
+            return "missing --months or --start/--end"
+    if args.use_case == "uc1" and not (args.out_nt or args.out_geojson):
+        return "missing --out-nt or --out-geojson"
+    if args.use_case == "uc6" and not (args.out or args.out_geojson):
+        return "missing --out or --out-geojson"
+    return None
 
 
 def run_subcommand(argv: list[str]) -> int:
@@ -557,38 +638,13 @@ def run_subcommand(argv: list[str]) -> int:
     if args.command == "linkcheck" and args.offline:
         print("resilink: linkcheck refuses to run with --offline", file=sys.stderr)
         return 2
-
-    if args.command == "report":
-        missing = [
-            f"--{name.replace('_', '-')}"
-            for name in _REQUIRED_REPORT_ARGS[args.use_case]
-            if getattr(args, name) in (None, "")
-        ]
-        if args.use_case == "uc1" and not args.out_nt and not args.out_geojson:
-            missing.append("--out-nt or --out-geojson")
-        if args.use_case == "uc4" and not args.months and not (args.start and args.end):
-            missing.append("--months or --start/--end")
-        if args.use_case == "uc6" and not args.out and not args.out_geojson:
-            missing.append("--out or --out-geojson")
-        if missing:
-            print(
-                f"resilink report {args.use_case}: missing {', '.join(missing)}",
-                file=sys.stderr,
-            )
-            return 2
+    if args.command == "report" and (problem := _report_usage_error(args)):
+        print(f"resilink report {args.use_case}: {problem}", file=sys.stderr)
+        return 2
 
     try:
         cfg = PipelineConfig.load(args.config) if getattr(args, "config", None) else PipelineConfig()
-        handler = {
-            "ingest": _cmd_ingest,
-            "enrich": _cmd_enrich,
-            "convert": _cmd_convert,
-            "integrate": _cmd_integrate,
-            "report": _cmd_report,
-            "linkcheck": _cmd_linkcheck,
-            "pipeline": _cmd_pipeline,
-        }[args.command]
-        return handler(args, cfg)
+        return args.handler(args, cfg)
     except (ResilinkError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"resilink: error: {exc}", file=sys.stderr)
         return 1

@@ -15,10 +15,9 @@ is cross-dataset only and one-to-one.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import IO, Iterable, Sequence
+from typing import Sequence
 from urllib.parse import urlsplit, urlunsplit
 
 from .gazetteer import haversine_km
@@ -455,16 +454,3 @@ def integrate(
     )
     assert counts.integrated == counts.a + counts.b - counts.identical
     return IntegrationResult(pairs=final_pairs, aggregates=tuple(aggregates), counts=counts)
-
-
-PAIR_REPORT_HEADER = ("a_id", "b_id", "verdict", "rule", "distance_km", "similarity")
-
-
-def write_pair_report(pairs: Iterable[MatchPair], fp: IO[str]) -> None:
-    """CSV report of every classified pair, one row per pair."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(PAIR_REPORT_HEADER)
-    for p in pairs:
-        writer.writerow(
-            (p.a, p.b, p.verdict.value, p.rule.value, f"{p.distance_km:.6f}", f"{p.similarity:.6f}")
-        )

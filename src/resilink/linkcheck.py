@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import IO, Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 from urllib.parse import urlsplit, urlunsplit
 
 import requests
@@ -247,15 +247,6 @@ def link_report(
         for ds, total in events_per_dataset.items()
     }
     return LinkReport(rows=tuple(rows), stats=stats)
-
-
-def write_link_csv(report: LinkReport, fp: IO[str]) -> None:
-    import csv
-
-    w = csv.writer(fp, lineterminator="\n")
-    w.writerow(("url", "status", "http_code", "event_id"))
-    for row in report.rows:
-        w.writerow((row.url, row.status.value, row.http_code if row.http_code is not None else "", row.event_id))
 
 
 def summary_dict(report: LinkReport) -> dict:

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import IO, Iterable, Mapping
+from typing import Iterable, Mapping
 from urllib.parse import urlsplit
 
 
@@ -308,14 +308,9 @@ def event_from_dict(d: Mapping) -> Event:
     )
 
 
-def events_to_json(events: Iterable[Event], fp: IO[str] | None = None) -> str | None:
-    """Write events as a canonical JSON array (the stage hand-off file)."""
-    text = json.dumps([event_to_dict(e) for e in events], ensure_ascii=False, indent=2)
-    if fp is None:
-        return text
-    fp.write(text)
-    fp.write("\n")
-    return None
+def events_to_json(events: Iterable[Event]) -> str:
+    """The events as a canonical JSON array (the stage hand-off file, less its final newline)."""
+    return json.dumps([event_to_dict(e) for e in events], ensure_ascii=False, indent=2)
 
 
 def events_from_json(data: str | bytes) -> list[Event]:

@@ -240,8 +240,8 @@ def serialize_bytes(lines: Iterable[str], fmt: RdfFormat = RdfFormat.NTRIPLES) -
         lines = body
     elif fmt is not RdfFormat.NTRIPLES:
         raise ValueError(f"unsupported format: {fmt!r}")
-    data = "\n".join(lines)
-    return (data + "\n").encode("utf-8") if data else b""
+    lines.append("")  # a line break after the last line, without a second copy of the text
+    return "\n".join(lines).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

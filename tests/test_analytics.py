@@ -27,8 +27,8 @@ from resilink.analytics import (
     uc4_top_regions,
     uc5_ratio_series,
     uc6_shelter_gap,
-    write_ratio_csv,
 )
+from resilink.cli import run_subcommand
 from resilink.model import (
     AggregateEvent,
     CivilDate,
@@ -318,11 +318,19 @@ class TestUc5:
         with p.open() as fp, pytest.raises(ReportFormatError):
             read_deaths_csv(fp)
 
-    def test_writer_marks_proof_of_concept(self):
-        buf = io.StringIO()
-        write_ratio_csv(uc5_ratio_series([MonthBucket("2022-04", 10)], {"2022-04": 5}), buf)
-        first = buf.getvalue().splitlines()[0]
-        assert first.startswith("#") and "proof-of-concept" in first
+    def test_writer_marks_proof_of_concept(self, dataset, tmp_path):
+        nt, deaths, out = tmp_path / "integrated.nt", tmp_path / "deaths.csv", tmp_path / "uc5.csv"
+        nt.write_bytes(serialize_bytes(_emit(dataset.events.values(), dataset.aggregates)))
+        deaths.write_text("month,deaths\n2022-04,5\n")
+        assert run_subcommand(["report", "uc5", "--input", str(nt), "--deaths", str(deaths),
+                               "--months", "2022-04", "--out", str(out)]) == 0
+        (bucket,) = monthly_event_counts(dataset, ["2022-04"])
+        assert bucket.count > 0
+        assert out.read_text() == (
+            "# proof-of-concept: joins unvalidated external data; not for operational decisions\n"
+            "month,attacks,deaths,ratio\n"
+            f"2022-04,{bucket.count},5,{5 / bucket.count:.6f}\n"
+        )
 
     def test_attack_series_from_dataset(self, dataset):
         buckets = monthly_event_counts(dataset, DEFAULT_MONTHS)

@@ -185,6 +185,36 @@ class TestUsageErrors:
     def test_report_missing_output(self, workdir):
         assert _run("report", "uc2", "--input", workdir / "missing.nt") == 2
 
+    @pytest.mark.parametrize("use_case, extra", [
+        ("uc1", ("--out", "x.csv")),
+        ("uc2", ("--radius-km", "-5")),
+        ("uc3", ("--months", "2022-03")),
+        ("uc4", ("--keyword", "school")),
+        ("uc4", ("--start", "2099-01-01", "--end", "2000-01-01")),
+        ("uc5", ("--top", "2")),
+        ("uc6", ("--top", "0")),
+        ("uc6", ("--langs", "XX")),
+        ("uc6", ("--months", "2099-01")),
+    ], ids=lambda value: value if isinstance(value, str) else " ".join(value))
+    def test_flag_of_another_use_case_is_a_usage_error(self, fixture_nt, workdir, capsys,
+                                                       use_case, extra):
+        # each was once ignored: the report ran on its own flags and exited 0
+        out = workdir / "report.out"
+        deaths, shelters = workdir / "deaths.csv", workdir / "shelters.csv"
+        deaths.write_text("month,deaths\n2022-03,4\n")
+        shelters.write_text("name,lat,lon\ncentral,49.9935,36.2304\n")
+        own = {
+            "uc1": ("--start", "2022-01-01", "--end", "2023-01-01", "--out-geojson", out),
+            "uc2": ("--keyword", "school", "--out", out),
+            "uc3": ("--out", out),
+            "uc4": ("--months", "2022-03", "--out", out),
+            "uc5": ("--deaths", deaths, "--out", out),
+            "uc6": ("--shelters", shelters, "--out", out),
+        }[use_case]
+        assert _run("report", use_case, "--input", fixture_nt, *own, *extra) == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1].startswith("resilink")
+        assert not out.exists()
+
 
 class TestDataErrors:
     def test_missing_input_file(self, workdir):
@@ -242,6 +272,18 @@ class TestDataErrors:
                         "--out", workdir / "out.nt")
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+
+    def test_integrate_rejects_a_file_of_the_other_dataset(self, fixture_nt, workdir, capsys):
+        # the swapped files were integrated: CH ids went under a_id and counts.json
+        # gave the CH count as "a"
+        eor, ch = fixture_nt.parent / "eor.enriched.json", fixture_nt.parent / "ch.enriched.json"
+        outputs = workdir / "integrated.nt", workdir / "pairs.csv", workdir / "counts.json"
+        assert _run("integrate", "--eor", ch, "--ch", eor, "--out", outputs[0],
+                    "--pairs", outputs[1], "--counts", outputs[2]) == 1
+        first_ch = events_from_json(ch.read_bytes())[0].id
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == f"resilink: error: --eor file holds a ch event: {first_ch}"
+        assert not any(path.exists() for path in outputs)
 
     @pytest.mark.parametrize("radius", ["0", "nan"])
     def test_uc6_radius_must_be_positive(self, workdir, radius):
@@ -424,6 +466,20 @@ class TestDataErrors:
         assert _run("report", "uc5", "--input", nt, "--deaths", deaths, "--out", out) == 1
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line.startswith("resilink: error: ") and "negative death count" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("month", ["2022-13", "2022-00"])
+    def test_deaths_month_follows_the_months_rule(self, workdir, capsys, month):
+        # a month out of range passed the bare YYYY-MM pattern: uc5 dropped it with a
+        # warning and exited 0
+        nt = workdir / "events.nt"
+        assert _run("convert", "--input", _tiny_events(workdir), "--out", nt) == 0
+        deaths = workdir / "deaths.csv"
+        deaths.write_text(f"month,deaths\n2022-03,4\n{month},5\n")
+        out = workdir / "uc5.csv"
+        assert _run("report", "uc5", "--input", nt, "--deaths", deaths, "--out", out) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == f"resilink: error: deaths CSV line 3: not a YYYY-MM month: '{month}'"
         assert not out.exists()
 
     @pytest.mark.parametrize("geoname_id", ["0", "-3"])

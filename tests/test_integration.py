@@ -23,9 +23,9 @@ from resilink.integration import (
     normalize_url,
     shares_link,
     similarity,
-    write_pair_report,
 )
-from resilink.model import CivilDate, Dataset, Event, GazetteerRef, GeoPoint
+from resilink.cli import run_subcommand
+from resilink.model import CivilDate, Dataset, Event, GazetteerRef, GeoPoint, events_to_json
 from tests import oracles
 
 short_text = st.text(alphabet="ab cd", max_size=12)
@@ -502,10 +502,12 @@ class TestIntegrate:
 
 
 class TestPairReport:
-    def test_csv_shape(self, integrated, tmp_path):
-        out = tmp_path / "pairs.csv"
-        with out.open("w") as fp:
-            write_pair_report(integrated.pairs, fp)
+    def test_csv_shape(self, integrated, enriched_events, tmp_path):
+        eor, ch, out = tmp_path / "eor.json", tmp_path / "ch.json", tmp_path / "pairs.csv"
+        eor.write_text(events_to_json(enriched_events[0]))
+        ch.write_text(events_to_json(enriched_events[1]))
+        assert run_subcommand(["integrate", "--eor", str(eor), "--ch", str(ch),
+                               "--out", str(tmp_path / "integrated.nt"), "--pairs", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "a_id,b_id,verdict,rule,distance_km,similarity"
         assert len(lines) == 1 + len(integrated.pairs)

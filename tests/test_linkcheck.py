@@ -11,9 +11,9 @@ from resilink.linkcheck import (
     RateLimiter,
     link_report,
     summary_dict,
-    write_link_csv,
 )
-from resilink.model import CivilDate, Dataset, Event, GeoPoint
+from resilink.cli import run_subcommand
+from resilink.model import CivilDate, Dataset, Event, GeoPoint, events_to_json
 from tests.httpmock import ScriptedHandler, start_server, stop_server
 
 
@@ -150,12 +150,21 @@ class TestLinkReport:
 
     def test_csv_columns(self, server, tmp_path):
         report = link_report(self._events(), checker=_checker(server))
-        out = tmp_path / "links.csv"
-        with out.open("w") as fp:
-            write_link_csv(report, fp)
+        events, config, out = tmp_path / "events.json", tmp_path / "config.json", tmp_path / "links.csv"
+        events.write_text(events_to_json(self._events()))
+        config.write_text('{"linkcheck": {"politeness_s": 0}}')
+        assert run_subcommand([
+            "linkcheck", "--input", str(events), "--config", str(config), "--timeout", "0.5",
+            "--base-override", f"http://127.0.0.1:{server.server_address[1]}",
+            "--out-csv", str(out),
+        ]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "url,status,http_code,event_id"
-        assert len(lines) == 1 + len(report.rows)
+        assert lines[1:] == [
+            f"{r.url},{r.status.value},{'' if r.http_code is None else r.http_code},{r.event_id}"
+            for r in report.rows
+        ]
+        assert lines[4] == ",Missing,,ev-eor-3"
 
     def test_politeness_spacing(self, server):
         checker = _checker(server, politeness_s=0.15)
