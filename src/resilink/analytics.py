@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .gazetteer import PointSet
 from .model import (
@@ -219,22 +219,24 @@ def uc1_wkt_triples(
     ]
 
 
-def points_feature_collection(points: Sequence[WktPoint]) -> dict:
-    """GeoJSON FeatureCollection for a list of report points."""
+def _point_collection(items: Iterable[tuple[GeoPoint, dict]]) -> dict:
+    """GeoJSON FeatureCollection with one Point feature per (point, properties) item."""
     return {
         "type": "FeatureCollection",
         "features": [
             {
                 "type": "Feature",
-                "geometry": {
-                    "type": "Point",
-                    "coordinates": [p.point.longitude, p.point.latitude],
-                },
-                "properties": {"wkt": p.wkt},
+                "geometry": {"type": "Point", "coordinates": [p.longitude, p.latitude]},
+                "properties": properties,
             }
-            for p in points
+            for p, properties in items
         ],
     }
+
+
+def points_feature_collection(points: Sequence[WktPoint]) -> dict:
+    """GeoJSON FeatureCollection for a list of report points."""
+    return _point_collection((p.point, {"wkt": p.wkt}) for p in points)
 
 
 def _literal_fields(ev: Event) -> list[str]:
@@ -299,30 +301,30 @@ def uc3_multilingual_city_report(
         raise ValueError(f"language codes must be two lowercase letters: {','.join(langs)!r}")
     if len(set(langs)) != len(langs):
         raise ValueError(f"language code listed twice: {','.join(langs)!r}")
-    if top_n < 1:
-        raise ValueError(f"top must be at least 1: {top_n}")
-    counts: dict[tuple[str, ...], int] = {}
-    for _, ev in dataset.primary_events():
-        if all(lang in ev.city_labels for lang in langs):
-            key = tuple(ev.city_labels[lang] for lang in langs)
-            counts[key] = counts.get(key, 0) + 1
-    rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    counts = Counter(
+        tuple(ev.city_labels[lang] for lang in langs) for _, ev in dataset.primary_events()
+        if all(lang in ev.city_labels for lang in langs)
+    )
     return [
         CityNamesRow(names=dict(zip(langs, names)), occurrences=n)
-        for names, n in rows[:top_n]
+        for names, n in _ranked(counts, top_n)
     ]
+
+
+def _ranked(counts: Counter, n: int) -> list[tuple]:
+    """The n (key, count) pairs with the highest counts, by count descending (ties: key order)."""
+    if n < 1:
+        raise ValueError(f"top must be at least 1: {n}")
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
 
 
 def _top_regions(events: Iterable[Event], n: int) -> list[RegionRank]:
     """The n regions with the most events, by count descending (ties: name order)."""
-    if n < 1:
-        raise ValueError(f"top must be at least 1: {n}")
     counts = Counter(
         ev.province.preferred_name for ev in events
         if ev.province is not None and ev.province.preferred_name
     )
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [RegionRank(region, occurrences) for region, occurrences in ranked[:n]]
+    return [RegionRank(region, occurrences) for region, occurrences in _ranked(counts, n)]
 
 
 def uc4_top_regions(
@@ -347,18 +349,24 @@ def uc4_monthly_timeline(
     return [(month, _top_regions(events, n)) for month, events in by_month.items()]
 
 
-def read_deaths_csv(fp: IO[str]) -> dict[str, int]:
-    """Read the external `month,deaths` CSV used by uc5."""
+def _csv_rows(fp: IO[str], what: str, header: list[str], width_rule: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, row) of each non-blank row under the checked header, which is line 1."""
     reader = csv.reader(fp)
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["month", "deaths"]:
-        raise ReportFormatError("deaths CSV must start with header 'month,deaths'")
-    out = {}
+    first = next(reader, None)
+    if first is None or [h.strip() for h in first] != header:
+        raise ReportFormatError(f"{what} CSV must start with header '{','.join(header)}'")
     for i, row in enumerate(reader, start=2):
         if not row:
             continue
-        if len(row) != 2:
-            raise ReportFormatError(f"deaths CSV line {i}: expected 'YYYY-MM,integer'")
+        if len(row) != len(header):
+            raise ReportFormatError(f"{what} CSV line {i}: expected {width_rule}")
+        yield i, row
+
+
+def read_deaths_csv(fp: IO[str]) -> dict[str, int]:
+    """Read the external `month,deaths` CSV used by uc5."""
+    out = {}
+    for i, row in _csv_rows(fp, "deaths", ["month", "deaths"], "'YYYY-MM,integer'"):
         month = row[0].strip()
         try:
             _check_month(month)
@@ -399,16 +407,8 @@ def uc5_ratio_series(attacks: Sequence[MonthBucket], deaths_by_month: Mapping[st
 
 def load_shelters(fp: IO[str]) -> list[ShelterRecord]:
     """Read shelter records from a `name,lat,lon` CSV with a header row."""
-    reader = csv.reader(fp)
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["name", "lat", "lon"]:
-        raise ReportFormatError("shelter CSV must start with header 'name,lat,lon'")
     shelters = []
-    for i, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ReportFormatError(f"shelter CSV line {i}: expected 3 columns")
+    for i, row in _csv_rows(fp, "shelter", ["name", "lat", "lon"], "3 columns"):
         try:
             point = validate_point(float(row[1]), float(row[2]))
         except (ValueError, ResilinkError) as exc:
@@ -437,27 +437,14 @@ def uc6_shelter_gap(
         if nearest is None or nearest[1] > radius_km:
             uncovered.append(ev)
 
-    features = []
-    for ev in uncovered:
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "Point",
-                    "coordinates": [ev.point.longitude, ev.point.latitude],
-                },
-                "properties": {
-                    "event": event_iri(ev.dataset, ev.id),
-                    "date": ev.date.isoformat(),
-                },
-            }
-        )
-    collection = {"type": "FeatureCollection", "features": features}
-
-    cells: dict[tuple[int, int], int] = {}
-    for ev in uncovered:
-        key = (math.floor(ev.point.latitude / grid_deg), math.floor(ev.point.longitude / grid_deg))
-        cells[key] = cells.get(key, 0) + 1
+    collection = _point_collection(
+        (ev.point, {"event": event_iri(ev.dataset, ev.id), "date": ev.date.isoformat()})
+        for ev in uncovered
+    )
+    cells = Counter(
+        (math.floor(ev.point.latitude / grid_deg), math.floor(ev.point.longitude / grid_deg))
+        for ev in uncovered
+    )
     grid = [
         GridCell(cell_lat=ki * grid_deg, cell_lon=kj * grid_deg, count=n)
         for (ki, kj), n in sorted(cells.items())

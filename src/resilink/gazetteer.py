@@ -374,15 +374,13 @@ class EnrichmentConfig:
 REVERSE_GEOCODED_NOTE = "provenance: city resolved by reverse geocoding"
 
 
-def _override(
-    index: GazetteerIndex, overrides: OverrideTable, name: str | None
-) -> tuple[GazetteerRef, GazetteerEntry | None] | None:
-    """The override for a place name: its ref and index entry (None when not indexed)."""
+def _override(index: GazetteerIndex, overrides: OverrideTable, name: str | None) -> GazetteerRef | None:
+    """The override for a place name, under the index's name for it when indexed."""
     gid = resolve_override(overrides, name) if name else None
     if gid is None:
         return None
     e = index.entry(gid)
-    return GazetteerRef(gid, e.name if e else name), e
+    return GazetteerRef(gid, e.name if e else name)
 
 
 def enrich_event(
@@ -401,38 +399,30 @@ def enrich_event(
     names), a provenance note is appended to the comments.
     """
     city_ref = ev.city
-    city_entry = index.entry(city_ref.geoname_id) if city_ref else None
     notes: list[str] = []
     reverse_scanned = False
 
     if city_ref is None:
-        found = _override(index, overrides, ev.city_name)
-        if found is not None:
-            city_ref, city_entry = found
-        elif ev.city_name:
+        city_ref = _override(index, overrides, ev.city_name)
+        if city_ref is None and ev.city_name:
             city_ref = lookup_city_by_name(index, ev.city_name, hint=ev.point)
         if city_ref is None:
             reverse_scanned = True
             city_ref = reverse_geocode(index, ev.point, cfg.reverse_max_km)
             if city_ref is not None and ev.city_name:
                 notes.append(REVERSE_GEOCODED_NOTE)
-        if city_entry is None and city_ref is not None:
-            city_entry = index.entry(city_ref.geoname_id)
+    city_entry = index.entry(city_ref.geoname_id) if city_ref else None
 
     province_ref = ev.province
     if province_ref is None:
-        found = _override(index, overrides, ev.province_name)
-        if found is not None:
-            province_ref = found[0]
-        elif city_entry is not None and (adm := index.admin1_of(city_entry)) is not None:
+        province_ref = _override(index, overrides, ev.province_name)
+        if province_ref is None and city_entry is not None and (adm := index.admin1_of(city_entry)):
             province_ref = _ref_for(adm)
 
     country_ref = ev.country
     if country_ref is None:
-        found = _override(index, overrides, ev.country_name)
-        if found is not None:
-            country_ref = found[0]
-        elif ev.country_name and (e := index.country_named(ev.country_name)) is not None:
+        country_ref = _override(index, overrides, ev.country_name)
+        if country_ref is None and ev.country_name and (e := index.country_named(ev.country_name)):
             country_ref = _ref_for(e)
         if country_ref is None:
             anchor = city_entry

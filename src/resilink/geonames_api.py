@@ -1,10 +1,11 @@
 """Online gazetteer client speaking the GeoNames JSON web-service protocol.
 
 The client is the one stateful component in the enrichment path: all
-requests funnel through a shared rate limiter, and transient failures
-(5xx, timeouts) are retried up to three attempts. Results map onto the
-same entry types the offline index uses, so online and offline providers
-are interchangeable.
+requests funnel through a shared rate limiter, each request times out
+after TIMEOUT_S seconds, and transient failures (5xx, timeouts) are
+retried up to MAX_ATTEMPTS attempts in all; both are constants. Results
+map onto the same entry types the offline index uses, so online and
+offline providers are interchangeable.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ import requests
 from .gazetteer import GazetteerEntry, PostalCodeEntry
 from .linkcheck import RateLimiter
 from .model import GeoPoint, ResilinkError
+
+TIMEOUT_S = 10.0
+MAX_ATTEMPTS = 3
 
 
 class GeoNamesError(ResilinkError):
@@ -48,13 +52,11 @@ def _parsing_reply(path: str):
 
 @dataclass
 class GeoNamesClient:
-    """Client for findNearbyPlaceNameJSON / findNearbyPostalCodesJSON / getJSON."""
+    """Client for findNearbyPlaceNameJSON / findNearbyPostalCodesJSON."""
 
     base_url: str
     username: str
     rate_per_sec: float = 1.0
-    timeout_s: float = 10.0
-    max_attempts: int = 3
 
     def __post_init__(self):
         if not self.rate_per_sec > 0:
@@ -65,13 +67,13 @@ class GeoNamesClient:
 
     def _request(self, path: str, params: dict) -> dict:
         last_status = None
-        for _ in range(self.max_attempts):
+        for _ in range(MAX_ATTEMPTS):
             self._limiter.wait()
             try:
                 resp = self._session.get(
                     f"{self.base_url}/{path}",
                     params={**params, "username": self.username},
-                    timeout=self.timeout_s,
+                    timeout=TIMEOUT_S,
                 )
             except requests.Timeout:
                 last_status = None
@@ -137,10 +139,3 @@ class GeoNamesClient:
                 place_name=obj.get("placeName", ""),
                 point=GeoPoint(float(obj["lat"]), float(obj["lng"])),
             )
-
-    def get_entry(self, geoname_id: int) -> GazetteerEntry:
-        payload = self._request("getJSON", {"geonameId": geoname_id})
-        if "geonameId" not in payload:
-            raise ServiceError(404)
-        with _parsing_reply("getJSON"):
-            return self._entry_from_payload(payload)

@@ -264,13 +264,8 @@ def normalize_record(raw: RawEventRecord, cfg: AdapterConfig) -> Event:
     description = _get("description")
     if description is not None:
         description = description.strip()
-        description = description if description else None
-
-    country_name = None
     raw_country = _get("country")
-    if raw_country:
-        cleaned = clean_location_string(raw_country)
-        country_name = cleaned if cleaned else None
+    country_name = clean_location_string(raw_country) if raw_country else None
 
     city_name = province_name = None
     raw_city = _get("city")
@@ -295,10 +290,7 @@ def normalize_record(raw: RawEventRecord, cfg: AdapterConfig) -> Event:
         comments.append(f"violence_level: {clean_location_string(violence)}")
 
     event_id = _get("id")
-    if event_id is not None:
-        event_id = event_id.strip()
-    if not event_id:
-        event_id = content_event_id(raw.dataset, date, point, description)
+    event_id = event_id.strip() if event_id else content_event_id(raw.dataset, date, point, description)
 
     try:
         return Event(

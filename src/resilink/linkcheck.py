@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -181,9 +182,8 @@ class LinkChecker:
 
 
 def _dataset_stats(dataset: Dataset, rows: list[LinkReportRow], total_events: int) -> DatasetLinkStats:
-    counts = {state: 0 for state in LinkState}
-    for row in rows:
-        counts[row.status] += 1
+    tally = Counter(row.status for row in rows)
+    counts = {state: tally[state] for state in LinkState}
     missing = counts[LinkState.MISSING]
     total_urls = len(rows) - missing
     invalid = sum(counts[s] for s in INVALID_STATES)
@@ -220,21 +220,12 @@ def link_report(
     events = list(events)
     checker = checker or LinkChecker()
 
-    unique_urls: list[str] = []
-    seen: set[str] = set()
-    for ev in events:
-        for url in ev.source_urls:
-            if url not in seen:
-                seen.add(url)
-                unique_urls.append(url)
-
+    unique_urls = list(dict.fromkeys(url for ev in events for url in ev.source_urls))
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
         statuses = dict(zip(unique_urls, pool.map(checker.check, unique_urls)))
 
     rows: list[LinkReportRow] = []
-    events_per_dataset: dict[Dataset, int] = {}
     for ev in events:
-        events_per_dataset[ev.dataset] = events_per_dataset.get(ev.dataset, 0) + 1
         if not ev.source_urls:
             rows.append(LinkReportRow("", LinkState.MISSING, None, ev.id, ev.dataset))
             continue
@@ -244,7 +235,7 @@ def link_report(
 
     stats = {
         ds: _dataset_stats(ds, [r for r in rows if r.dataset is ds], total)
-        for ds, total in events_per_dataset.items()
+        for ds, total in Counter(ev.dataset for ev in events).items()
     }
     return LinkReport(rows=tuple(rows), stats=stats)
 

@@ -139,9 +139,6 @@ class GeoNamesHandler(BaseHTTPRequestHandler):
                 if best
                 else []
             }
-        elif parts.path == "/getJSON":
-            e = index.entry(int(params["geonameId"]))
-            doc = entry_payload(e) if e else {"status": {"message": "not found", "value": 11}}
         else:
             self.send_response(404)
             self.send_header("Content-Length", "0")

@@ -433,6 +433,36 @@ class TestUc6:
         assert shelters[1].name is None
 
 
+# The errors of both report-CSV inputs: (reader, file text, message).
+REPORT_CSV_ERRORS = [
+    pytest.param(read_deaths_csv, "", "deaths CSV must start with header 'month,deaths'",
+                 id="deaths-empty"),
+    pytest.param(read_deaths_csv, "month,count\n2022-04,5\n",
+                 "deaths CSV must start with header 'month,deaths'", id="deaths-wrong-header"),
+    pytest.param(read_deaths_csv, "month,deaths\n2022-04,5\n\n2022-05,1,2\n",
+                 "deaths CSV line 4: expected 'YYYY-MM,integer'", id="deaths-wrong-width"),
+    pytest.param(load_shelters, "", "shelter CSV must start with header 'name,lat,lon'",
+                 id="shelter-empty"),
+    pytest.param(load_shelters, "name,lon,lat\nx,50.0,36.0\n",
+                 "shelter CSV must start with header 'name,lat,lon'", id="shelter-wrong-header"),
+    pytest.param(load_shelters, "name,lat,lon\nx,50.0,36.0\n\ny,50.0\n",
+                 "shelter CSV line 4: expected 3 columns", id="shelter-wrong-width"),
+]
+
+
+class TestReportCsvInputs:
+    @pytest.mark.parametrize("reader,text,message", REPORT_CSV_ERRORS)
+    def test_error(self, reader, text, message):
+        with pytest.raises(ReportFormatError) as exc:
+            reader(io.StringIO(text))
+        assert str(exc.value) == message
+
+    def test_blank_rows_skipped(self):
+        assert read_deaths_csv(io.StringIO("month,deaths\n\n2022-04,5\n\n")) == {"2022-04": 5}
+        shelters = load_shelters(io.StringIO(" name , lat , lon \n\nx,50.0,36.0\n\n"))
+        assert shelters == [ShelterRecord(point=GeoPoint(50.0, 36.0), name="x")]
+
+
 class TestFromNtriples:
     """The one loader against the events it was written from (oracles.reloaded_event)."""
 

@@ -26,7 +26,6 @@ def server(gaz_index):
 
 def _client(server, **kwargs) -> GeoNamesClient:
     kwargs.setdefault("rate_per_sec", 1000.0)
-    kwargs.setdefault("timeout_s", 2.0)
     return GeoNamesClient(
         base_url=f"http://127.0.0.1:{server.server_address[1]}",
         username="demo",
@@ -44,11 +43,6 @@ class TestRequests:
     def test_find_nearby_postal(self, server):
         postal = _client(server).find_nearby_postal(49.2128, 37.2573)
         assert postal.postal_code == "64305"
-
-    def test_get_entry(self, server):
-        entry = _client(server).get_entry(705812)
-        assert entry.name == "Kupyansk"
-        assert entry.admin1_code == "63"
 
     def test_username_sent(self, server):
         _client(server).find_nearby_place(49.0, 36.0)
@@ -72,8 +66,7 @@ class TestRequests:
             _client(server).find_nearby_place(49.0, 36.0)
 
     def test_connection_refused(self):
-        client = GeoNamesClient(base_url="http://127.0.0.1:1", username="demo",
-                                rate_per_sec=1000.0, timeout_s=0.3)
+        client = GeoNamesClient(base_url="http://127.0.0.1:1", username="demo", rate_per_sec=1000.0)
         with pytest.raises(GeoNamesNetworkError):
             client.find_nearby_place(49.0, 36.0)
 
@@ -92,7 +85,7 @@ MALFORMED_REPLIES = [
     pytest.param("postal", b'{"postalCodes": [{"lat": 1}]}', id="postal-without-postalCode"),
     pytest.param("postal", b'{"postalCodes": [{"postalCode": "1", "lat": null, "lng": 2}]}',
                  id="lat-null"),
-    pytest.param("entry", b'{"geonameId": 1}', id="entry-without-coordinates"),
+    pytest.param("place", b'{"geonames": [{"geonameId": 1}]}', id="entry-without-coordinates"),
 ]
 
 
@@ -105,7 +98,6 @@ class TestMalformedReplies:
             {
                 "place": lambda: client.find_nearby_place(49.0, 36.0),
                 "postal": lambda: client.find_nearby_postal(49.0, 36.0),
-                "entry": lambda: client.get_entry(1),
             }[call]()
 
     def test_empty_hit_list_is_no_match(self, server):
@@ -150,8 +142,8 @@ class TestOfflineOnlineEquivalence:
             assert online.postal_code == offline
 
     def test_entry_fields_match(self, server, gaz_index):
-        online = _client(server).get_entry(706482)
-        offline = gaz_index.entry(706482)
+        offline = gaz_index.entry(689558)  # Izyum, a place with labels in several languages
+        online = _client(server).find_nearby_place(offline.point.latitude, offline.point.longitude)
         assert online.geoname_id == offline.geoname_id
         assert online.name == offline.name
         assert online.country_code == offline.country_code
