@@ -498,6 +498,13 @@ def _cmd_pipeline(args, cfg: PipelineConfig) -> int:
 # ---------------------------------------------------------------------------
 # Argument grammar
 
+def _output(path: str) -> str:
+    """The type of every output-file flag: any path but the empty one."""
+    if not path:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return path
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="resilink",
@@ -518,26 +525,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", required=True, choices=[f.value for f in ingest.SourceFormat])
     p.add_argument("--input", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_output)
 
     p = command("enrich", _cmd_enrich, "resolve places, postal codes and labels")
     p.add_argument("--input", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_output)
 
     p = command("convert", _cmd_convert, "emit event triples as N-Triples or Turtle")
     p.add_argument("--input", required=True)
     p.add_argument("--config", required=False)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_output)
     p.add_argument("--rdf-format", default="ntriples", choices=["ntriples", "turtle"])
 
     p = command("integrate", _cmd_integrate, "detect cross-dataset duplicates and mint aggregates")
     p.add_argument("--eor", required=True, help="enriched EoR event JSON")
     p.add_argument("--ch", required=True, help="enriched CH event JSON")
     p.add_argument("--config", required=False)
-    p.add_argument("--out", required=True, help="integrated dataset (.nt/.ttl)")
-    p.add_argument("--pairs", help="pair report CSV")
-    p.add_argument("--counts", help="counts summary JSON")
+    p.add_argument("--out", required=True, type=_output, help="integrated dataset (.nt/.ttl)")
+    p.add_argument("--pairs", type=_output, help="pair report CSV")
+    p.add_argument("--counts", type=_output, help="counts summary JSON")
     p.add_argument("--rdf-format", default="ntriples", choices=["ntriples", "turtle"])
 
     report = command("report", _cmd_report, "run one use-case report over an integrated dataset")
@@ -556,38 +563,38 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True)
     p.add_argument("--end", required=True)
     p.add_argument("--city-geoname-id", type=int)
-    p.add_argument("--out-nt")
-    p.add_argument("--out-geojson")
+    p.add_argument("--out-nt", type=_output)
+    p.add_argument("--out-geojson", type=_output)
     p = use_case("uc2", _uc2, "monthly counts of events that mention a keyword")
     p.add_argument("--keyword", required=True)
     p.add_argument("--months", help=months)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_output)
     p = use_case("uc3", _uc3, "most-hit cities with their names in several languages")
     p.add_argument("--langs", default="en,uk,nl,fr")
     p.add_argument("--top", type=int, default=3)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_output)
     p = use_case("uc4", _uc4, "top regions in a date window or per month")
     p.add_argument("--months", help=f"{months}, instead of --start/--end")
     p.add_argument("--start")
     p.add_argument("--end")
     p.add_argument("--top", type=int, default=3)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_output)
     p = use_case("uc5", _uc5, "deaths per attack, joined with an external month,deaths CSV")
     p.add_argument("--deaths", required=True, help="external month,deaths CSV")
     p.add_argument("--months", help=months)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_output)
     p = use_case("uc6", _uc6, "events with no shelter nearby, and their density grid")
     p.add_argument("--shelters", required=True, help="shelter name,lat,lon CSV")
     p.add_argument("--radius-km", type=float)
-    p.add_argument("--out")
-    p.add_argument("--out-geojson")
+    p.add_argument("--out", type=_output)
+    p.add_argument("--out-geojson", type=_output)
 
     p = command("linkcheck", _cmd_linkcheck, "validate source URLs against the live web or a mock")
     p.add_argument("--input", required=True, action="append",
                    help="canonical event JSON (repeatable)")
     p.add_argument("--config", required=False)
-    p.add_argument("--out-csv")
-    p.add_argument("--out-json")
+    p.add_argument("--out-csv", type=_output)
+    p.add_argument("--out-json", type=_output)
     p.add_argument("--concurrency", type=int)
     p.add_argument("--timeout", type=float)
     p.add_argument("--base-override", help="redirect all traffic to this base URL (testing)")

@@ -85,11 +85,10 @@ class OverrideTable:
     mapping: Mapping[str, int]
 
     def __post_init__(self):
-        try:
-            cleaned = {clean_location_string(k): int(v) for k, v in self.mapping.items()}
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"override table values must be geoname ids: {exc}") from exc
-        object.__setattr__(self, "mapping", cleaned)
+        for v in self.mapping.values():
+            if type(v) is not int or v < 1:  # a JSON integer: no boolean, fraction or string
+                raise ValueError(f"override table values must be geoname ids: {v!r}")
+        object.__setattr__(self, "mapping", {clean_location_string(k): v for k, v in self.mapping.items()})
 
     @classmethod
     def from_json(cls, text: str | bytes) -> OverrideTable:

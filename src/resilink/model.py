@@ -276,21 +276,51 @@ def event_to_dict(ev: Event) -> dict:
     return d
 
 
+# The JSON type of each canonical key, as (what it must be, test); the README lists them too.
+# Only JSON values reach the tests, so type() is exact and keeps true and false out of numbers.
+_STRING = ("a string", lambda v: type(v) is str)
+_NUMBER = ("a number", lambda v: type(v) in (int, float))
+_STRINGS = ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v))
+_GEONAME_ID = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
+_PLACES = ("country", "city", "province")
+_KEY_TYPES = {
+    "id": _STRING, "dataset": _STRING, "date": _STRING, "lat": _NUMBER, "lon": _NUMBER,
+    "description": _STRING, "postal_code": _STRING, "source_urls": _STRINGS, "comments": _STRINGS,
+    "city_labels": ("an object of strings",
+                    lambda v: type(v) is dict and all(type(s) is str for s in v.values())),
+    **{f"{place}_geoname_id": _GEONAME_ID for place in _PLACES},
+    **{f"{place}_name": _STRING for place in _PLACES},
+}
+_REQUIRED_KEYS = ("id", "dataset", "date", "lat", "lon")
+
+
 def event_from_dict(d: Mapping) -> Event:
-    """Inverse of :func:`event_to_dict`. Unknown keys are ignored."""
+    """Inverse of :func:`event_to_dict`. Unknown keys are ignored.
+
+    Each canonical key must hold its JSON type; an optional key may also be
+    null, which reads as absent. A ValueError names the key at fault.
+    """
+    if not isinstance(d, Mapping):
+        raise ValueError("not a JSON object")
+    for key, (what, fits) in _KEY_TYPES.items():
+        value = d.get(key)
+        if value is None and key in _REQUIRED_KEYS:
+            raise ValueError(f"{key!r} is missing" if key not in d else f"{key!r} must be {what}")
+        if value is not None and not fits(value):
+            raise ValueError(f"{key!r} must be {what}")
 
     def _ref(name: str) -> tuple[GazetteerRef | None, str | None]:
         gid = d.get(f"{name}_geoname_id")
         raw = d.get(f"{name}_name")
         if gid is not None:
-            return GazetteerRef(int(gid), raw or ""), None
+            return GazetteerRef(gid, raw or ""), None
         return None, raw
 
     country, country_name = _ref("country")
     city, city_name = _ref("city")
     province, province_name = _ref("province")
     return Event(
-        id=str(d["id"]),
+        id=d["id"],
         dataset=Dataset(d["dataset"]),
         date=parse_civil_date(d["date"]),
         point=validate_point(d["lat"], d["lon"]),
@@ -302,9 +332,9 @@ def event_from_dict(d: Mapping) -> Event:
         city_name=city_name,
         province_name=province_name,
         postal_code=d.get("postal_code"),
-        source_urls=tuple(d.get("source_urls", ())),
-        comments=tuple(d.get("comments", ())),
-        city_labels=dict(d.get("city_labels", {})),
+        source_urls=tuple(d.get("source_urls") or ()),
+        comments=tuple(d.get("comments") or ()),
+        city_labels=d.get("city_labels") or {},
     )
 
 
@@ -322,4 +352,10 @@ def events_from_json(data: str | bytes) -> list[Event]:
         raise ValueError("canonical event JSON is nested too deeply") from exc
     if not isinstance(parsed, list):
         raise ValueError("canonical event JSON must be an array of objects")
-    return [event_from_dict(obj) for obj in parsed]
+    events = []
+    for i, obj in enumerate(parsed):
+        try:
+            events.append(event_from_dict(obj))
+        except (ResilinkError, ValueError, OverflowError) as exc:  # a float() of a huge integer overflows
+            raise ValueError(f"canonical event JSON entry {i}: {exc}") from exc
+    return events

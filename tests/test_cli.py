@@ -119,6 +119,11 @@ _CONFIG_SECTIONS = {
     "online": ("base_url", "username", "rate_per_sec", "other"),
     "linkcheck": ("timeout_s", "concurrency", "politeness_s", "other"),
 }
+_CANONICAL_KEYS = (
+    "id", "dataset", "date", "description", "lat", "lon", "postal_code", "source_urls",
+    "comments", "city_labels",
+    *(f"{place}_{what}" for place in ("country", "city", "province") for what in ("geoname_id", "name")),
+)
 config_documents = _json_values | st.fixed_dictionaries({}, optional={
     "overrides": _json_values,
     "other": _json_values,
@@ -185,6 +190,30 @@ class TestUsageErrors:
     def test_report_missing_output(self, workdir):
         assert _run("report", "uc2", "--input", workdir / "missing.nt") == 2
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("--out", ("ingest", "--dataset", "eor", "--format", "json", "--input", "in.json",
+                   "--config", "config.json")),
+        ("--out", ("enrich", "--input", "in.json", "--config", "config.json")),
+        ("--out", ("convert", "--input", "in.json")),
+        *((flag, ("integrate", "--eor", "eor.json", "--ch", "ch.json", "--out", "x.nt"))
+          for flag in ("--out", "--pairs", "--counts")),
+        *((flag, ("report", "uc1", "--input", "x.nt", "--start", "2022-01-01", "--end", "2022-12-31"))
+          for flag in ("--out-nt", "--out-geojson")),
+        ("--out", ("report", "uc2", "--input", "x.nt", "--keyword", "school")),
+        ("--out", ("report", "uc3", "--input", "x.nt")),
+        ("--out", ("report", "uc4", "--input", "x.nt", "--months", "2022-03")),
+        ("--out", ("report", "uc5", "--input", "x.nt", "--deaths", "deaths.csv")),
+        *((flag, ("report", "uc6", "--input", "x.nt", "--shelters", "shelters.csv"))
+          for flag in ("--out", "--out-geojson")),
+        *((flag, ("linkcheck", "--input", "in.json")) for flag in ("--out-csv", "--out-json")),
+    ], ids=lambda value: value if isinstance(value, str) else " ".join(value[:2 if value[0] == "report" else 1]))
+    def test_empty_output_path_is_a_usage_error(self, workdir, capsys, monkeypatch, flag, argv):
+        # each once ended in "PosixPath('.') has an empty name" (exit 1), which names no flag
+        monkeypatch.chdir(workdir)
+        assert _run(*argv, f"{flag}=") == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.endswith(f"error: argument {flag}: must not be empty")
+
     @pytest.mark.parametrize("use_case, extra", [
         ("uc1", ("--out", "x.csv")),
         ("uc2", ("--radius-km", "-5")),
@@ -216,7 +245,77 @@ class TestUsageErrors:
         assert not out.exists()
 
 
+# Each once ended in a traceback or exited 0 with a coerced value: (entry, key named).
+_GOOD_EVENT = {"id": "e1", "dataset": "eor", "date": "2022-03-07", "lat": 50.0, "lon": 36.0}
+_BAD_EVENTS = [
+    pytest.param(1, None, id="not-an-object"),
+    pytest.param({k: v for k, v in _GOOD_EVENT.items() if k != "id"}, "id", id="no-id"),
+    pytest.param({k: v for k, v in _GOOD_EVENT.items() if k != "lon"}, "lon", id="no-lon"),
+    *(pytest.param({**_GOOD_EVENT, key: value}, key, id=f"{key}-{json.dumps(value)}") for key, value in [
+        ("comments", [1]),
+        ("description", 5),
+        ("postal_code", 12),
+        ("city_labels", {"en": 7}),
+        ("date", 20220301),
+        ("lat", True),
+        ("city_geoname_id", 1.5),
+        ("id", None),
+        ("province_name", ["a"]),
+        ("source_urls", "https://example.org/a"),
+    ]),
+]
+
+
 class TestDataErrors:
+    @pytest.mark.parametrize("entry, key", _BAD_EVENTS)
+    def test_bad_canonical_event_is_one_line_error(self, workdir, capsys, entry, key):
+        events = workdir / "events.json"
+        events.write_text(json.dumps([_GOOD_EVENT, entry]))
+        assert _run("convert", "--input", events, "--out", workdir / "out.nt") == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("resilink: error: canonical event JSON entry 1: ")
+        assert key is None or repr(key) in line
+        assert not (workdir / "out.nt").exists()
+
+    def test_integer_coordinates_read_as_floats(self, workdir):
+        events = workdir / "events.json"
+        events.write_text(json.dumps([{**_GOOD_EVENT, "lat": 49, "lon": 36}]))
+        (ev,) = events_from_json(events.read_bytes())
+        assert (ev.point.latitude, ev.point.longitude) == (49.0, 36.0)
+        assert type(ev.point.latitude) is float
+        assert _run("convert", "--input", events, "--out", workdir / "out.nt") == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(key=st.sampled_from(_CANONICAL_KEYS), value=_json_values)
+    def test_any_canonical_value_ends_in_an_exit_code(self, tmp_path_factory, key, value):
+        workdir = tmp_path_factory.mktemp("events")
+        events = workdir / "events.json"
+        events.write_text(json.dumps([{**_GOOD_EVENT, key: value}]))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = _run("convert", "--input", events, "--out", workdir / "out.nt")
+        assert code in (0, 1)
+        assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("value", [True, 1.9, "706482", 0, -3, None, [706482]],
+                             ids=json.dumps)
+    def test_override_value_must_be_an_integer_id(self, workdir, capsys, value):
+        # true and 1.9 once resolved the name to geoname id 1, and "706482" to 706482
+        overrides = workdir / "overrides.json"
+        overrides.write_text(json.dumps({"Foo": value}))
+        cfg = json.loads((PIPE / "config.json").read_text())
+        cfg["gazetteer"] = {k: str(PIPE / v) for k, v in cfg["gazetteer"].items()}
+        cfg["overrides"] = str(overrides)
+        config = workdir / "config.json"
+        config.write_text(json.dumps(cfg))
+        events = workdir / "events.json"
+        events.write_text(json.dumps([{**_GOOD_EVENT, "city_name": "Foo"}]))
+        out = workdir / "out.json"
+        assert _run("enrich", "--input", events, "--config", config, "--out", out) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("resilink: error: override table values must be geoname ids")
+        assert not out.exists()
+
     def test_missing_input_file(self, workdir):
         code = _run(
             "ingest", "--dataset", "eor", "--format", "json",
