@@ -349,7 +349,7 @@ def uc4_monthly_timeline(
     return [(month, _top_regions(events, n)) for month, events in by_month.items()]
 
 
-def _csv_rows(fp: IO[str], what: str, header: list[str], width_rule: str) -> Iterator[tuple[int, list[str]]]:
+def _csv_rows(fp: IO[str], what: str, header: list[str], expected: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, row) of each non-blank row under the checked header, which is line 1."""
     reader = csv.reader(fp)
     first = next(reader, None)
@@ -359,7 +359,7 @@ def _csv_rows(fp: IO[str], what: str, header: list[str], width_rule: str) -> Ite
         if not row:
             continue
         if len(row) != len(header):
-            raise ReportFormatError(f"{what} CSV line {i}: expected {width_rule}")
+            raise ReportFormatError(f"{what} CSV line {i}: expected {expected}")
         yield i, row
 
 

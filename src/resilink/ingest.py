@@ -262,8 +262,7 @@ def normalize_record(raw: RawEventRecord, cfg: AdapterConfig) -> Event:
         raise RecordError(raw.index, str(exc)) from exc
 
     description = _get("description")
-    if description is not None:
-        description = description.strip()
+    description = description.strip() if description else None
     raw_country = _get("country")
     country_name = clean_location_string(raw_country) if raw_country else None
 
