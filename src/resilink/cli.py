@@ -499,7 +499,7 @@ def _cmd_pipeline(args, cfg: PipelineConfig) -> int:
 # Argument grammar
 
 def _output(path: str) -> str:
-    """The type of every output-file flag: any path but the empty one."""
+    """The type of every output flag: any path but the empty one."""
     if not path:
         raise argparse.ArgumentTypeError("must not be empty")
     return path
@@ -605,7 +605,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eor-format", default="json", choices=["json", "csv"])
     p.add_argument("--ch-input", required=True)
     p.add_argument("--ch-format", default="json", choices=["json", "csv"])
-    p.add_argument("--outdir", required=True)
+    p.add_argument("--outdir", required=True, type=_output)
 
     return parser
 

@@ -206,9 +206,12 @@ class TestUsageErrors:
         *((flag, ("report", "uc6", "--input", "x.nt", "--shelters", "shelters.csv"))
           for flag in ("--out", "--out-geojson")),
         *((flag, ("linkcheck", "--input", "in.json")) for flag in ("--out-csv", "--out-json")),
+        ("--outdir", ("pipeline", "--config", "config.json", "--eor-input", "eor.json",
+                      "--ch-input", "ch.csv")),
     ], ids=lambda value: value if isinstance(value, str) else " ".join(value[:2 if value[0] == "report" else 1]))
     def test_empty_output_path_is_a_usage_error(self, workdir, capsys, monkeypatch, flag, argv):
-        # each once ended in "PosixPath('.') has an empty name" (exit 1), which names no flag
+        # each once ended in "PosixPath('.') has an empty name" (exit 1), which names no flag;
+        # an empty --outdir was the current directory
         monkeypatch.chdir(workdir)
         assert _run(*argv, f"{flag}=") == 2
         last = capsys.readouterr().err.strip().splitlines()[-1]
