@@ -208,7 +208,7 @@ class TestUsageErrors:
         *((flag, ("linkcheck", "--input", "in.json")) for flag in ("--out-csv", "--out-json")),
         ("--outdir", ("pipeline", "--config", "config.json", "--eor-input", "eor.json",
                       "--ch-input", "ch.csv")),
-    ], ids=lambda value: value if isinstance(value, str) else " ".join(value[:2 if value[0] == "report" else 1]))
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v[:2] if v[0] == "report" else v[:1]))
     def test_empty_output_path_is_a_usage_error(self, workdir, capsys, monkeypatch, flag, argv):
         # each once ended in "PosixPath('.') has an empty name" (exit 1), which names no flag;
         # an empty --outdir was the current directory
