@@ -433,8 +433,7 @@ def uc6_shelter_gap(
     targets = PointSet([s.point for s in shelters])
     uncovered = []
     for _, ev in dataset.primary_events():
-        nearest = targets.nearest(ev.point)
-        if nearest is None or nearest[1] > radius_km:
+        if targets.nearest(ev.point, radius_km) is None:
             uncovered.append(ev)
 
     collection = _point_collection(

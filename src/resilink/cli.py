@@ -22,6 +22,7 @@ import secrets
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from . import analytics, gazetteer, ingest, integration, rdf
 from .model import (
@@ -137,7 +138,9 @@ class PipelineConfig:
     def load_overrides(self) -> gazetteer.OverrideTable:
         if self.overrides_path is None:
             return gazetteer.EMPTY_OVERRIDES
-        return gazetteer.OverrideTable.from_json(self.overrides_path.read_text(encoding="utf-8"))
+        # the constructor's value error names the override table and the value already
+        mapping = _parse_file(self.overrides_path, gazetteer.OverrideTable.json_mapping)
+        return gazetteer.OverrideTable(mapping)
 
 
 def _object(value, label: str, keys=None) -> dict:
@@ -194,14 +197,16 @@ def _resolve_path(value, base: Path, label: str) -> Path | None:
     return p
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
+def _atomic_write(path: str | Path, *chunks: bytes) -> None:
+    """Write the chunks, in order, as the file at path; it appears whole or not at all."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # created as open() would create it, so the umask sets the mode (mkstemp forces 0600)
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fp:
-            fp.write(data)
+            fp.writelines(chunks)
             fp.flush()
             os.fsync(fp.fileno())
         os.replace(tmp, path)
@@ -211,19 +216,15 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
         raise
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def _write_json(path: str | Path, doc) -> None:
-    _atomic_write_text(Path(path), json.dumps(doc, indent=2) + "\n")
+    _atomic_write(path, json.dumps(doc, indent=2).encode("utf-8"), b"\n")
 
 
 def _write_csv(path: str | Path, rows: list[tuple]) -> None:
     """Write the rows, the header row first, as one CSV file, atomically."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
-    _atomic_write_text(Path(path), buf.getvalue())
+    _atomic_write(path, buf.getvalue().encode("utf-8"))
 
 
 def _with_flags(section, **flags):
@@ -231,12 +232,20 @@ def _with_flags(section, **flags):
     return replace(section, **{name: value for name, value in flags.items() if value is not None})
 
 
-def _read_events(path: str) -> list[Event]:
-    return events_from_json(Path(path).read_bytes())
+def _parse_file(path: str | Path, parse):
+    """parse(the bytes of path), with the path in front of a data error's message."""
+    try:
+        return parse(Path(path).read_bytes())  # the bytes go when parse lets go of them
+    except (ResilinkError, ValueError) as exc:
+        raise ResilinkError(f"{path}: {exc}") from exc
+
+
+def _read_events(path: str | Path) -> list[Event]:
+    return _parse_file(path, events_from_json)
 
 
 def _write_events(path: str | Path, events) -> None:
-    _atomic_write_text(Path(path), events_to_json(events) + "\n")
+    _atomic_write(path, events_to_json(events).encode("utf-8"), b"\n")
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +255,9 @@ def _ingest(path: str | Path, dataset: Dataset, fmt: str, cfg: PipelineConfig) -
     """Parse and normalize one source file; rejected records are only logged."""
     if dataset not in cfg.adapters:
         raise ConfigError(f"config has no adapter for dataset {dataset.value!r}")
-    data = Path(path).read_bytes()
-    records = ingest.parse_dataset(
+    records = _parse_file(path, lambda data: ingest.parse_dataset(
         data, dataset, ingest.SourceFormat(fmt), cfg.adapters[dataset]
-    )
+    ))
     events, rejected = ingest.normalize_records(records, cfg.adapters[dataset])
     for err in rejected:
         log.warning("rejected %s", err)
@@ -257,9 +265,8 @@ def _ingest(path: str | Path, dataset: Dataset, fmt: str, cfg: PipelineConfig) -
     return events
 
 
-def _cmd_ingest(args, cfg: PipelineConfig) -> int:
+def _cmd_ingest(args, cfg: PipelineConfig) -> None:
     _write_events(args.out, _ingest(args.input, Dataset(args.dataset), args.format, cfg))
-    return 0
 
 
 def _online_fill(events, cfg: PipelineConfig):
@@ -301,20 +308,18 @@ def _enrich(events: list[Event], index, overrides, cfg: PipelineConfig,
     return enriched
 
 
-def _cmd_enrich(args, cfg: PipelineConfig) -> int:
+def _cmd_enrich(args, cfg: PipelineConfig) -> None:
     events = _read_events(args.input)
     enriched = _enrich(events, cfg.load_index(), cfg.load_overrides(), cfg, args.offline)
     _write_events(args.out, enriched)
-    return 0
 
 
-def _cmd_convert(args, cfg: PipelineConfig) -> int:
+def _cmd_convert(args, cfg: PipelineConfig) -> None:
     events = _read_events(args.input)
     lines = []
     for ev in events:
         lines.extend(rdf.emit_event_triples(ev))
-    _atomic_write_bytes(Path(args.out), rdf.serialize_bytes(lines, rdf.RdfFormat(args.rdf_format)))
-    return 0
+    _atomic_write(args.out, rdf.serialize_bytes(lines, rdf.RdfFormat(args.rdf_format)))
 
 
 def _integrate(a_events: list[Event], b_events: list[Event], cfg: PipelineConfig,
@@ -331,7 +336,7 @@ def _integrate(a_events: list[Event], b_events: list[Event], cfg: PipelineConfig
         lines.extend(rdf.emit_event_triples(ev))
     for agg in result.aggregates:
         lines.extend(rdf.emit_aggregate_triples(agg))
-    _atomic_write_bytes(Path(out), rdf.serialize_bytes(lines, fmt))
+    _atomic_write(out, rdf.serialize_bytes(lines, fmt))
     if pairs:
         _write_csv(pairs, [
             ("a_id", "b_id", "verdict", "rule", "distance_km", "similarity"),
@@ -354,12 +359,11 @@ def _read_events_of(path: str, dataset: Dataset) -> list[Event]:
     return events
 
 
-def _cmd_integrate(args, cfg: PipelineConfig) -> int:
+def _cmd_integrate(args, cfg: PipelineConfig) -> None:
     _integrate(
         _read_events_of(args.eor, Dataset.EOR), _read_events_of(args.ch, Dataset.CH), cfg,
         args.out, args.pairs, args.counts, rdf.RdfFormat(args.rdf_format),
     )
-    return 0
 
 
 def _load_dataset(path: str) -> analytics.IntegratedDataset:
@@ -378,7 +382,7 @@ def _uc1(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
     start, end = parse_civil_date(args.start), parse_civil_date(args.end)
     if args.out_nt:
         lines = analytics.uc1_wkt_triples(ds, city, start, end)
-        _atomic_write_bytes(Path(args.out_nt), rdf.serialize_bytes(lines))
+        _atomic_write(args.out_nt, rdf.serialize_bytes(lines))
     if args.out_geojson:
         points = analytics.uc1_event_points(ds, city, start, end)
         _write_json(args.out_geojson, analytics.points_feature_collection(points))
@@ -440,13 +444,12 @@ def _uc6(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
         ])
 
 
-def _cmd_report(args, cfg: PipelineConfig) -> int:
+def _cmd_report(args, cfg: PipelineConfig) -> None:
     """Load the dataset once and run the use case's handler (_uc1 .. _uc6) on it."""
     args.use_case_handler(_load_dataset(args.input), args, cfg)
-    return 0
 
 
-def _cmd_linkcheck(args, cfg: PipelineConfig) -> int:
+def _cmd_linkcheck(args, cfg: PipelineConfig) -> None:
     from . import linkcheck  # imports requests: only this command pays for it
 
     settings = _with_flags(cfg.linkcheck, timeout_s=args.timeout, concurrency=args.concurrency)
@@ -466,10 +469,9 @@ def _cmd_linkcheck(args, cfg: PipelineConfig) -> int:
         ])  # csv writes a missing http_code (None) as an empty field
     if args.out_json:
         _write_json(args.out_json, linkcheck.summary_dict(report))
-    return 0
 
 
-def _cmd_pipeline(args, cfg: PipelineConfig) -> int:
+def _cmd_pipeline(args, cfg: PipelineConfig) -> None:
     """Ingest and enrich both datasets, then integrate them.
 
     The gazetteer is loaded once and events pass between the stages in
@@ -492,7 +494,6 @@ def _cmd_pipeline(args, cfg: PipelineConfig) -> int:
         *enriched, cfg, outdir / "integrated.nt", outdir / "pairs.csv", outdir / "counts.json",
         rdf.RdfFormat.NTRIPLES,
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +504,15 @@ def _output(path: str) -> str:
     if not path:
         raise argparse.ArgumentTypeError("must not be empty")
     return path
+
+
+def _base_url(url: str) -> str:
+    """The type of --base-override: an absolute http or https URL with a host."""
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise argparse.ArgumentTypeError(
+            f"must be an absolute http or https URL with a host: {url!r}")
+    return url
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -597,7 +607,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-json", type=_output)
     p.add_argument("--concurrency", type=int)
     p.add_argument("--timeout", type=float)
-    p.add_argument("--base-override", help="redirect all traffic to this base URL (testing)")
+    p.add_argument("--base-override", type=_base_url,
+                   help="redirect all traffic to this base URL (testing)")
 
     p = command("pipeline", _cmd_pipeline, "ingest + enrich + integrate in one run")
     p.add_argument("--config", required=True)
@@ -651,10 +662,11 @@ def run_subcommand(argv: list[str]) -> int:
 
     try:
         cfg = PipelineConfig.load(args.config) if getattr(args, "config", None) else PipelineConfig()
-        return args.handler(args, cfg)
+        args.handler(args, cfg)
     except (ResilinkError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"resilink: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -11,7 +11,10 @@ of the largest, and ``haversine_km`` over them in index order keeps the
 first strict minimum. A dot is ``1 - 2h`` for haversine's ``h``, and both
 carry an absolute float error of a few 1e-16, so a target no farther than
 the top-dot one has a dot within ~1e-15 of the top, well inside 1e-12:
-results equal a linear haversine scan bit for bit.
+results equal a linear haversine scan bit for bit. ``PointSet.nearest``
+also applies the search radius: it answers only a target no farther than
+``max_km``, so reverse geocoding, the postal lookup and uc6's shelter
+coverage each pass their radius and never compare a distance themselves.
 """
 
 from __future__ import annotations
@@ -90,15 +93,22 @@ class OverrideTable:
                 raise ValueError(f"override table values must be geoname ids: {v!r}")
         object.__setattr__(self, "mapping", {clean_location_string(k): v for k, v in self.mapping.items()})
 
-    @classmethod
-    def from_json(cls, text: str | bytes) -> OverrideTable:
+    @staticmethod
+    def json_mapping(text: str | bytes) -> dict:
+        """The JSON object of an override table's text; the constructor checks its values."""
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         try:
             data = json.loads(text)
         except RecursionError as exc:
             raise ValueError("override table JSON is nested too deeply") from exc
         if not isinstance(data, dict):
             raise ValueError("override table must be a JSON object of name -> geoname id")
-        return cls(mapping=data)
+        return data
+
+    @classmethod
+    def from_json(cls, text: str | bytes) -> OverrideTable:
+        return cls(mapping=cls.json_mapping(text))
 
 
 EMPTY_OVERRIDES = OverrideTable(mapping={})
@@ -123,8 +133,10 @@ class PointSet:
         lon = np.radians([p.longitude for p in self._points])
         self._xyz = np.stack((np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)))
 
-    def nearest(self, p: GeoPoint) -> tuple[int, float] | None:
-        """Index and haversine km of the nearest target; ties keep the lowest index."""
+    def nearest(self, p: GeoPoint, max_km: float) -> tuple[int, float] | None:
+        """Index and haversine km of the nearest target within max_km; ties keep the lowest index."""
+        if not max_km > 0:  # also rejects NaN
+            raise ValueError("max_km must be positive")
         if not self._points:
             return None
         import numpy as np
@@ -137,7 +149,7 @@ class PointSet:
             d = haversine_km(p, self._points[i])
             if best is None or d < best[1]:
                 best = (i, d)
-        return best
+        return best if best[1] <= max_km else None
 
 
 def _name_index(entries: Iterable[GazetteerEntry]) -> dict[str, list[GazetteerEntry]]:
@@ -202,16 +214,12 @@ class GazetteerIndex:
 
     def nearest_place(self, p: GeoPoint, max_km: float) -> tuple[GazetteerEntry, float] | None:
         """Nearest populated place within max_km; ties keep the first loaded."""
-        found = self._place_targets.nearest(p)
-        if found is None or found[1] > max_km:
-            return None
-        return self._places[found[0]], found[1]
+        found = self._place_targets.nearest(p, max_km)
+        return (self._places[found[0]], found[1]) if found else None
 
     def nearest_postal(self, p: GeoPoint, max_km: float) -> tuple[PostalCodeEntry, float] | None:
-        found = self._postal_targets.nearest(p)
-        if found is None or found[1] > max_km:
-            return None
-        return self._postal[found[0]], found[1]
+        found = self._postal_targets.nearest(p, max_km)
+        return (self._postal[found[0]], found[1]) if found else None
 
 
 def _rows(path: Path, ncols: int) -> Iterator[tuple[int, list[str]]]:
@@ -220,8 +228,11 @@ def _rows(path: Path, ncols: int) -> Iterator[tuple[int, list[str]]]:
     Lines end at LF only, with a CR before it dropped: a name may hold U+2028,
     U+0085, a form feed or another character that str.splitlines breaks at.
     """
-    with open(path, encoding="utf-8", newline="") as fp:
-        lines = fp.read().split("\n")
+    try:
+        lines = path.read_bytes().decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise GazetteerFormatError(path, lineno, "invalid UTF-8") from exc
     for lineno, line in enumerate(lines, start=1):
         line = line.removesuffix("\r")
         if not line.strip():
@@ -324,16 +335,12 @@ def lookup_city_by_name(
 
 def reverse_geocode(index: GazetteerIndex, p: GeoPoint, max_km: float) -> GazetteerRef | None:
     """Nearest populated place within max_km of p, or nothing."""
-    if max_km <= 0:
-        raise ValueError("max_km must be positive")
     found = index.nearest_place(p, max_km)
     return _ref_for(found[0]) if found else None
 
 
 def postal_code_for(index: GazetteerIndex, p: GeoPoint, max_km: float) -> str | None:
     """Postal code of the nearest postal centroid within max_km, or nothing."""
-    if max_km <= 0:
-        raise ValueError("max_km must be positive")
     found = index.nearest_postal(p, max_km)
     return found[0].postal_code if found else None
 

@@ -13,6 +13,7 @@ import datetime
 import hashlib
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -277,9 +278,10 @@ def event_to_dict(ev: Event) -> dict:
 
 
 # The JSON type of each canonical key, as (what it must be, test); the README lists them too.
-# Only JSON values reach the tests, so type() is exact and keeps true and false out of numbers.
+# Only JSON values reach the tests, so type() is exact and keeps true and false out of numbers;
+# an integer beyond the float range is not a number either, as float() cannot take it.
 _STRING = ("a string", lambda v: type(v) is str)
-_NUMBER = ("a number", lambda v: type(v) in (int, float))
+_NUMBER = ("a number", lambda v: type(v) is float or type(v) is int and abs(v) <= sys.float_info.max)
 _STRINGS = ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v))
 _GEONAME_ID = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
 _PLACES = ("country", "city", "province")
@@ -356,6 +358,6 @@ def events_from_json(data: str | bytes) -> list[Event]:
     for i, obj in enumerate(parsed):
         try:
             events.append(event_from_dict(obj))
-        except (ResilinkError, ValueError, OverflowError) as exc:  # a float() of a huge integer overflows
+        except (ResilinkError, ValueError) as exc:
             raise ValueError(f"canonical event JSON entry {i}: {exc}") from exc
     return events

@@ -6,6 +6,7 @@ import io
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -217,6 +218,17 @@ class TestUsageErrors:
         last = capsys.readouterr().err.strip().splitlines()[-1]
         assert last.endswith(f"error: argument {flag}: must not be empty")
 
+    @pytest.mark.parametrize("url", ["notaurl", "ftp://127.0.0.1/", "http://", "//127.0.0.1:9",
+                                     "127.0.0.1:9", "file:///tmp/x"])
+    def test_base_override_must_be_an_http_url(self, workdir, capsys, url):
+        # "notaurl" once exited 0, with every link of the run reported as a NetworkError
+        out = workdir / "links.json"
+        assert _run("linkcheck", "--input", _tiny_events(workdir), "--base-override", url,
+                    "--out-json", out) == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "error: argument --base-override: must be an absolute http or https URL" in last
+        assert not out.exists()
+
     @pytest.mark.parametrize("use_case, extra", [
         ("uc1", ("--out", "x.csv")),
         ("uc2", ("--radius-km", "-5")),
@@ -266,6 +278,7 @@ _BAD_EVENTS = [
         ("province_name", ["a"]),
         ("source_urls", "https://example.org/a"),
     ]),
+    pytest.param({**_GOOD_EVENT, "lat": 10**400}, "lat", id="lat-10**400"),
 ]
 
 
@@ -276,9 +289,40 @@ class TestDataErrors:
         events.write_text(json.dumps([_GOOD_EVENT, entry]))
         assert _run("convert", "--input", events, "--out", workdir / "out.nt") == 1
         (line,) = capsys.readouterr().err.strip().splitlines()
-        assert line.startswith("resilink: error: canonical event JSON entry 1: ")
+        assert line.startswith(f"resilink: error: {events}: canonical event JSON entry 1: ")
         assert key is None or repr(key) in line
         assert not (workdir / "out.nt").exists()
+
+    @pytest.mark.parametrize("case", ["integrate --ch", "integrate --eor", "enrich overrides",
+                                      "pipeline --ch-input", "enrich alt_names"])
+    def test_data_error_names_its_file(self, workdir, capsys, case):
+        # each once ended in the message alone, which did not say which input was at fault
+        fixtures = workdir / "fixtures"
+        shutil.copytree(PIPE.parent, fixtures)
+        config = fixtures / "pipeline" / "config.json"
+        eor, ch, ch_csv = workdir / "eor.json", workdir / "ch.json", workdir / "ch.csv"
+        eor.write_text(json.dumps([_GOOD_EVENT]))
+        integrate = ("integrate", "--eor", eor, "--ch", ch, "--out", workdir / "out.nt")
+        enrich = ("enrich", "--input", eor, "--config", config, "--out", workdir / "out.json")
+        pipeline = ("pipeline", "--config", config, "--eor-input", PIPE / "eor.json",
+                    "--ch-input", ch_csv, "--ch-format", "csv", "--outdir", workdir / "out")
+        bad, data, argv, message = {  # the file at fault, its bytes, the command, what follows the path
+            "integrate --ch": (ch, json.dumps([{**_GOOD_EVENT, "dataset": "ch", "lat": "x"}]).encode(),
+                               integrate, ": canonical event JSON entry 0: 'lat' must be a number"),
+            "integrate --eor": (eor, b'[{"id": "e1",}]', integrate,
+                                ": Expecting property name enclosed in double quotes"),
+            "enrich overrides": (config.parent / "overrides.json", b'{"Foo": }', enrich,
+                                 ": Expecting value: line 1 column 9 (char 8)"),
+            "pipeline --ch-input": (ch_csv, b"date,latitude,longitude,description,location,sources\nx\n",
+                                    pipeline, ": row has 1 columns, header has 6 (byte offset 53)"),
+            "enrich alt_names": (config.parent / "../gazetteer/alt_names.tsv",
+                                 b"101\t706482\ten\tKharkiv\n102\t706482\tuk\t\xff\n", enrich,
+                                 ":2: invalid UTF-8"),
+        }[case]
+        bad.write_bytes(data)
+        assert _run(*argv) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith(f"resilink: error: {bad}{message}")
 
     def test_integer_coordinates_read_as_floats(self, workdir):
         events = workdir / "events.json"

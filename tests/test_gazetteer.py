@@ -268,12 +268,24 @@ class TestPointSet:
 
     @staticmethod
     def _nearest(targets, q):
-        got = PointSet([GeoPoint(*t) for t in targets]).nearest(GeoPoint(*q))
+        got = PointSet([GeoPoint(*t) for t in targets]).nearest(GeoPoint(*q), math.inf)
         assert got == oracles.scan_nearest(*q, targets)
         return got
 
     def test_empty_target_set(self):
-        assert PointSet([]).nearest(GeoPoint(50.0, 36.0)) is None
+        assert PointSet([]).nearest(GeoPoint(50.0, 36.0), math.inf) is None
+
+    @pytest.mark.parametrize("radius", ["d", "below-d", "inf", "0", "-1", "nan"])
+    def test_radius_keeps_a_target_at_max_km(self, radius):
+        target, q = GeoPoint(50.0, 36.25), GeoPoint(50.01, 36.25)
+        d = haversine_km(q, target)
+        max_km = {"d": d, "below-d": math.nextafter(d, 0)}.get(radius) or float(radius)
+        targets = PointSet([target])
+        if radius in ("0", "-1", "nan"):
+            with pytest.raises(ValueError, match="max_km must be positive"):
+                targets.nearest(q, max_km)
+        else:
+            assert targets.nearest(q, max_km) == (None if radius == "below-d" else (0, d))
 
     def test_exact_duplicates_first_loaded_wins(self):
         targets = [(49.0, 36.0), (50.0, 36.25), (50.0, 36.25), (50.0, 36.25)]
