@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import logging
@@ -507,11 +508,16 @@ def _output(path: str) -> str:
 
 
 def _base_url(url: str) -> str:
-    """The type of --base-override: an absolute http or https URL with a host."""
+    """The type of --base-override: an http or https scheme and a host, and nothing after them.
+
+    Each request keeps its own path and query, so a base's path, query or
+    fragment would be dropped without a word; they are refused instead.
+    """
     parts = urlsplit(url)
-    if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise argparse.ArgumentTypeError(
-            f"must be an absolute http or https URL with a host: {url!r}")
+    if (parts.scheme not in ("http", "https") or not parts.hostname
+            or parts.path not in ("", "/") or parts.query or parts.fragment):
+        raise argparse.ArgumentTypeError("must be an absolute http or https URL with a host "
+                                         f"and no path, query or fragment: {url!r}")
     return url
 
 
@@ -641,9 +647,8 @@ def _report_usage_error(args) -> str | None:
 
 def run_subcommand(argv: list[str]) -> int:
     """Execute exactly one pipeline stage; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -662,7 +667,17 @@ def run_subcommand(argv: list[str]) -> int:
 
     try:
         cfg = PipelineConfig.load(args.config) if getattr(args, "config", None) else PipelineConfig()
-        args.handler(args, cfg)
+        # The parser's reference cycles are the only ones a command leaves in bulk:
+        # free them, then run without the cyclic collector, whose passes would only
+        # walk the gazetteer's and the events' objects, none of them in a cycle.
+        gc.collect()
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            args.handler(args, cfg)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
     except (ResilinkError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"resilink: error: {exc}", file=sys.stderr)
         return 1

@@ -15,6 +15,18 @@ results equal a linear haversine scan bit for bit. ``PointSet.nearest``
 also applies the search radius: it answers only a target no farther than
 ``max_km``, so reverse geocoding, the postal lookup and uc6's shelter
 coverage each pass their radius and never compare a distance themselves.
+
+The radius bounds the work too. A great-circle distance is at least
+``R * |lat_t - lat_q|`` (latitudes in radians), so every target within
+``max_km`` has a latitude within ``w = max_km / R`` of the query's, and
+``BAND_MARGIN_RAD`` widens that band for float error. ``PointSet`` keeps
+its targets sorted by ``z = sin(latitude)``, so the band is one slice,
+from ``sin(lat_q - w)`` to ``sin(lat_q + w)``; an end beyond a pole takes
+every target on that side. The dot and haversine rule above runs on the
+slice alone, in ascending original index. The answer is the full scan's:
+the scan's answer, when within ``max_km``, is in the slice, and so is
+every target no farther than it; when the scan's answer is beyond
+``max_km``, no target in the slice is within it either.
 """
 
 from __future__ import annotations
@@ -54,7 +66,7 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GazetteerEntry:
     """One gazetteer place record (populated place or administrative unit)."""
 
@@ -69,7 +81,7 @@ class GazetteerEntry:
     admin1_code: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PostalCodeEntry:
     country_code: str
     postal_code: str
@@ -81,7 +93,7 @@ class PostalCodeEntry:
             raise ValueError("postal_code must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OverrideTable:
     """Manual corrections: misspelled/variant name -> canonical geoname id."""
 
@@ -120,10 +132,18 @@ def resolve_override(table: OverrideTable, name: str) -> int | None:
 
 
 NEAREST_DOT_EPS = 1e-12
+# Float error in the band's ends is a few 1e-16, in radians and in z. Even
+# at a pole, where z = sin(latitude) is flattest, a margin m moves an end by
+# 1 - cos(m) = 5e-15 in z, dozens of float steps; 1e-7 rad is 0.64 m.
+BAND_MARGIN_RAD = 1e-7
 
 
 class PointSet:
-    """Fixed targets answering exact nearest-neighbour queries."""
+    """Fixed targets answering exact nearest-neighbour queries.
+
+    The targets are held sorted by z = sin(latitude), which is monotonic
+    in latitude, so the targets within a latitude band are one slice.
+    """
 
     def __init__(self, points: Sequence[GeoPoint]):
         import numpy as np  # imported here so commands without nearest-neighbour queries skip it
@@ -131,21 +151,28 @@ class PointSet:
         self._points = list(points)
         lat = np.radians([p.latitude for p in self._points])
         lon = np.radians([p.longitude for p in self._points])
-        self._xyz = np.stack((np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)))
+        xyz = np.stack((np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)))
+        self._order = np.argsort(xyz[2], kind="stable")  # sorted position -> original index
+        self._xyz = xyz[:, self._order]
 
     def nearest(self, p: GeoPoint, max_km: float) -> tuple[int, float] | None:
         """Index and haversine km of the nearest target within max_km; ties keep the lowest index."""
         if not max_km > 0:  # also rejects NaN
             raise ValueError("max_km must be positive")
-        if not self._points:
-            return None
         import numpy as np
 
         phi, lam = math.radians(p.latitude), math.radians(p.longitude)
+        w = max_km / EARTH_RADIUS_KM + BAND_MARGIN_RAD
+        z = self._xyz[2]
+        lo = 0 if phi - w <= -math.pi / 2 else z.searchsorted(math.sin(phi - w), "left")
+        hi = len(z) if phi + w >= math.pi / 2 else z.searchsorted(math.sin(phi + w), "right")
+        if lo >= hi:
+            return None
         q = np.array((math.cos(phi) * math.cos(lam), math.cos(phi) * math.sin(lam), math.sin(phi)))
-        dots = q @ self._xyz
+        dots = q @ self._xyz[:, lo:hi]
+        candidates = self._order[lo:hi][dots >= dots.max() - NEAREST_DOT_EPS]
         best = None
-        for i in np.flatnonzero(dots >= dots.max() - NEAREST_DOT_EPS).tolist():
+        for i in sorted(candidates.tolist()):
             d = haversine_km(p, self._points[i])
             if best is None or d < best[1]:
                 best = (i, d)
@@ -361,7 +388,7 @@ def alternate_names_for(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnrichmentConfig:
     languages: tuple[str, ...] = ("en", "uk", "nl", "fr")
     reverse_max_km: float = 30.0

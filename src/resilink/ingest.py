@@ -321,5 +321,10 @@ def normalize_records(
         try:
             events.append(normalize_record(raw, cfg))
         except RecordError as exc:
+            # Kept without the tracebacks of the error and of what it chains: their
+            # frames reach this one, which holds every record and event in a cycle.
+            cause = exc
+            while cause is not None:
+                cause = cause.with_traceback(None).__context__
             rejected.append(exc)
     return events, rejected

@@ -54,7 +54,7 @@ class Dataset(str, Enum):
 EventKey = tuple[Dataset, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """A WGS84 coordinate pair in decimal degrees."""
 
@@ -108,7 +108,7 @@ def parse_civil_date(s: str) -> CivilDate:
 _GEONAMES_IRI_RE = re.compile(r"http://sws\.geonames\.org/([0-9]+)/")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GazetteerRef:
     """A resolved place: a stable gazetteer id plus its preferred name."""
 
@@ -159,7 +159,7 @@ def _is_absolute_url(u: str) -> bool:
     return bool(parts.scheme) and bool(parts.netloc) and u[len(parts.scheme):].startswith("://" + parts.netloc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One normalized damage-event record.
 
@@ -218,7 +218,7 @@ def content_event_id(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggregateEvent:
     """A minted event node grouping 1 or 2 matched source events.
 

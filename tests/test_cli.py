@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import logging
@@ -219,15 +220,24 @@ class TestUsageErrors:
         assert last.endswith(f"error: argument {flag}: must not be empty")
 
     @pytest.mark.parametrize("url", ["notaurl", "ftp://127.0.0.1/", "http://", "//127.0.0.1:9",
-                                     "127.0.0.1:9", "file:///tmp/x"])
+                                     "127.0.0.1:9", "file:///tmp/x", "http://127.0.0.1:8080/mock?x=1",
+                                     "http://127.0.0.1:8080/mock", "https://127.0.0.1:8080/?x=1",
+                                     "http://127.0.0.1:8080/#top", "http://127.0.0.1:8080//"])
     def test_base_override_must_be_an_http_url(self, workdir, capsys, url):
-        # "notaurl" once exited 0, with every link of the run reported as a NetworkError
+        # "notaurl" once exited 0, with every link of the run reported as a NetworkError;
+        # a base's path, query and fragment were once dropped from every request without a word
         out = workdir / "links.json"
         assert _run("linkcheck", "--input", _tiny_events(workdir), "--base-override", url,
                     "--out-json", out) == 2
         last = capsys.readouterr().err.strip().splitlines()[-1]
         assert "error: argument --base-override: must be an absolute http or https URL" in last
         assert not out.exists()
+
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:9", "http://127.0.0.1:9/", "https://127.0.0.1:9/"])
+    def test_base_override_takes_a_scheme_and_host(self, workdir, url):
+        # the events hold no URL, so nothing is requested
+        assert _run("linkcheck", "--input", _tiny_events(workdir), "--base-override", url,
+                    "--out-json", workdir / "links.json") == 0
 
     @pytest.mark.parametrize("use_case, extra", [
         ("uc1", ("--out", "x.csv")),
@@ -733,6 +743,59 @@ def test_cli_import_leaves_requests_unloaded():
         code = f"import {module}, sys; print([m for m in {unloaded!r} if m in sys.modules])"
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert (done.returncode, done.stdout) == (0, "[]\n"), (module, done.stdout, done.stderr)
+
+
+class TestCyclicCollector:
+    """A command runs with the cyclic collector off and leaves it as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("case, code", [("done", 0), ("data-error", 1), ("usage-error", 2)])
+    def test_collector_state_is_restored(self, workdir, monkeypatch, enabled, case, code):
+        from resilink import cli
+
+        seen = []
+        convert = cli._cmd_convert
+
+        def spy(args, cfg):
+            seen.append(gc.isenabled())
+            convert(args, cfg)
+
+        monkeypatch.setattr(cli, "_cmd_convert", spy)
+        source = _tiny_events(workdir) if case == "done" else workdir / "missing.json"
+        flags = ("--rdf-format", "xml") if case == "usage-error" else ()
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert _run("convert", "--input", source, "--out", workdir / "out.nt", *flags) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert seen == ([] if code == 2 else [False])
+
+    def test_pipeline_with_a_rejected_record_leaves_no_event_in_cyclic_garbage(self, workdir):
+        # without the collector, a bulk reference cycle is memory that a command never
+        # frees; run in a child, as pytest's log capture would keep the rejection alive
+        records = json.loads((PIPE / "eor.json").read_text())
+        records.append({**records[0], "id": "eor-bad", "latitude": 95.0})
+        eor = workdir / "eor.json"
+        eor.write_text(json.dumps(records))
+        code = ("import gc, json, sys\n"
+                "from resilink import cli\n"
+                "gc.disable()\n"  # so that nothing collects between the command and the check
+                "code = cli.run_subcommand(sys.argv[1:])\n"
+                "gc.set_debug(gc.DEBUG_SAVEALL)\n"
+                "gc.collect()\n"
+                "print(json.dumps([code, sorted({type(o).__name__ for o in gc.garbage})]))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", code, "pipeline", "--config", PIPE / "config.json",
+             "--eor-input", eor, "--ch-input", PIPE / "ch.csv", "--ch-format", "csv",
+             "--outdir", workdir / "out"],
+            env=env, capture_output=True, text=True)
+        assert "rejected record 50: latitude out of range: 95.0" in done.stderr
+        exit_code, left = json.loads(done.stdout)
+        assert exit_code == 0
+        assert not set(left) & {"RawEventRecord", "Event", "GazetteerEntry", "PostalCodeEntry"}
 
 
 class TestSourceBoundary:

@@ -326,6 +326,73 @@ class TestPointSet:
         self._nearest(targets, q)
 
 
+RADII_KM = [1e-3, 1.0, 15.0, 30.0, 20015.1, math.inf]
+
+
+def _within(q, targets, max_km):
+    """The linear scan's answer, kept only when no farther than max_km."""
+    found = oracles.scan_nearest(*q, targets)
+    return found if found is not None and found[1] <= max_km else None
+
+
+def _edge_latitudes(lat: float, max_km: float) -> list[float]:
+    """Latitudes max_km due north and south of lat, each with its two float neighbours."""
+    out = []
+    for sign in (1.0, -1.0):
+        edge = lat + sign * math.degrees(max_km / oracles.EARTH_RADIUS_KM)
+        for t in (math.nextafter(edge, lat), edge, math.nextafter(edge, sign * math.inf)):
+            if -90.0 <= t <= 90.0:
+                out.append(t)
+    return out
+
+
+def _wrap_lon(lon: float) -> float:
+    return (lon + 180.0) % 360.0 - 180.0  # at most 180.0, reached when the modulo rounds up to 360
+
+
+@st.composite
+def _radius_cases(draw):
+    """A query, its targets and a radius: near the poles or the antimeridian, at the band's edges."""
+    max_km = draw(st.sampled_from(RADII_KM))
+    region = draw(st.sampled_from(["any", "north", "south", "antimeridian"]))
+    lat = draw({"north": st.floats(89.0, 90.0), "south": st.floats(-90.0, -89.0)}
+               .get(region, st.floats(-90.0, 90.0)))
+    lon = draw(st.floats(179.0, 180.0) | st.floats(-180.0, -179.0) if region == "antimeridian"
+               else st.floats(-180.0, 180.0))
+    # offsets of up to twice the radius, as degrees of latitude
+    reach = math.degrees(2 * min(max_km, 20015.1) / oracles.EARTH_RADIUS_KM)
+    offsets = draw(st.lists(st.tuples(st.floats(-reach, reach), st.floats(-reach, reach)), max_size=8))
+    targets = [(min(90.0, max(-90.0, lat + a)), _wrap_lon(lon + b)) for a, b in offsets]
+    targets += [(t, lon) for t in _edge_latitudes(lat, max_km) if draw(st.booleans())]
+    targets += draw(st.lists(st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)), max_size=3))
+    if targets:  # equidistant copies
+        targets += draw(st.lists(st.sampled_from(targets), max_size=3))
+    return (lat, lon), draw(st.permutations(targets)), max_km
+
+
+class TestPointSetRadius:
+    """A finite radius answers what the linear scan answers, kept only within max_km."""
+
+    @pytest.mark.parametrize("max_km", RADII_KM[:-1])
+    @pytest.mark.parametrize("q", [(0.0, 0.0), (50.0, 36.0), (-50.0, 179.99), (89.5, -180.0),
+                                   (-89.9999, 10.0), (90.0, 0.0), (-90.0, 0.0)])
+    def test_targets_at_the_radius_due_north_and_south(self, q, max_km):
+        for t in _edge_latitudes(q[0], max_km):
+            # alone, and with max_km set to the target's own distance, which keeps it
+            d = oracles.scalar_haversine_km(*q, t, q[1])
+            for radius in (max_km, d, math.nextafter(d, 0.0)):
+                if radius > 0:
+                    got = PointSet([GeoPoint(t, q[1])]).nearest(GeoPoint(*q), radius)
+                    assert got == _within(q, [(t, q[1])], radius), (t, radius)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_radius_cases())
+    def test_agrees_with_the_filtered_scan(self, case):
+        q, targets, max_km = case
+        got = PointSet([GeoPoint(*t) for t in targets]).nearest(GeoPoint(*q), max_km)
+        assert got == _within(q, targets, max_km)
+
+
 class TestAlternateNames:
     def test_four_languages(self, gaz_index):
         names = alternate_names_for(gaz_index, 705812, {"en", "uk", "nl", "fr"})

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -219,6 +220,29 @@ class TestNormalizeRecords:
         assert len(events) + len(rejected) == len(records)
         assert len(rejected) == 2
         assert sorted(e.record_index for e in rejected) == [1, 3]
+
+    @pytest.mark.parametrize("bad", [{"lat": "95"}, {"lat": "x"}, {"date": "2022-02-30"},
+                                     {"desc": "\ud800"}, {"url": "not-a-url"}],
+                             ids=["lat-range", "lat-text", "date", "surrogate", "url"])
+    def test_rejected_record_leaves_no_cyclic_garbage(self, bad):
+        # the error was kept with its traceback, whose frames hold this batch's
+        # records and events in a cycle that a command, run without the collector, never freed
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            events, rejected = normalize_records(_parse_json([_record(), _record(**bad), _record()]), CFG)
+            assert (len(events), len(rejected)) == (2, 1)
+            del events, rejected
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            left = {type(o).__name__ for o in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+        assert not left & {"RawEventRecord", "Event"}
 
     def test_determinism(self):
         payload = [_record(desc="x"), _record(desc="y", level="minor")]
