@@ -58,14 +58,14 @@ checker = LinkChecker(
     politeness_s=0.05,
     base_override=f"http://127.0.0.1:{port}",
 )
-report = link_report(events, concurrency=4, checker=checker)
+rows = link_report(events, concurrency=4, checker=checker)
 
-for row in report.rows:
+for row in rows:
     code = row.http_code if row.http_code is not None else "-"
     print(f"{row.status.value:19} {code:>4}  {row.url or '(no url)'}")
 
 print("\nper-dataset summary (both invalidity bases):")
-print(json.dumps(summary_dict(report), indent=2))
+print(json.dumps(summary_dict(events, rows), indent=2))
 
 server.shutdown()
 server.server_close()

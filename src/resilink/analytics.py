@@ -8,6 +8,7 @@ are read-only and may run concurrently.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import re
@@ -350,17 +351,31 @@ def uc4_monthly_timeline(
 
 
 def _csv_rows(fp: IO[str], what: str, header: list[str], expected: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, row) of each non-blank row under the checked header, which is line 1."""
-    reader = csv.reader(fp)
-    first = next(reader, None)
-    if first is None or [h.strip() for h in first] != header:
-        raise ReportFormatError(f"{what} CSV must start with header '{','.join(header)}'")
-    for i, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ReportFormatError(f"{what} CSV line {i}: expected {expected}")
-        yield i, row
+    """(line number, row) of each non-blank row under the checked header, which is line 1.
+
+    fp is read whole before parsing, so invalid UTF-8 in a file opened as
+    UTF-8 is reported at its line: 1 plus the LFs before the first bad byte.
+    A row's line is the csv reader's count of lines read, so a row with a
+    quoted line break is named by its last line.
+    """
+    try:
+        text = fp.read()
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ReportFormatError(f"{what} CSV line {lineno}: invalid UTF-8") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first] != header:
+            raise ReportFormatError(f"{what} CSV must start with header '{','.join(header)}'")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ReportFormatError(f"{what} CSV line {reader.line_num}: expected {expected}")
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ReportFormatError(f"{what} CSV line {reader.line_num}: {exc}") from exc
 
 
 def read_deaths_csv(fp: IO[str]) -> dict[str, int]:

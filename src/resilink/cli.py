@@ -418,7 +418,7 @@ def _uc4(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
 
 def _uc5(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
     attacks = analytics.monthly_event_counts(ds, _months(args, cfg))
-    with open(args.deaths, encoding="utf-8") as fp:
+    with open(args.deaths, encoding="utf-8", newline="") as fp:
         deaths = analytics.read_deaths_csv(fp)
     _write_csv(args.out, [
         ("# proof-of-concept: joins unvalidated external data; not for operational decisions",),
@@ -430,7 +430,7 @@ def _uc5(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
 
 def _uc6(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
     settings = _with_flags(cfg.analytics, uc6_radius_km=args.radius_km)
-    with open(args.shelters, encoding="utf-8") as fp:
+    with open(args.shelters, encoding="utf-8", newline="") as fp:
         shelters = analytics.load_shelters(fp)
     collection, grid = analytics.uc6_shelter_gap(
         ds, shelters, radius_km=settings.uc6_radius_km, grid_deg=settings.grid_deg
@@ -462,14 +462,14 @@ def _cmd_linkcheck(args, cfg: PipelineConfig) -> None:
         politeness_s=settings.politeness_s,
         base_override=args.base_override,
     )
-    report = linkcheck.link_report(events, concurrency=settings.concurrency, checker=checker)
+    rows = linkcheck.link_report(events, concurrency=settings.concurrency, checker=checker)
     if args.out_csv:
         _write_csv(args.out_csv, [
             ("url", "status", "http_code", "event_id"),
-            *((row.url, row.status.value, row.http_code, row.event_id) for row in report.rows),
+            *((row.url, row.status.value, row.http_code, row.event_id) for row in rows),
         ])  # csv writes a missing http_code (None) as an empty field
     if args.out_json:
-        _write_json(args.out_json, linkcheck.summary_dict(report))
+        _write_json(args.out_json, linkcheck.summary_dict(events, rows))
 
 
 def _cmd_pipeline(args, cfg: PipelineConfig) -> None:

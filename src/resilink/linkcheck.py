@@ -1,10 +1,10 @@
 """Source-URL validation with bounded concurrency and per-host politeness.
 
 Checks each distinct URL exactly once (HEAD, falling back to GET on 405)
-and classifies the outcome; counts are aggregated per dataset. Results are
-deterministic regardless of worker count because statuses are keyed by URL
-and assembled in event order afterwards. The politeness scheduler,
-:class:`RateLimiter`, also paces the GeoNames client.
+and classifies the outcome; the report's rows are counted per dataset.
+Results are deterministic regardless of worker count because outcomes are
+keyed by URL and assembled in event order afterwards. The politeness
+scheduler, :class:`RateLimiter`, also paces the GeoNames client.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Sequence
 from urllib.parse import urlsplit, urlunsplit
 
 import requests
@@ -38,62 +37,15 @@ class LinkState(str, Enum):
     NETWORK_ERROR = "NetworkError"
 
 
-INVALID_STATES = frozenset(
-    {LinkState.BROKEN, LinkState.PERMISSION_REQUIRED, LinkState.MISSING,
-     LinkState.TIMEOUT, LinkState.NETWORK_ERROR}
-)
-
-
-@dataclass(frozen=True)
-class LinkStatus:
-    """Outcome for one URL; Missing marks an event that had no URL at all."""
-
-    url: str
-    status: LinkState
-    http_code: int | None = None
-
-    def __post_init__(self):
-        if (self.status is LinkState.MISSING) != (self.url == ""):
-            raise ValueError("Missing status is reserved for events without a URL")
-        if self.status in (LinkState.MISSING, LinkState.TIMEOUT, LinkState.NETWORK_ERROR):
-            if self.http_code is not None:
-                raise ValueError(f"{self.status.value} cannot carry an HTTP code")
-
-
 @dataclass(frozen=True)
 class LinkReportRow:
+    """One row of the report: an event's URL and its outcome, or "" and Missing."""
+
     url: str
     status: LinkState
     http_code: int | None
     event_id: str
     dataset: Dataset
-
-
-@dataclass(frozen=True)
-class DatasetLinkStats:
-    """Per-dataset tallies; both invalidity bases are reported because the
-    natural denominator (URLs vs events) is a matter of interpretation."""
-
-    dataset: Dataset
-    total_events: int
-    total_urls: int
-    missing_events: int
-    counts: Mapping[LinkState, int]
-    invalid: int
-    invalid_fraction_urls: float
-    invalid_fraction_events: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
-
-
-@dataclass(frozen=True)
-class LinkReport:
-    rows: tuple[LinkReportRow, ...]
-    stats: Mapping[Dataset, DatasetLinkStats]
-
-    def __post_init__(self):
-        object.__setattr__(self, "stats", MappingProxyType(dict(self.stats)))
 
 
 class RateLimiter:
@@ -154,8 +106,8 @@ class LinkChecker:
         parts = urlsplit(url)
         return urlunsplit((base.scheme, base.netloc, parts.path, parts.query, ""))
 
-    def check(self, url: str) -> LinkStatus:
-        """Classify one URL; every outcome is a status, never an exception."""
+    def check(self, url: str) -> tuple[LinkState, int | None]:
+        """(state, HTTP code or None) of one URL; every outcome is a state, never an exception."""
         target = self._effective_url(url)
         self._politeness.wait(urlsplit(target).netloc)
         session = self._session()
@@ -168,89 +120,63 @@ class LinkChecker:
                 resp.close()
             code = resp.status_code
         except requests.Timeout:
-            return LinkStatus(url, LinkState.TIMEOUT)
+            return LinkState.TIMEOUT, None
         except requests.TooManyRedirects as exc:
-            code = exc.response.status_code if exc.response is not None else None
-            return LinkStatus(url, LinkState.BROKEN, code)
+            return LinkState.BROKEN, exc.response.status_code if exc.response is not None else None
         except requests.RequestException:
-            return LinkStatus(url, LinkState.NETWORK_ERROR)
+            return LinkState.NETWORK_ERROR, None
         if 200 <= code < 400:
-            return LinkStatus(url, LinkState.VALID, code)
+            return LinkState.VALID, code
         if code in (401, 403):
-            return LinkStatus(url, LinkState.PERMISSION_REQUIRED, code)
-        return LinkStatus(url, LinkState.BROKEN, code)
-
-
-def _dataset_stats(dataset: Dataset, rows: list[LinkReportRow], total_events: int) -> DatasetLinkStats:
-    tally = Counter(row.status for row in rows)
-    counts = {state: tally[state] for state in LinkState}
-    missing = counts[LinkState.MISSING]
-    total_urls = len(rows) - missing
-    invalid = sum(counts[s] for s in INVALID_STATES)
-    denominator = total_urls + missing
-    events_with_invalid = len(
-        {row.event_id for row in rows if row.status in INVALID_STATES}
-    )
-    return DatasetLinkStats(
-        dataset=dataset,
-        total_events=total_events,
-        total_urls=total_urls,
-        missing_events=missing,
-        counts=counts,
-        invalid=invalid,
-        invalid_fraction_urls=invalid / denominator if denominator else 0.0,
-        invalid_fraction_events=events_with_invalid / total_events if total_events else 0.0,
-    )
+            return LinkState.PERMISSION_REQUIRED, code
+        return LinkState.BROKEN, code
 
 
 def link_report(
     events: Iterable[Event],
     concurrency: int = 8,
     checker: LinkChecker | None = None,
-) -> LinkReport:
-    """Check every event's URLs and aggregate per-dataset statistics.
+) -> list[LinkReportRow]:
+    """One row per URL of each event, in event order; an event without a URL gets a Missing row.
 
-    Each distinct URL is fetched once; its status applies to every event
-    citing it. Events without any URL contribute one Missing row. The
-    invalid fraction over URLs uses total URLs + missing-URL events as the
-    denominator, so per-status counts always sum to it.
+    Each distinct URL is fetched once; its outcome applies to every event
+    citing it, so the rows do not depend on the worker count.
     """
-    if concurrency < 1:
-        raise ValueError("concurrency must be >= 1")
     events = list(events)
     checker = checker or LinkChecker()
-
     unique_urls = list(dict.fromkeys(url for ev in events for url in ev.source_urls))
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        statuses = dict(zip(unique_urls, pool.map(checker.check, unique_urls)))
-
-    rows: list[LinkReportRow] = []
-    for ev in events:
-        if not ev.source_urls:
-            rows.append(LinkReportRow("", LinkState.MISSING, None, ev.id, ev.dataset))
-            continue
-        for url in ev.source_urls:
-            st = statuses[url]
-            rows.append(LinkReportRow(url, st.status, st.http_code, ev.id, ev.dataset))
-
-    stats = {
-        ds: _dataset_stats(ds, [r for r in rows if r.dataset is ds], total)
-        for ds, total in Counter(ev.dataset for ev in events).items()
-    }
-    return LinkReport(rows=tuple(rows), stats=stats)
+        outcomes = dict(zip(unique_urls, pool.map(checker.check, unique_urls)))
+    outcomes[""] = (LinkState.MISSING, None)  # a source URL is never empty
+    return [
+        LinkReportRow(url, *outcomes[url], ev.id, ev.dataset)
+        for ev in events
+        for url in ev.source_urls or ("",)
+    ]
 
 
-def summary_dict(report: LinkReport) -> dict:
-    """JSON-ready per-dataset summary."""
+def summary_dict(events: Iterable[Event], rows: Sequence[LinkReportRow]) -> dict:
+    """JSON-ready per-dataset summary of link_report's rows for these events.
+
+    Every state but Valid is invalid, Missing included. Both invalidity
+    bases are reported, because the natural denominator is a matter of
+    interpretation: invalid rows over all rows (URLs + missing-URL events),
+    and the event ids with an invalid row over total_events. total_events
+    counts events, so an event listed twice counts twice.
+    """
     out = {}
-    for ds, st in sorted(report.stats.items(), key=lambda kv: kv[0].value):
+    totals = Counter(ev.dataset for ev in events)
+    for ds, total_events in sorted(totals.items(), key=lambda kv: kv[0].value):
+        ds_rows = [row for row in rows if row.dataset is ds]
+        counts = Counter(row.status for row in ds_rows)
+        invalid = [row for row in ds_rows if row.status is not LinkState.VALID]
         out[ds.value] = {
-            "total_events": st.total_events,
-            "total_urls": st.total_urls,
-            "missing_url_events": st.missing_events,
-            "counts": {state.value: n for state, n in st.counts.items() if n},
-            "invalid": st.invalid,
-            "invalid_fraction_urls": st.invalid_fraction_urls,
-            "invalid_fraction_events": st.invalid_fraction_events,
+            "total_events": total_events,
+            "total_urls": len(ds_rows) - counts[LinkState.MISSING],
+            "missing_url_events": counts[LinkState.MISSING],
+            "counts": {state.value: counts[state] for state in LinkState if counts[state]},
+            "invalid": len(invalid),
+            "invalid_fraction_urls": len(invalid) / len(ds_rows) if ds_rows else 0.0,
+            "invalid_fraction_events": len({row.event_id for row in invalid}) / total_events,
         }
     return out

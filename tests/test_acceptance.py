@@ -22,7 +22,7 @@ from resilink import analytics
 from resilink.analytics import DEFAULT_MONTHS, IntegratedDataset, ShelterRecord
 from resilink.gazetteer import enrich_event, haversine_km, postal_code_for, reverse_geocode
 from resilink.integration import Verdict, integrate, similarity
-from resilink.linkcheck import LinkChecker, LinkState, link_report
+from resilink.linkcheck import LinkChecker, LinkState, link_report, summary_dict
 from resilink.model import CivilDate, Dataset, Event, GazetteerRef, GeoPoint
 from resilink.rdf import emit_event_triples, parse_ntriples, serialize_bytes
 from tests import oracles
@@ -390,18 +390,18 @@ class TestCriterion8Linkcheck:
                 ]
                 one = link_report(events, concurrency=1, checker=checker())
                 eight = link_report(events, concurrency=8, checker=checker())
-                assert one.rows == eight.rows
+                assert one == eight
 
-                by_url = {r.url: r.status for r in one.rows}
+                by_url = {r.url: r.status for r in one}
                 assert by_url["https://host/ok"] is LinkState.VALID
                 assert by_url["https://host/gone"] is LinkState.BROKEN
                 assert by_url["https://host/forbidden"] is LinkState.PERMISSION_REQUIRED
                 assert by_url["https://host/slow"] is LinkState.TIMEOUT
                 assert by_url[""] is LinkState.MISSING
 
-                stats = one.stats[Dataset.EOR]
-                assert sum(stats.counts.values()) == stats.total_urls + stats.missing_events
-                assert stats.invalid == 4  # gone + forbidden + slow + missing
-                assert stats.invalid_fraction_urls == pytest.approx(4 / 5)
+                stats = summary_dict(events, one)["eor"]
+                assert sum(stats["counts"].values()) == stats["total_urls"] + stats["missing_url_events"]
+                assert stats["invalid"] == 4  # gone + forbidden + slow + missing
+                assert stats["invalid_fraction_urls"] == pytest.approx(4 / 5)
             finally:
                 stop_server(server)

@@ -447,6 +447,19 @@ REPORT_CSV_ERRORS = [
                  "shelter CSV must start with header 'name,lat,lon'", id="shelter-wrong-header"),
     pytest.param(load_shelters, "name,lat,lon\nx,50.0,36.0\n\ny,50.0\n",
                  "shelter CSV line 4: expected 3 columns", id="shelter-wrong-width"),
+    # a row is named by its physical line: records were once counted, so a row after a
+    # quoted line break was reported one line early
+    pytest.param(read_deaths_csv, 'month,deaths\n2022-04,"5\n"\n2022-05\n',
+                 "deaths CSV line 4: expected 'YYYY-MM,integer'", id="deaths-after-quoted-break"),
+    pytest.param(read_deaths_csv, 'month,deaths\n2022-04,"5\n"\r\n2022-05,x\r\n',
+                 "deaths CSV line 4: bad death count 'x'", id="deaths-value-after-quoted-break"),
+    pytest.param(load_shelters, 'name,lat,lon\n"Metro\nstation",50.0,36.0\ny,50.0\n',
+                 "shelter CSV line 4: expected 3 columns", id="shelter-after-quoted-break"),
+    pytest.param(load_shelters, 'name,lat,lon\r\n"Metro\r\nstation",50.0,36.0\r\ny,95.0,36.0\r\n',
+                 "shelter CSV line 4: latitude out of range: 95.0",
+                 id="shelter-value-after-quoted-break"),
+    pytest.param(load_shelters, "name,lat,lon\n" + "x" * 200_000 + ",50.0,36.0\n",
+                 "shelter CSV line 2: field larger than field limit (131072)", id="shelter-huge-field"),
 ]
 
 
@@ -456,6 +469,10 @@ class TestReportCsvInputs:
         with pytest.raises(ReportFormatError) as exc:
             reader(io.StringIO(text))
         assert str(exc.value) == message
+
+    def test_line_ends_as_the_csv_module_reads_them(self):
+        text = "name,lat,lon\r\nx,50.0,36.0\ry,51.0,36.0\n"
+        assert [s.name for s in load_shelters(io.StringIO(text))] == ["x", "y"]
 
     def test_blank_rows_skipped(self):
         assert read_deaths_csv(io.StringIO("month,deaths\n\n2022-04,5\n\n")) == {"2022-04": 5}

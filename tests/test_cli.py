@@ -638,6 +638,28 @@ class TestDataErrors:
         assert line == f"resilink: error: deaths CSV line 3: not a YYYY-MM month: '{month}'"
         assert not out.exists()
 
+    @pytest.mark.parametrize("use_case,flag,kind,data,lineno", [
+        pytest.param("uc5", "--deaths", "deaths", b"month,deaths\n2022-03,4\n2022-04,\xff\n", 3,
+                     id="uc5"),
+        pytest.param("uc6", "--shelters", "shelter",
+                     b'name,lat,lon\r\n"Metro\r\nst\xff",50.0,36.0\r\n', 3, id="uc6"),
+        # past the first 8 KB, which a text file's line iterator decodes in one chunk
+        pytest.param("uc6", "--shelters", "shelter",
+                     b"name,lat,lon\n" + b"x,50.0,36.0\n" * 1000 + b"\xfe,1,1\n", 1002,
+                     id="uc6-past-8k"),
+    ])
+    def test_report_csv_invalid_utf8_is_one_line_error(self, workdir, capsys, use_case, flag,
+                                                       kind, data, lineno):
+        # the decoder's message once came alone, naming neither the input nor its line
+        nt = workdir / "events.nt"
+        assert _run("convert", "--input", _tiny_events(workdir), "--out", nt) == 0
+        bad, out = workdir / "input.csv", workdir / "out.csv"
+        bad.write_bytes(data)
+        assert _run("report", use_case, "--input", nt, flag, bad, "--out", out) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == f"resilink: error: {kind} CSV line {lineno}: invalid UTF-8"
+        assert not out.exists()
+
     @pytest.mark.parametrize("geoname_id", ["0", "-3"])
     def test_uc1_city_geoname_id_must_be_positive(self, workdir, capsys, geoname_id):
         # 0 used to be taken as "no filter" and wrote the unfiltered selection

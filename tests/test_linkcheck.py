@@ -1,13 +1,14 @@
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
 
 from resilink.linkcheck import (
     LinkChecker,
+    LinkReportRow,
     LinkState,
-    LinkStatus,
     RateLimiter,
     link_report,
     summary_dict,
@@ -42,60 +43,50 @@ def _event(i: int, urls: tuple[str, ...], dataset=Dataset.EOR) -> Event:
 
 class TestCheckUrl:
     def test_ok(self, server):
-        st = _checker(server).check("https://example.com/ok")
-        assert (st.status, st.http_code) == (LinkState.VALID, 200)
+        assert _checker(server).check("https://example.com/ok") == (LinkState.VALID, 200)
 
     def test_broken_404(self, server):
-        st = _checker(server).check("https://example.com/gone")
-        assert (st.status, st.http_code) == (LinkState.BROKEN, 404)
+        assert _checker(server).check("https://example.com/gone") == (LinkState.BROKEN, 404)
 
     def test_broken_410(self, server):
-        st = _checker(server).check("https://example.com/deleted")
-        assert st.status is LinkState.BROKEN
+        status, _ = _checker(server).check("https://example.com/deleted")
+        assert status is LinkState.BROKEN
 
     def test_permission_403(self, server):
-        st = _checker(server).check("https://example.com/forbidden")
-        assert (st.status, st.http_code) == (LinkState.PERMISSION_REQUIRED, 403)
+        assert _checker(server).check("https://example.com/forbidden") == (
+            LinkState.PERMISSION_REQUIRED, 403)
 
     def test_permission_401(self, server):
-        st = _checker(server).check("https://example.com/login")
-        assert st.status is LinkState.PERMISSION_REQUIRED
+        status, _ = _checker(server).check("https://example.com/login")
+        assert status is LinkState.PERMISSION_REQUIRED
 
     def test_server_error_is_broken(self, server):
-        st = _checker(server).check("https://example.com/oops")
-        assert (st.status, st.http_code) == (LinkState.BROKEN, 500)
+        assert _checker(server).check("https://example.com/oops") == (LinkState.BROKEN, 500)
 
     def test_timeout(self, server):
-        st = _checker(server).check("https://example.com/slow")
-        assert st.status is LinkState.TIMEOUT
-        assert st.http_code is None
+        status, http_code = _checker(server).check("https://example.com/slow")
+        assert status is LinkState.TIMEOUT
+        assert http_code is None
 
     def test_redirect_followed(self, server):
-        st = _checker(server).check("https://example.com/redirect")
-        assert (st.status, st.http_code) == (LinkState.VALID, 200)
+        assert _checker(server).check("https://example.com/redirect") == (LinkState.VALID, 200)
 
     def test_redirect_loop_is_broken(self, server):
-        st = _checker(server).check("https://example.com/loop")
-        assert st.status is LinkState.BROKEN
+        status, _ = _checker(server).check("https://example.com/loop")
+        assert status is LinkState.BROKEN
 
     def test_head_falls_back_to_get_on_405(self, server):
         server.request_log.clear()
-        st = _checker(server).check("https://example.com/post-only")
-        assert st.status is LinkState.VALID
+        status, _ = _checker(server).check("https://example.com/post-only")
+        assert status is LinkState.VALID
         assert ("HEAD", "/post-only") in server.request_log
         assert ("GET", "/post-only") in server.request_log
 
     def test_connection_refused_is_network_error(self):
         checker = LinkChecker(timeout_s=0.5, politeness_s=0.0,
                               base_override="http://127.0.0.1:1")
-        st = checker.check("https://example.com/ok")
-        assert st.status is LinkState.NETWORK_ERROR
-
-    def test_missing_invariant(self):
-        with pytest.raises(ValueError):
-            LinkStatus(url="https://x/ok", status=LinkState.MISSING)
-        with pytest.raises(ValueError):
-            LinkStatus(url="", status=LinkState.TIMEOUT, http_code=200)
+        status, _ = checker.check("https://example.com/ok")
+        assert status is LinkState.NETWORK_ERROR
 
 
 class TestLinkReport:
@@ -110,37 +101,40 @@ class TestLinkReport:
 
     def test_counts_and_fractions(self, server):
         server.request_log.clear()
-        report = link_report(self._events(), concurrency=4, checker=_checker(server))
-        eor = report.stats[Dataset.EOR]
+        events = self._events()
+        summary = summary_dict(events, link_report(events, concurrency=4, checker=_checker(server)))
+        eor = summary["eor"]
         # 3 URL rows (ok, gone, ok) + 1 missing row; invalid = gone + missing
-        assert eor.total_urls == 3 and eor.missing_events == 1
-        assert eor.invalid == 2
-        assert eor.invalid_fraction_urls == pytest.approx(2 / 4)
-        assert eor.invalid_fraction_events == pytest.approx(2 / 3)
-        ch = report.stats[Dataset.CH]
-        assert ch.invalid == 1 and ch.total_urls == 2
-        assert ch.invalid_fraction_urls == pytest.approx(1 / 2)
+        assert eor["total_urls"] == 3 and eor["missing_url_events"] == 1
+        assert eor["invalid"] == 2
+        assert eor["invalid_fraction_urls"] == pytest.approx(2 / 4)
+        assert eor["invalid_fraction_events"] == pytest.approx(2 / 3)
+        ch = summary["ch"]
+        assert ch["invalid"] == 1 and ch["total_urls"] == 2
+        assert ch["invalid_fraction_urls"] == pytest.approx(1 / 2)
 
     def test_per_status_counts_sum_to_denominator(self, server):
-        report = link_report(self._events(), concurrency=2, checker=_checker(server))
-        for st in report.stats.values():
-            assert sum(st.counts.values()) == st.total_urls + st.missing_events
+        events = self._events()
+        summary = summary_dict(events, link_report(events, concurrency=2, checker=_checker(server)))
+        for st in summary.values():
+            assert sum(st["counts"].values()) == st["total_urls"] + st["missing_url_events"]
 
     def test_missing_url_event_counted(self, server):
-        report = link_report(self._events(), checker=_checker(server))
-        missing_rows = [r for r in report.rows if r.status is LinkState.MISSING]
+        rows = link_report(self._events(), checker=_checker(server))
+        missing_rows = [r for r in rows if r.status is LinkState.MISSING]
         assert [r.event_id for r in missing_rows] == ["ev-eor-3"]
 
     def test_all_valid_fraction_zero(self, server):
         events = [_event(1, ("https://h/ok",)), _event(2, ("https://h/ok2",))]
-        report = link_report(events, checker=_checker(server))
-        assert report.stats[Dataset.EOR].invalid_fraction_urls == 0.0
+        rows = link_report(events, checker=_checker(server))
+        assert summary_dict(events, rows)["eor"]["invalid_fraction_urls"] == 0.0
 
     def test_concurrency_determinism(self, server):
-        one = link_report(self._events(), concurrency=1, checker=_checker(server))
-        eight = link_report(self._events(), concurrency=8, checker=_checker(server))
-        assert one.rows == eight.rows
-        assert summary_dict(one) == summary_dict(eight)
+        events = self._events()
+        one = link_report(events, concurrency=1, checker=_checker(server))
+        eight = link_report(events, concurrency=8, checker=_checker(server))
+        assert one == eight
+        assert summary_dict(events, one) == summary_dict(events, eight)
 
     def test_each_url_fetched_once(self, server):
         server.request_log.clear()
@@ -149,7 +143,7 @@ class TestLinkReport:
         assert paths.count("/ok") == 1  # cited by two events, fetched once
 
     def test_csv_columns(self, server, tmp_path):
-        report = link_report(self._events(), checker=_checker(server))
+        rows = link_report(self._events(), checker=_checker(server))
         events, config, out = tmp_path / "events.json", tmp_path / "config.json", tmp_path / "links.csv"
         events.write_text(events_to_json(self._events()))
         config.write_text('{"linkcheck": {"politeness_s": 0}}')
@@ -162,9 +156,75 @@ class TestLinkReport:
         assert lines[0] == "url,status,http_code,event_id"
         assert lines[1:] == [
             f"{r.url},{r.status.value},{'' if r.http_code is None else r.http_code},{r.event_id}"
-            for r in report.rows
+            for r in rows
         ]
         assert lines[4] == ",Missing,,ev-eor-3"
+
+    def test_events_file_given_twice_counts_twice(self, server, tmp_path):
+        events, config = tmp_path / "events.json", tmp_path / "config.json"
+        events.write_text(events_to_json(self._events()))
+        config.write_text('{"linkcheck": {"politeness_s": 0}}')
+
+        def run(*inputs):
+            out_csv, out_json = tmp_path / "links.csv", tmp_path / "links.json"
+            assert run_subcommand([
+                "linkcheck", *(arg for path in inputs for arg in ("--input", str(path))),
+                "--config", str(config), "--timeout", "0.5",
+                "--base-override", f"http://127.0.0.1:{server.server_address[1]}",
+                "--out-csv", str(out_csv), "--out-json", str(out_json),
+            ]) == 0
+            return out_csv.read_text().splitlines(), json.loads(out_json.read_text())
+
+        once_csv, once = run(events)
+        twice_csv, twice = run(events, events)
+        assert twice_csv == once_csv[:1] + once_csv[1:] * 2
+        for ds in ("eor", "ch"):
+            doubled = {key: once[ds][key] * 2
+                       for key in ("total_events", "total_urls", "missing_url_events", "invalid")}
+            assert twice[ds] == {
+                **once[ds], **doubled,
+                "counts": {state: n * 2 for state, n in once[ds]["counts"].items()},
+                # the numerator counts each event id with an invalid row once
+                "invalid_fraction_events": once[ds]["invalid_fraction_events"] / 2,
+            }
+        assert twice["eor"]["total_events"] == 6
+        assert twice["eor"]["invalid_fraction_events"] == pytest.approx(2 / 6)
+
+    def test_summary_of_every_state(self, server):
+        host = f"http://127.0.0.1:{server.server_address[1]}"
+        events = [
+            _event(1, (host + "/ok", host + "/gone")),
+            _event(2, (host + "/forbidden",)),
+            _event(3, ()),
+            _event(4, (host + "/slow",)),
+            _event(5, ("http://127.0.0.1:1/ok",)),  # connection refused
+            _event(6, (host + "/ok2",)),
+            _event(7, (host + "/ok",), Dataset.CH),
+        ]
+        rows = link_report(events, checker=LinkChecker(timeout_s=0.5, politeness_s=0.0))
+        assert rows[:2] == [
+            LinkReportRow(host + "/ok", LinkState.VALID, 200, "ev-eor-1", Dataset.EOR),
+            LinkReportRow(host + "/gone", LinkState.BROKEN, 404, "ev-eor-1", Dataset.EOR),
+        ]
+        summary = summary_dict(events, rows)
+        assert list(summary) == ["ch", "eor"]
+        assert summary["ch"] == {
+            "total_events": 1, "total_urls": 1, "missing_url_events": 0,
+            "counts": {"Valid": 1},  # states that do not occur are left out
+            "invalid": 0, "invalid_fraction_urls": 0.0, "invalid_fraction_events": 0.0,
+        }
+        eor = summary["eor"]
+        assert list(eor) == ["total_events", "total_urls", "missing_url_events", "counts",
+                             "invalid", "invalid_fraction_urls", "invalid_fraction_events"]
+        assert list(eor["counts"].items()) == [
+            ("Valid", 2), ("Broken", 1), ("PermissionRequired", 1), ("Missing", 1),
+            ("Timeout", 1), ("NetworkError", 1),
+        ]
+        assert (eor["total_events"], eor["total_urls"], eor["missing_url_events"]) == (6, 6, 1)
+        # every state but Valid is invalid: 5 of 7 rows, and events 1-5 of 6
+        assert eor["invalid"] == 5
+        assert eor["invalid_fraction_urls"] == 5 / 7
+        assert eor["invalid_fraction_events"] == 5 / 6
 
     def test_politeness_spacing(self, server):
         checker = _checker(server, politeness_s=0.15)
@@ -182,11 +242,11 @@ class TestLinkReport:
                       _event(3, (hosts[0] + "/ok2",))]
             checker = LinkChecker(timeout_s=0.5, politeness_s=0.15)
             t0 = time.monotonic()
-            report = link_report(events, concurrency=8, checker=checker)
+            rows = link_report(events, concurrency=8, checker=checker)
             elapsed = time.monotonic() - t0
         finally:
             stop_server(other)
-        assert {row.status for row in report.rows} == {LinkState.VALID}
+        assert {row.status for row in rows} == {LinkState.VALID}
         # the first host's second request waits one slot; the other host waits on neither
         assert 0.15 <= elapsed < 0.3
 
