@@ -15,7 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .gazetteer import PointSet
 from .model import (
@@ -25,6 +25,7 @@ from .model import (
     EventKey,
     GazetteerRef,
     GeoPoint,
+    InputFormatError,
     ResilinkError,
     is_language_code,
     validate_point,
@@ -48,10 +49,6 @@ DEFAULT_MONTHS = (
 )
 
 _MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
-
-
-class ReportFormatError(ResilinkError):
-    """An external report input file is malformed."""
 
 
 @dataclass(frozen=True)
@@ -350,51 +347,44 @@ def uc4_monthly_timeline(
     return [(month, _top_regions(events, n)) for month, events in by_month.items()]
 
 
-def _csv_rows(fp: IO[str], what: str, header: list[str], expected: str) -> Iterator[tuple[int, list[str]]]:
+def _csv_rows(text: str, header: list[str], expected: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, row) of each non-blank row under the checked header, which is line 1.
 
-    fp is read whole before parsing, so invalid UTF-8 in a file opened as
-    UTF-8 is reported at its line: 1 plus the LFs before the first bad byte.
     A row's line is the csv reader's count of lines read, so a row with a
     quoted line break is named by its last line.
     """
-    try:
-        text = fp.read()
-    except UnicodeDecodeError as exc:
-        lineno = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ReportFormatError(f"{what} CSV line {lineno}: invalid UTF-8") from exc
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         first = next(reader, None)
         if first is None or [h.strip() for h in first] != header:
-            raise ReportFormatError(f"{what} CSV must start with header '{','.join(header)}'")
+            raise InputFormatError(1, f"expected the header '{','.join(header)}'")
         for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
-                raise ReportFormatError(f"{what} CSV line {reader.line_num}: expected {expected}")
+                raise InputFormatError(reader.line_num, f"expected {expected}")
             yield reader.line_num, row
     except csv.Error as exc:
-        raise ReportFormatError(f"{what} CSV line {reader.line_num}: {exc}") from exc
+        raise InputFormatError(reader.line_num, str(exc)) from exc
 
 
-def read_deaths_csv(fp: IO[str]) -> dict[str, int]:
-    """Read the external `month,deaths` CSV used by uc5."""
+def read_deaths_csv(text: str) -> dict[str, int]:
+    """The death counts by month of the external `month,deaths` CSV text used by uc5."""
     out = {}
-    for i, row in _csv_rows(fp, "deaths", ["month", "deaths"], "'YYYY-MM,integer'"):
+    for i, row in _csv_rows(text, ["month", "deaths"], "'YYYY-MM,integer'"):
         month = row[0].strip()
         try:
             _check_month(month)
         except ValueError as exc:
-            raise ReportFormatError(f"deaths CSV line {i}: {exc}") from exc
+            raise InputFormatError(i, str(exc)) from exc
         try:
             deaths = int(row[1])
         except ValueError as exc:
-            raise ReportFormatError(f"deaths CSV line {i}: bad death count {row[1]!r}") from exc
+            raise InputFormatError(i, f"bad death count {row[1]!r}") from exc
         if deaths < 0:
-            raise ReportFormatError(f"deaths CSV line {i}: negative death count {deaths}")
+            raise InputFormatError(i, f"negative death count {deaths}")
         if month in out:
-            raise ReportFormatError(f"deaths CSV line {i}: month {month} listed twice")
+            raise InputFormatError(i, f"month {month} listed twice")
         out[month] = deaths
     return out
 
@@ -420,14 +410,14 @@ def uc5_ratio_series(attacks: Sequence[MonthBucket], deaths_by_month: Mapping[st
     return rows
 
 
-def load_shelters(fp: IO[str]) -> list[ShelterRecord]:
-    """Read shelter records from a `name,lat,lon` CSV with a header row."""
+def load_shelters(text: str) -> list[ShelterRecord]:
+    """The shelter records of a `name,lat,lon` CSV text with a header row."""
     shelters = []
-    for i, row in _csv_rows(fp, "shelter", ["name", "lat", "lon"], "3 columns"):
+    for i, row in _csv_rows(text, ["name", "lat", "lon"], "3 columns"):
         try:
             point = validate_point(float(row[1]), float(row[2]))
         except (ValueError, ResilinkError) as exc:
-            raise ReportFormatError(f"shelter CSV line {i}: {exc}") from exc
+            raise InputFormatError(i, str(exc)) from exc
         shelters.append(ShelterRecord(point=point, name=row[0].strip() or None))
     return shelters
 

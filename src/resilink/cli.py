@@ -34,6 +34,7 @@ from .model import (
     events_from_json,
     events_to_json,
     parse_civil_date,
+    parse_file,
 )
 
 log = logging.getLogger("resilink")
@@ -139,9 +140,7 @@ class PipelineConfig:
     def load_overrides(self) -> gazetteer.OverrideTable:
         if self.overrides_path is None:
             return gazetteer.EMPTY_OVERRIDES
-        # the constructor's value error names the override table and the value already
-        mapping = _parse_file(self.overrides_path, gazetteer.OverrideTable.json_mapping)
-        return gazetteer.OverrideTable(mapping)
+        return parse_file(self.overrides_path, gazetteer.OverrideTable.from_json)
 
 
 def _object(value, label: str, keys=None) -> dict:
@@ -233,16 +232,8 @@ def _with_flags(section, **flags):
     return replace(section, **{name: value for name, value in flags.items() if value is not None})
 
 
-def _parse_file(path: str | Path, parse):
-    """parse(the bytes of path), with the path in front of a data error's message."""
-    try:
-        return parse(Path(path).read_bytes())  # the bytes go when parse lets go of them
-    except (ResilinkError, ValueError) as exc:
-        raise ResilinkError(f"{path}: {exc}") from exc
-
-
 def _read_events(path: str | Path) -> list[Event]:
-    return _parse_file(path, events_from_json)
+    return parse_file(path, events_from_json)
 
 
 def _write_events(path: str | Path, events) -> None:
@@ -256,8 +247,8 @@ def _ingest(path: str | Path, dataset: Dataset, fmt: str, cfg: PipelineConfig) -
     """Parse and normalize one source file; rejected records are only logged."""
     if dataset not in cfg.adapters:
         raise ConfigError(f"config has no adapter for dataset {dataset.value!r}")
-    records = _parse_file(path, lambda data: ingest.parse_dataset(
-        data, dataset, ingest.SourceFormat(fmt), cfg.adapters[dataset]
+    records = parse_file(path, lambda text: ingest.parse_dataset(
+        text, dataset, ingest.SourceFormat(fmt), cfg.adapters[dataset]
     ))
     events, rejected = ingest.normalize_records(records, cfg.adapters[dataset])
     for err in rejected:
@@ -367,11 +358,11 @@ def _cmd_integrate(args, cfg: PipelineConfig) -> None:
     )
 
 
-def _load_dataset(path: str) -> analytics.IntegratedDataset:
-    # decoded here, so that the file's bytes are freed before the load
-    return analytics.IntegratedDataset.from_triples(
-        rdf.parse_ntriples(Path(path).read_bytes().decode("utf-8"))
-    )
+def _integrated_dataset(text: str) -> analytics.IntegratedDataset:
+    """The dataset in an integrated .nt's text, which is freed once split into lines."""
+    rows = rdf.parse_ntriples(text)
+    del text  # a reference kept here would hold the whole text through the load
+    return analytics.IntegratedDataset.from_triples(rows)
 
 
 def _months(args, cfg: PipelineConfig) -> list[str]:
@@ -418,8 +409,7 @@ def _uc4(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
 
 def _uc5(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
     attacks = analytics.monthly_event_counts(ds, _months(args, cfg))
-    with open(args.deaths, encoding="utf-8", newline="") as fp:
-        deaths = analytics.read_deaths_csv(fp)
+    deaths = parse_file(args.deaths, analytics.read_deaths_csv)
     _write_csv(args.out, [
         ("# proof-of-concept: joins unvalidated external data; not for operational decisions",),
         ("month", "attacks", "deaths", "ratio"),
@@ -430,8 +420,7 @@ def _uc5(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
 
 def _uc6(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
     settings = _with_flags(cfg.analytics, uc6_radius_km=args.radius_km)
-    with open(args.shelters, encoding="utf-8", newline="") as fp:
-        shelters = analytics.load_shelters(fp)
+    shelters = parse_file(args.shelters, analytics.load_shelters)
     collection, grid = analytics.uc6_shelter_gap(
         ds, shelters, radius_km=settings.uc6_radius_km, grid_deg=settings.grid_deg
     )
@@ -447,7 +436,7 @@ def _uc6(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
 
 def _cmd_report(args, cfg: PipelineConfig) -> None:
     """Load the dataset once and run the use case's handler (_uc1 .. _uc6) on it."""
-    args.use_case_handler(_load_dataset(args.input), args, cfg)
+    args.use_case_handler(parse_file(args.input, _integrated_dataset), args, cfg)
 
 
 def _cmd_linkcheck(args, cfg: PipelineConfig) -> None:

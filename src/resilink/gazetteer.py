@@ -38,16 +38,18 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .ingest import clean_location_string
-from .model import Event, GazetteerRef, GeoPoint, OutOfRangeError, ResilinkError, is_language_code
+from .model import (
+    Event,
+    GazetteerRef,
+    GeoPoint,
+    InputFormatError,
+    OutOfRangeError,
+    ResilinkError,
+    is_language_code,
+    parse_file,
+)
 
 EARTH_RADIUS_KM = 6371.0
-
-
-class GazetteerFormatError(ResilinkError):
-    def __init__(self, path: str | Path, line: int, message: str):
-        self.path = str(path)
-        self.line = line
-        super().__init__(f"{path}:{line}: {message}")
 
 
 class UnknownGeonameIdError(ResilinkError):
@@ -105,22 +107,16 @@ class OverrideTable:
                 raise ValueError(f"override table values must be geoname ids: {v!r}")
         object.__setattr__(self, "mapping", {clean_location_string(k): v for k, v in self.mapping.items()})
 
-    @staticmethod
-    def json_mapping(text: str | bytes) -> dict:
-        """The JSON object of an override table's text; the constructor checks its values."""
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
+    @classmethod
+    def from_json(cls, text: str) -> OverrideTable:
+        """The table in an override file's JSON text: one object of name -> geoname id."""
         try:
             data = json.loads(text)
         except RecursionError as exc:
             raise ValueError("override table JSON is nested too deeply") from exc
         if not isinstance(data, dict):
             raise ValueError("override table must be a JSON object of name -> geoname id")
-        return data
-
-    @classmethod
-    def from_json(cls, text: str | bytes) -> OverrideTable:
-        return cls(mapping=cls.json_mapping(text))
+        return cls(mapping=data)
 
 
 EMPTY_OVERRIDES = OverrideTable(mapping={})
@@ -151,9 +147,9 @@ class PointSet:
         self._points = list(points)
         lat = np.radians([p.latitude for p in self._points])
         lon = np.radians([p.longitude for p in self._points])
-        xyz = np.stack((np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)))
-        self._order = np.argsort(xyz[2], kind="stable")  # sorted position -> original index
-        self._xyz = xyz[:, self._order]
+        self._order = np.argsort(np.sin(lat), kind="stable")  # sorted position -> original index
+        lat, lon = lat[self._order], lon[self._order]
+        self._xyz = np.stack((np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)))
 
     def nearest(self, p: GeoPoint, max_km: float) -> tuple[int, float] | None:
         """Index and haversine km of the nearest target within max_km; ties keep the lowest index."""
@@ -249,42 +245,71 @@ class GazetteerIndex:
         return (self._postal[found[0]], found[1]) if found else None
 
 
-def _rows(path: Path, ncols: int) -> Iterator[tuple[int, list[str]]]:
+def _rows(text: str, ncols: int) -> Iterator[tuple[int, list[str]]]:
     """(line number, columns) of each non-blank line, which must have ncols columns.
 
     Lines end at LF only, with a CR before it dropped: a name may hold U+2028,
     U+0085, a form feed or another character that str.splitlines breaks at.
     """
-    try:
-        lines = path.read_bytes().decode("utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        lineno = exc.object.count(b"\n", 0, exc.start) + 1
-        raise GazetteerFormatError(path, lineno, "invalid UTF-8") from exc
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.removesuffix("\r")
         if not line.strip():
             continue
         cols = line.split("\t")
         if len(cols) != ncols:
-            raise GazetteerFormatError(path, lineno, f"expected {ncols} columns, got {len(cols)}")
+            raise InputFormatError(lineno, f"expected {ncols} columns, got {len(cols)}")
         yield lineno, cols
 
 
-def _number(path: Path, lineno: int, text: str, kind: type, what: str):
+def _number(lineno: int, text: str, kind: type, what: str):
     try:
         return kind(text)
     except ValueError as exc:
-        raise GazetteerFormatError(path, lineno, f"bad {what}: {text!r}") from exc
+        raise InputFormatError(lineno, f"bad {what}: {text!r}") from exc
 
 
-def _point(path: Path, lineno: int, lat: str, lon: str) -> GeoPoint:
+def _point(lineno: int, lat: str, lon: str) -> GeoPoint:
     """The GeoPoint of a row's latitude and longitude columns."""
-    lat_deg = _number(path, lineno, lat, float, "latitude")
-    lon_deg = _number(path, lineno, lon, float, "longitude")
+    lat_deg = _number(lineno, lat, float, "latitude")
+    lon_deg = _number(lineno, lon, float, "longitude")
     try:
         return GeoPoint(lat_deg, lon_deg)
     except OutOfRangeError as exc:
-        raise GazetteerFormatError(path, lineno, str(exc)) from exc
+        raise InputFormatError(lineno, str(exc)) from exc
+
+
+def _places(text: str) -> dict[int, tuple]:
+    """geonameid -> the GazetteerEntry fields after it, alternate names still a list."""
+    places: dict[int, tuple] = {}
+    for lineno, cols in _rows(text, 10):
+        gid = _number(lineno, cols[0], int, "geonameid")
+        feature_class = cols[6].strip()
+        if feature_class not in ("P", "A"):
+            continue
+        point = _point(lineno, cols[4], cols[5])
+        if gid in places:
+            raise InputFormatError(lineno, f"duplicate geonameid {gid}")
+        aliases = [("", a.strip()) for a in cols[3].split(",") if a.strip()]
+        places[gid] = (cols[1].strip(), cols[2].strip(), aliases, point, feature_class,
+                       cols[7].strip(), cols[8].strip(), cols[9].strip())
+    return places
+
+
+def _add_alternate_names(places: dict[int, tuple], text: str) -> None:
+    for lineno, cols in _rows(text, 4):
+        gid = _number(lineno, cols[1], int, "geonameid")
+        if gid in places:
+            places[gid][2].append((cols[2].strip(), cols[3].strip()))
+
+
+def _postal_codes(text: str) -> list[PostalCodeEntry]:
+    postal = []
+    for lineno, cols in _rows(text, 5):
+        if not cols[1].strip():
+            raise InputFormatError(lineno, "empty postal code")
+        point = _point(lineno, cols[3], cols[4])
+        postal.append(PostalCodeEntry(cols[0].strip(), cols[1].strip(), cols[2].strip(), point))
+    return postal
 
 
 def load_gazetteer(place_file: str | Path, alt_names_file: str | Path, postal_file: str | Path) -> GazetteerIndex:
@@ -299,34 +324,9 @@ def load_gazetteer(place_file: str | Path, alt_names_file: str | Path, postal_fi
     longitude. Blank lines are allowed everywhere. Lines end at LF or CRLF
     only, so a name may hold any other character, U+2028 included.
     """
-    place_file, alt_names_file, postal_file = Path(place_file), Path(alt_names_file), Path(postal_file)
-
-    # geonameid -> the GazetteerEntry fields after it, alternate names still a list
-    places: dict[int, tuple] = {}
-    for lineno, cols in _rows(place_file, 10):
-        gid = _number(place_file, lineno, cols[0], int, "geonameid")
-        feature_class = cols[6].strip()
-        if feature_class not in ("P", "A"):
-            continue
-        point = _point(place_file, lineno, cols[4], cols[5])
-        if gid in places:
-            raise GazetteerFormatError(place_file, lineno, f"duplicate geonameid {gid}")
-        aliases = [("", a.strip()) for a in cols[3].split(",") if a.strip()]
-        places[gid] = (cols[1].strip(), cols[2].strip(), aliases, point, feature_class,
-                       cols[7].strip(), cols[8].strip(), cols[9].strip())
-
-    for lineno, cols in _rows(alt_names_file, 4):
-        gid = _number(alt_names_file, lineno, cols[1], int, "geonameid")
-        if gid in places:
-            places[gid][2].append((cols[2].strip(), cols[3].strip()))
-
-    postal = []
-    for lineno, cols in _rows(postal_file, 5):
-        if not cols[1].strip():
-            raise GazetteerFormatError(postal_file, lineno, "empty postal code")
-        point = _point(postal_file, lineno, cols[3], cols[4])
-        postal.append(PostalCodeEntry(cols[0].strip(), cols[1].strip(), cols[2].strip(), point))
-
+    places = parse_file(place_file, _places)
+    parse_file(alt_names_file, lambda text: _add_alternate_names(places, text))
+    postal = parse_file(postal_file, _postal_codes)
     return GazetteerIndex(
         (
             GazetteerEntry(gid, name, ascii_name, tuple(aliases), *rest)

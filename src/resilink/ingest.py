@@ -18,8 +18,10 @@ from typing import Mapping
 from .model import (
     Dataset,
     Event,
+    InputFormatError,
     ResilinkError,
     content_event_id,
+    decode_utf8,
     parse_civil_date,
     validate_point,
 )
@@ -37,14 +39,6 @@ CANONICAL_FIELDS = (
     "violence_level",
 )
 MANDATORY_FIELDS = ("date", "lat", "lon")
-
-
-class DatasetSyntaxError(ResilinkError):
-    """The source file itself is malformed (not a record-level problem)."""
-
-    def __init__(self, message: str, offset: int):
-        self.offset = offset
-        super().__init__(f"{message} (byte offset {offset})")
 
 
 class MissingMandatoryFieldError(ResilinkError):
@@ -121,35 +115,17 @@ def _stringify(value) -> str | None:
     return json.dumps(value, ensure_ascii=False)
 
 
-def _decode_utf8(data: bytes) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DatasetSyntaxError("invalid UTF-8", exc.start) from exc
-
-
 def _parse_json_records(text: str) -> list[dict]:
     try:
-        parsed = json.loads(text)
-    except json.JSONDecodeError as exc:
-        offset = len(text[: exc.pos].encode("utf-8"))
-        raise DatasetSyntaxError(exc.msg, offset) from exc
+        parsed = json.loads(text)  # a syntax error keeps the json module's message, with its line
     except RecursionError as exc:
-        raise DatasetSyntaxError("JSON nested too deeply", 0) from exc
+        raise ValueError("source JSON is nested too deeply") from exc
     if not isinstance(parsed, list):
-        raise DatasetSyntaxError("expected a top-level JSON array", 0)
+        raise ValueError("expected a top-level JSON array")
     for i, obj in enumerate(parsed):
         if not isinstance(obj, dict):
-            raise DatasetSyntaxError(f"entry {i} is not a JSON object", 0)
+            raise ValueError(f"entry {i} is not a JSON object")
     return parsed
-
-
-def _line_start(text: str, line_num: int) -> int:
-    """Byte offset of line line_num (1-based) as the csv reader counts lines: split at "\n" only."""
-    pos = 0
-    for _ in range(line_num - 1):
-        pos = text.index("\n", pos) + 1
-    return len(text[:pos].encode("utf-8"))
 
 
 def _parse_csv_records(text: str) -> list[dict]:
@@ -158,32 +134,31 @@ def _parse_csv_records(text: str) -> list[dict]:
     try:
         header = next(reader, None)
         if not header or all(not h.strip() for h in header):
-            raise DatasetSyntaxError("missing CSV header row", 0)
+            raise InputFormatError(1, "missing CSV header row")
         rows = []
         for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
-                raise DatasetSyntaxError(
-                    f"row has {len(row)} columns, header has {len(header)}",
-                    _line_start(text, reader.line_num),
+                raise InputFormatError(
+                    reader.line_num, f"row has {len(row)} columns, header has {len(header)}"
                 )
             rows.append(dict(zip(header, row)))
         return rows
     except csv.Error as exc:
-        raise DatasetSyntaxError(str(exc), _line_start(text, reader.line_num)) from exc
+        raise InputFormatError(reader.line_num, str(exc)) from exc
 
 
 def parse_dataset(
-    data: bytes, dataset: Dataset, fmt: SourceFormat, cfg: AdapterConfig
+    data: str | bytes, dataset: Dataset, fmt: SourceFormat, cfg: AdapterConfig
 ) -> list[RawEventRecord]:
-    """Parse a source file into raw records, in file order.
+    """Parse a source file's text (or UTF-8 bytes) into raw records, in file order.
 
     Every record must carry the mapped mandatory fields (date, lat, lon);
     a record missing one aborts the parse, since that points at a broken
     adapter mapping rather than one dirty row.
     """
-    text = _decode_utf8(data)
+    text = decode_utf8(data) if isinstance(data, bytes) else data
     if fmt is SourceFormat.JSON:
         objs = _parse_json_records(text)
     elif fmt is SourceFormat.CSV:

@@ -16,6 +16,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 from urllib.parse import urlsplit
@@ -23,6 +24,33 @@ from urllib.parse import urlsplit
 
 class ResilinkError(Exception):
     """Base class for every error raised by this package."""
+
+
+class InputFormatError(ResilinkError):
+    """A data error at a line of an input file."""
+
+    def __init__(self, line: int, message: str):
+        self.line = line
+        super().__init__(f"line {line}: {message}")
+
+
+def decode_utf8(data: bytes) -> str:
+    """The text of UTF-8 bytes; invalid UTF-8 is an error at line 1 + the LFs before it."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(data.count(b"\n", 0, exc.start) + 1, "invalid UTF-8") from exc
+
+
+def parse_file(path: str | Path, parse):
+    """parse(the text of the file at path), with the path in front of a data error's message.
+
+    The text goes to parse alone, so it is freed as soon as parse lets go of it.
+    """
+    try:
+        return parse(decode_utf8(Path(path).read_bytes()))
+    except (ResilinkError, ValueError) as exc:
+        raise ResilinkError(f"{path}: {exc}") from exc
 
 
 class OutOfRangeError(ResilinkError):
@@ -347,7 +375,7 @@ def events_to_json(events: Iterable[Event]) -> str:
 
 def events_from_json(data: str | bytes) -> list[Event]:
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = decode_utf8(data)
     try:
         parsed = json.loads(data)
     except RecursionError as exc:

@@ -28,8 +28,9 @@ from .model import (
     Event,
     EventKey,
     GazetteerRef,
-    ResilinkError,
+    InputFormatError,
     check_iri,
+    decode_utf8,
     parse_civil_date,
     validate_point,
 )
@@ -63,12 +64,6 @@ _IRI_PERCENT_ENCODE = {c: f"%{c:02X}" for c in range(0x80) if not _IRI_BODY_RE.f
 
 # The N-Triples LANGTAG, which the reader parses.
 _LANGUAGE_TAG = r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*"
-
-
-class NTriplesSyntaxError(ResilinkError):
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
 
 
 _LITERAL_ESCAPES = str.maketrans(
@@ -268,7 +263,7 @@ def _unescape_literal(raw: str, line: int) -> str:
             return _UNESCAPES[esc]
         if len(esc) > 1 and (code := int(esc[1:], 16)) <= 0x10FFFF:
             return chr(code)
-        raise NTriplesSyntaxError(line, f"bad escape \\{esc}")
+        raise InputFormatError(line, f"bad escape \\{esc}")
 
     return _ESCAPE_RE.sub(decode, raw)
 
@@ -288,9 +283,10 @@ def parse_ntriples(data: bytes | str) -> Iterator[StatementRow]:
     decoded.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = decode_utf8(data)
     valid: set[str] = set()  # IRIs already found N-Triples-safe and absolute
     lines = data.split("\n")
+    del data  # the lines hold the text now; the caller must not hold the whole text either
     lines.reverse()  # popped in file order, so each line is freed once read
     for lineno in range(1, len(lines) + 1):
         line = lines.pop().strip()
@@ -298,7 +294,7 @@ def parse_ntriples(data: bytes | str) -> Iterator[StatementRow]:
         if m is None:
             if not line or line.startswith("#"):
                 continue
-            raise NTriplesSyntaxError(lineno, _NOT_A_STATEMENT)
+            raise InputFormatError(lineno, _NOT_A_STATEMENT)
         row = m.groups()
         subject, predicate, obj, literal, _, datatype = row
         if obj is None:
@@ -327,14 +323,14 @@ def _checked_row(row: StatementRow, lineno: int, valid: set[str]) -> StatementRo
         else:
             rejected.append(iri)
     if any(_IRI_BODY_RE.fullmatch(iri) is None for iri in rejected):
-        raise NTriplesSyntaxError(lineno, _NOT_A_STATEMENT)
+        raise InputFormatError(lineno, _NOT_A_STATEMENT)
     if obj is None and "\\" in literal:
         row = (subject, predicate, None, _unescape_literal(literal, lineno), language, datatype)
     for iri in rejected:
         try:
             check_iri(iri)
         except ValueError as exc:
-            raise NTriplesSyntaxError(lineno, str(exc)) from exc
+            raise InputFormatError(lineno, str(exc)) from exc
     return row
 
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import io
 import logging
 import math
 
@@ -13,7 +12,6 @@ from resilink.analytics import (
     DEFAULT_MONTHS,
     IntegratedDataset,
     MonthBucket,
-    ReportFormatError,
     ShelterRecord,
     load_shelters,
     monthly_event_counts,
@@ -36,6 +34,7 @@ from resilink.model import (
     Event,
     GazetteerRef,
     GeoPoint,
+    InputFormatError,
     parse_civil_date,
 )
 from resilink.rdf import (
@@ -304,19 +303,18 @@ class TestUc5:
     def test_deaths_csv_round_trip(self, tmp_path):
         p = tmp_path / "deaths.csv"
         p.write_text("month,deaths\n2022-04,5\n2022-05,7\n")
-        with p.open() as fp:
-            assert read_deaths_csv(fp) == {"2022-04": 5, "2022-05": 7}
+        assert read_deaths_csv(p.read_text()) == {"2022-04": 5, "2022-05": 7}
 
     def test_deaths_csv_repeated_month_rejected(self):
         # the second 2022-03 row used to overwrite the first silently
-        with pytest.raises(ReportFormatError, match="line 3: month 2022-03 listed twice"):
-            read_deaths_csv(io.StringIO("month,deaths\n2022-03,4\n2022-03,9\n"))
+        with pytest.raises(InputFormatError, match="line 3: month 2022-03 listed twice"):
+            read_deaths_csv("month,deaths\n2022-03,4\n2022-03,9\n")
 
     def test_deaths_csv_bad_header(self, tmp_path):
         p = tmp_path / "deaths.csv"
         p.write_text("m,d\n2022-04,5\n")
-        with p.open() as fp, pytest.raises(ReportFormatError):
-            read_deaths_csv(fp)
+        with pytest.raises(InputFormatError):
+            read_deaths_csv(p.read_text())
 
     def test_writer_marks_proof_of_concept(self, dataset, tmp_path):
         nt, deaths, out = tmp_path / "integrated.nt", tmp_path / "deaths.csv", tmp_path / "uc5.csv"
@@ -426,8 +424,7 @@ class TestUc6:
     def test_shelter_csv_loader(self, tmp_path):
         p = tmp_path / "shelters.csv"
         p.write_text("name,lat,lon\nMetro station,49.99,36.23\n,50.0,36.3\n")
-        with p.open() as fp:
-            shelters = load_shelters(fp)
+        shelters = load_shelters(p.read_text())
         assert len(shelters) == 2
         assert shelters[0].name == "Metro station"
         assert shelters[1].name is None
@@ -435,48 +432,48 @@ class TestUc6:
 
 # The errors of both report-CSV inputs: (reader, file text, message).
 REPORT_CSV_ERRORS = [
-    pytest.param(read_deaths_csv, "", "deaths CSV must start with header 'month,deaths'",
+    pytest.param(read_deaths_csv, "", "line 1: expected the header 'month,deaths'",
                  id="deaths-empty"),
     pytest.param(read_deaths_csv, "month,count\n2022-04,5\n",
-                 "deaths CSV must start with header 'month,deaths'", id="deaths-wrong-header"),
+                 "line 1: expected the header 'month,deaths'", id="deaths-wrong-header"),
     pytest.param(read_deaths_csv, "month,deaths\n2022-04,5\n\n2022-05,1,2\n",
-                 "deaths CSV line 4: expected 'YYYY-MM,integer'", id="deaths-wrong-width"),
-    pytest.param(load_shelters, "", "shelter CSV must start with header 'name,lat,lon'",
+                 "line 4: expected 'YYYY-MM,integer'", id="deaths-wrong-width"),
+    pytest.param(load_shelters, "", "line 1: expected the header 'name,lat,lon'",
                  id="shelter-empty"),
     pytest.param(load_shelters, "name,lon,lat\nx,50.0,36.0\n",
-                 "shelter CSV must start with header 'name,lat,lon'", id="shelter-wrong-header"),
+                 "line 1: expected the header 'name,lat,lon'", id="shelter-wrong-header"),
     pytest.param(load_shelters, "name,lat,lon\nx,50.0,36.0\n\ny,50.0\n",
-                 "shelter CSV line 4: expected 3 columns", id="shelter-wrong-width"),
+                 "line 4: expected 3 columns", id="shelter-wrong-width"),
     # a row is named by its physical line: records were once counted, so a row after a
     # quoted line break was reported one line early
     pytest.param(read_deaths_csv, 'month,deaths\n2022-04,"5\n"\n2022-05\n',
-                 "deaths CSV line 4: expected 'YYYY-MM,integer'", id="deaths-after-quoted-break"),
+                 "line 4: expected 'YYYY-MM,integer'", id="deaths-after-quoted-break"),
     pytest.param(read_deaths_csv, 'month,deaths\n2022-04,"5\n"\r\n2022-05,x\r\n',
-                 "deaths CSV line 4: bad death count 'x'", id="deaths-value-after-quoted-break"),
+                 "line 4: bad death count 'x'", id="deaths-value-after-quoted-break"),
     pytest.param(load_shelters, 'name,lat,lon\n"Metro\nstation",50.0,36.0\ny,50.0\n',
-                 "shelter CSV line 4: expected 3 columns", id="shelter-after-quoted-break"),
+                 "line 4: expected 3 columns", id="shelter-after-quoted-break"),
     pytest.param(load_shelters, 'name,lat,lon\r\n"Metro\r\nstation",50.0,36.0\r\ny,95.0,36.0\r\n',
-                 "shelter CSV line 4: latitude out of range: 95.0",
+                 "line 4: latitude out of range: 95.0",
                  id="shelter-value-after-quoted-break"),
     pytest.param(load_shelters, "name,lat,lon\n" + "x" * 200_000 + ",50.0,36.0\n",
-                 "shelter CSV line 2: field larger than field limit (131072)", id="shelter-huge-field"),
+                 "line 2: field larger than field limit (131072)", id="shelter-huge-field"),
 ]
 
 
 class TestReportCsvInputs:
     @pytest.mark.parametrize("reader,text,message", REPORT_CSV_ERRORS)
     def test_error(self, reader, text, message):
-        with pytest.raises(ReportFormatError) as exc:
-            reader(io.StringIO(text))
+        with pytest.raises(InputFormatError) as exc:
+            reader(text)
         assert str(exc.value) == message
 
     def test_line_ends_as_the_csv_module_reads_them(self):
         text = "name,lat,lon\r\nx,50.0,36.0\ry,51.0,36.0\n"
-        assert [s.name for s in load_shelters(io.StringIO(text))] == ["x", "y"]
+        assert [s.name for s in load_shelters(text)] == ["x", "y"]
 
     def test_blank_rows_skipped(self):
-        assert read_deaths_csv(io.StringIO("month,deaths\n\n2022-04,5\n\n")) == {"2022-04": 5}
-        shelters = load_shelters(io.StringIO(" name , lat , lon \n\nx,50.0,36.0\n\n"))
+        assert read_deaths_csv("month,deaths\n\n2022-04,5\n\n") == {"2022-04": 5}
+        shelters = load_shelters(" name , lat , lon \n\nx,50.0,36.0\n\n")
         assert shelters == [ShelterRecord(point=GeoPoint(50.0, 36.0), name="x")]
 
 

@@ -31,6 +31,12 @@ def _run(*argv) -> int:
     return run_subcommand([str(a) for a in argv])
 
 
+def _error_line(capsys) -> str:
+    """The one line a failed command wrote to stderr."""
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    return line
+
+
 @pytest.fixture()
 def workdir(tmp_path) -> Path:
     return tmp_path
@@ -298,7 +304,7 @@ class TestDataErrors:
         events = workdir / "events.json"
         events.write_text(json.dumps([_GOOD_EVENT, entry]))
         assert _run("convert", "--input", events, "--out", workdir / "out.nt") == 1
-        (line,) = capsys.readouterr().err.strip().splitlines()
+        line = _error_line(capsys)
         assert line.startswith(f"resilink: error: {events}: canonical event JSON entry 1: ")
         assert key is None or repr(key) in line
         assert not (workdir / "out.nt").exists()
@@ -324,14 +330,14 @@ class TestDataErrors:
             "enrich overrides": (config.parent / "overrides.json", b'{"Foo": }', enrich,
                                  ": Expecting value: line 1 column 9 (char 8)"),
             "pipeline --ch-input": (ch_csv, b"date,latitude,longitude,description,location,sources\nx\n",
-                                    pipeline, ": row has 1 columns, header has 6 (byte offset 53)"),
+                                    pipeline, ": line 2: row has 1 columns, header has 6"),
             "enrich alt_names": (config.parent / "../gazetteer/alt_names.tsv",
                                  b"101\t706482\ten\tKharkiv\n102\t706482\tuk\t\xff\n", enrich,
-                                 ":2: invalid UTF-8"),
+                                 ": line 2: invalid UTF-8"),
         }[case]
         bad.write_bytes(data)
         assert _run(*argv) == 1
-        (line,) = capsys.readouterr().err.strip().splitlines()
+        line = _error_line(capsys)
         assert line.startswith(f"resilink: error: {bad}{message}")
 
     def test_integer_coordinates_read_as_floats(self, workdir):
@@ -369,8 +375,8 @@ class TestDataErrors:
         events.write_text(json.dumps([{**_GOOD_EVENT, "city_name": "Foo"}]))
         out = workdir / "out.json"
         assert _run("enrich", "--input", events, "--config", config, "--out", out) == 1
-        (line,) = capsys.readouterr().err.strip().splitlines()
-        assert line.startswith("resilink: error: override table values must be geoname ids")
+        line = _error_line(capsys)
+        assert line.startswith(f"resilink: error: {overrides}: override table values must be geoname ids")
         assert not out.exists()
 
     def test_missing_input_file(self, workdir):
@@ -413,7 +419,7 @@ class TestDataErrors:
         code = _run("convert", "--input", _tiny_events(workdir), "--config", config,
                     "--out", workdir / "out.nt")
         assert code == 1
-        (line,) = capsys.readouterr().err.strip().splitlines()
+        line = _error_line(capsys)
         assert line.startswith("resilink: error: ") and "config" in line
 
     @settings(max_examples=150, deadline=None)
@@ -437,7 +443,7 @@ class TestDataErrors:
         assert _run("integrate", "--eor", ch, "--ch", eor, "--out", outputs[0],
                     "--pairs", outputs[1], "--counts", outputs[2]) == 1
         first_ch = events_from_json(ch.read_bytes())[0].id
-        (line,) = capsys.readouterr().err.strip().splitlines()
+        line = _error_line(capsys)
         assert line == f"resilink: error: --eor file holds a ch event: {first_ch}"
         assert not any(path.exists() for path in outputs)
 
@@ -468,7 +474,7 @@ class TestDataErrors:
                           "--out", workdir / "out.json"),
         }[reader]
         assert _run(*argv) == 1
-        (line,) = capsys.readouterr().err.strip().splitlines()
+        line = _error_line(capsys)
         assert line.startswith("resilink: error: ") and "nested too deeply" in line
 
     @pytest.mark.parametrize("argv", [
@@ -484,7 +490,7 @@ class TestDataErrors:
         assert _run("convert", "--input", _tiny_events(workdir), "--out", nt) == 0
         out = workdir / "report.csv"
         assert _run("report", *argv, "--input", nt, "--out", out) == 1
-        (line,) = capsys.readouterr().err.strip().splitlines()
+        line = _error_line(capsys)
         assert line.startswith("resilink: error: ") and "top" in line
         assert not out.exists()
 
@@ -505,7 +511,7 @@ class TestDataErrors:
         assert _run("convert", "--input", _tiny_events(workdir), "--out", nt) == 0
         out = workdir / "report.csv"
         assert _run("report", *argv, "--input", nt, "--out", out) == 1
-        (line,) = capsys.readouterr().err.strip().splitlines()
+        line = _error_line(capsys)
         assert line.startswith("resilink: error: ") and needle in line
         assert not out.exists()
 
@@ -524,7 +530,7 @@ class TestDataErrors:
         out = workdir / "report.csv"
         assert _run("report", use_case, "--months", months, *flags,
                     "--input", nt, "--out", out) == 1
-        (line,) = capsys.readouterr().err.strip().splitlines()
+        line = _error_line(capsys)
         assert line.startswith("resilink: error: ") and "month" in line
         assert not out.exists()
 
@@ -555,7 +561,7 @@ class TestDataErrors:
                                        "lat": 50.0, "lon": 36.0, "city_labels": {"en\n": "Kyiv"}}]))
         out = workdir / "events.nt"
         assert _run("convert", "--input", events, "--out", out) == 1
-        (line,) = capsys.readouterr().err.strip().splitlines()
+        line = _error_line(capsys)
         assert line.startswith("resilink: error: ") and "language" in line
         assert not out.exists()
 
@@ -586,7 +592,7 @@ class TestDataErrors:
                                b"<sws.geonames.org/700646/>", 1),
          "line 209: IRI must be absolute and N-Triples-safe: 'sws.geonames.org/700646/'"),
         (lambda nt: nt.replace(b"Explosion damaged", b"Explosion \xffdamaged", 1),
-         "'utf-8' codec can't decode byte 0xff in position 44119: invalid start byte"),
+         "line 206: invalid UTF-8"),
         (lambda nt: nt.replace(b'"49.823"^^', b'"north"^^', 1),
          "could not convert string to float: 'north'"),
         (lambda nt: _drop_line(nt, b"ch/156e6dd61dc9cbfe/geo> <https://schema.org/longitude>"),
@@ -608,8 +614,8 @@ class TestDataErrors:
         bad.write_bytes(corrupt(fixture_nt.read_bytes()))
         out = workdir / "uc2.csv"
         assert _run("report", "uc2", "--input", bad, "--keyword", "school", "--out", out) == 1
-        (line,) = capsys.readouterr().err.strip().splitlines()
-        assert line == f"resilink: error: {message}"
+        line = _error_line(capsys)
+        assert line == f"resilink: error: {bad}: {message}"
         assert not out.exists()
 
     def test_negative_death_count_is_one_line_error(self, workdir, capsys):
@@ -620,7 +626,7 @@ class TestDataErrors:
         deaths.write_text("month,deaths\n2022-03,-5\n")
         out = workdir / "uc5.csv"
         assert _run("report", "uc5", "--input", nt, "--deaths", deaths, "--out", out) == 1
-        (line,) = capsys.readouterr().err.strip().splitlines()
+        line = _error_line(capsys)
         assert line.startswith("resilink: error: ") and "negative death count" in line
         assert not out.exists()
 
@@ -634,30 +640,71 @@ class TestDataErrors:
         deaths.write_text(f"month,deaths\n2022-03,4\n{month},5\n")
         out = workdir / "uc5.csv"
         assert _run("report", "uc5", "--input", nt, "--deaths", deaths, "--out", out) == 1
-        (line,) = capsys.readouterr().err.strip().splitlines()
-        assert line == f"resilink: error: deaths CSV line 3: not a YYYY-MM month: '{month}'"
+        line = _error_line(capsys)
+        assert line == f"resilink: error: {deaths}: line 3: not a YYYY-MM month: '{month}'"
         assert not out.exists()
 
-    @pytest.mark.parametrize("use_case,flag,kind,data,lineno", [
-        pytest.param("uc5", "--deaths", "deaths", b"month,deaths\n2022-03,4\n2022-04,\xff\n", 3,
-                     id="uc5"),
-        pytest.param("uc6", "--shelters", "shelter",
-                     b'name,lat,lon\r\n"Metro\r\nst\xff",50.0,36.0\r\n', 3, id="uc6"),
+    @pytest.mark.parametrize("use_case,flag,data,lineno", [
+        pytest.param("uc5", "--deaths", b"month,deaths\n2022-03,4\n2022-04,\xff\n", 3, id="uc5"),
+        pytest.param("uc6", "--shelters", b'name,lat,lon\r\n"Metro\r\nst\xff",50.0,36.0\r\n', 3,
+                     id="uc6"),
         # past the first 8 KB, which a text file's line iterator decodes in one chunk
-        pytest.param("uc6", "--shelters", "shelter",
+        pytest.param("uc6", "--shelters",
                      b"name,lat,lon\n" + b"x,50.0,36.0\n" * 1000 + b"\xfe,1,1\n", 1002,
                      id="uc6-past-8k"),
     ])
     def test_report_csv_invalid_utf8_is_one_line_error(self, workdir, capsys, use_case, flag,
-                                                       kind, data, lineno):
+                                                       data, lineno):
         # the decoder's message once came alone, naming neither the input nor its line
         nt = workdir / "events.nt"
         assert _run("convert", "--input", _tiny_events(workdir), "--out", nt) == 0
         bad, out = workdir / "input.csv", workdir / "out.csv"
         bad.write_bytes(data)
         assert _run("report", use_case, "--input", nt, flag, bad, "--out", out) == 1
-        (line,) = capsys.readouterr().err.strip().splitlines()
-        assert line == f"resilink: error: {kind} CSV line {lineno}: invalid UTF-8"
+        line = _error_line(capsys)
+        assert line == f"resilink: error: {bad}: line {lineno}: invalid UTF-8"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", [
+        "source-json", "source-csv", "event-json", "overrides", "places", "alt_names", "postal",
+        "integrated-nt", "shelters", "deaths",
+    ])
+    def test_invalid_utf8_names_the_path_and_line(self, fixture_nt, workdir, capsys, kind):
+        # each input kind once reported invalid UTF-8 in a way of its own: with a byte
+        # offset, the decoder's position, "PATH:2:", or without the path
+        fixtures = workdir / "fixtures"
+        shutil.copytree(PIPE.parent, fixtures)
+        pipe = fixtures / "pipeline"
+        config, events, nt = pipe / "config.json", workdir / "events.json", workdir / "integrated.nt"
+        events.write_text(json.dumps([_GOOD_EVENT], indent=2))
+        shutil.copy(fixture_nt, nt)
+        shelters, deaths = workdir / "shelters.csv", workdir / "deaths.csv"
+        shelters.write_text("name,lat,lon\ncentral,50.0,36.0\n")
+        deaths.write_text("month,deaths\n2022-03,4\n")
+        out = workdir / "out"
+        ingest = ("ingest", "--config", config, "--out", out, "--input")
+        enrich = ("enrich", "--input", events, "--config", config, "--out", out)
+        bad, argv = {  # the file at fault and the command that reads it
+            "source-json": (pipe / "eor.json", (*ingest, pipe / "eor.json", "--dataset", "eor",
+                                                "--format", "json")),
+            "source-csv": (pipe / "ch.csv", (*ingest, pipe / "ch.csv", "--dataset", "ch",
+                                             "--format", "csv")),
+            "event-json": (events, ("convert", "--input", events, "--out", out)),
+            "overrides": (pipe / "overrides.json", enrich),
+            "places": (pipe / "../gazetteer/places.tsv", enrich),
+            "alt_names": (pipe / "../gazetteer/alt_names.tsv", enrich),
+            "postal": (pipe / "../gazetteer/postal.tsv", enrich),
+            "integrated-nt": (nt, ("report", "uc2", "--input", nt, "--keyword", "school",
+                                   "--out", out)),
+            "shelters": (shelters, ("report", "uc6", "--input", nt, "--shelters", shelters,
+                                    "--out", out)),
+            "deaths": (deaths, ("report", "uc5", "--input", nt, "--deaths", deaths, "--out", out)),
+        }[kind]
+        lines = bad.read_bytes().split(b"\n")
+        lines[1] = b"\xff" + lines[1]
+        bad.write_bytes(b"\n".join(lines))
+        assert _run(*argv) == 1
+        assert _error_line(capsys) == f"resilink: error: {bad}: line 2: invalid UTF-8"
         assert not out.exists()
 
     @pytest.mark.parametrize("geoname_id", ["0", "-3"])
@@ -668,7 +715,7 @@ class TestDataErrors:
         out = workdir / "uc1.geojson"
         assert _run("report", "uc1", "--input", nt, "--start", "2022-01-01", "--end", "2023-01-01",
                     "--city-geoname-id", geoname_id, "--out-geojson", out) == 1
-        (line,) = capsys.readouterr().err.strip().splitlines()
+        line = _error_line(capsys)
         assert line.startswith("resilink: error: ") and "geoname_id" in line
         assert not out.exists()
 
@@ -676,7 +723,7 @@ class TestDataErrors:
         target = workdir / "taken"
         target.mkdir()
         assert _run("convert", "--input", _tiny_events(workdir), "--out", target) == 1
-        (line,) = capsys.readouterr().err.strip().splitlines()
+        line = _error_line(capsys)
         assert line.startswith("resilink: error: ")
         assert target.is_dir() and not list(target.iterdir())
         assert not list(workdir.glob("*.tmp"))
@@ -702,7 +749,7 @@ class TestDataErrors:
             assert _run("enrich", "--input", far, "--config", config, "--out", out) == 1
         finally:
             stop_server(server)
-        (line,) = capsys.readouterr().err.strip().splitlines()
+        line = _error_line(capsys)
         assert line.startswith("resilink: error: malformed reply")
         assert not out.exists()
 
@@ -738,7 +785,7 @@ class TestDataErrors:
         code = _run("linkcheck", "--input", events, "--config", config_file,
                     "--base-override", "http://127.0.0.1:9", *flags, "--out-json", out)
         assert code == 1
-        (line,) = capsys.readouterr().err.strip().splitlines()
+        line = _error_line(capsys)
         assert line.startswith("resilink: error: ") and key in line
         assert not out.exists()
 

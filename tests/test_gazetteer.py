@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from resilink.gazetteer import (
     EnrichmentConfig,
     GazetteerEntry,
-    GazetteerFormatError,
     GazetteerIndex,
     OverrideTable,
     PointSet,
@@ -25,7 +24,7 @@ from resilink.gazetteer import (
     resolve_override,
     reverse_geocode,
 )
-from resilink.model import CivilDate, Dataset, Event, GazetteerRef, GeoPoint
+from resilink.model import CivilDate, Dataset, Event, GazetteerRef, GeoPoint, ResilinkError
 from tests import oracles
 
 coords = st.tuples(
@@ -91,9 +90,9 @@ class TestLoadGazetteer:
         (tmp_path / "p.tsv").write_text("1\tName\tName\n")
         (tmp_path / "a.tsv").write_text("")
         (tmp_path / "z.tsv").write_text("")
-        with pytest.raises(GazetteerFormatError) as exc:
+        with pytest.raises(ResilinkError) as exc:
             load_gazetteer(tmp_path / "p.tsv", tmp_path / "a.tsv", tmp_path / "z.tsv")
-        assert exc.value.line == 1
+        assert str(exc.value) == f"{tmp_path / 'p.tsv'}: line 1: expected 10 columns, got 3"
 
     @pytest.mark.parametrize("brk", ["\u2028", "\x85", "\f", "\x1c", "\x1d", "\x1e"],
                              ids=["U+2028", "U+0085", "form-feed", "x1c", "x1d", "x1e"])
@@ -111,9 +110,9 @@ class TestLoadGazetteer:
 
         with places.open("a", encoding="utf-8") as fp:
             fp.write("3\tBalakliia\n")
-        with pytest.raises(GazetteerFormatError) as exc:
+        with pytest.raises(ResilinkError) as exc:
             load_gazetteer(places, tmp_path / "a.tsv", tmp_path / "z.tsv")
-        assert str(exc.value) == f"{places}:2: expected 10 columns, got 2"
+        assert str(exc.value) == f"{places}: line 2: expected 10 columns, got 2"
 
     @pytest.mark.parametrize("file, bad_row, message", [
         ("places", "2\tIzyum\tIzyum", "expected 10 columns, got 3"),
@@ -148,10 +147,10 @@ class TestLoadGazetteer:
         for name, path in paths.items():
             path.write_text(good[name] + "\n\n" + (bad_row + "\n" if name == file else ""),
                             encoding="utf-8")
-        with pytest.raises(GazetteerFormatError) as exc:
+        with pytest.raises(ResilinkError) as exc:
             load_gazetteer(paths["places"], paths["alt_names"], paths["postal"])
-        assert (exc.value.path, exc.value.line) == (str(paths[file]), 3)
-        assert str(exc.value) == f"{paths[file]}:3: {message}"
+        assert exc.value.__cause__.line == 3
+        assert str(exc.value) == f"{paths[file]}: line 3: {message}"
 
     def test_alt_rows_for_unknown_ids_skipped(self, gaz_index):
         # alt_names.tsv carries a row for id 999999 which is not in places

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from resilink.ingest import (
     AdapterConfig,
-    DatasetSyntaxError,
     MissingMandatoryFieldError,
     RecordError,
     SourceFormat,
@@ -19,7 +18,7 @@ from resilink.ingest import (
     parse_dataset,
     split_location_parts,
 )
-from resilink.model import Dataset
+from resilink.model import Dataset, InputFormatError
 
 CFG = AdapterConfig.from_dict(
     {
@@ -63,9 +62,10 @@ class TestParseDataset:
         assert exc.value.record_index == 1
 
     def test_json_syntax_error_carries_offset(self):
-        with pytest.raises(DatasetSyntaxError) as exc:
+        # the json module's own error, whose message names the line and column
+        with pytest.raises(json.JSONDecodeError) as exc:
             parse_dataset(b'[{"date": }]', Dataset.EOR, SourceFormat.JSON, CFG)
-        assert exc.value.offset > 0
+        assert (exc.value.pos, exc.value.lineno, exc.value.colno) == (10, 1, 11)
 
     def test_values_kept_verbatim(self):
         records = _parse_json([_record(city="\r\nZhytomyr ")])
@@ -82,14 +82,14 @@ class TestParseDataset:
         assert records[0].fields["lat"] == "49.2"
 
     def test_csv_missing_header(self):
-        with pytest.raises(DatasetSyntaxError):
+        with pytest.raises(InputFormatError):
             parse_dataset(b"", Dataset.CH, SourceFormat.CSV, CFG)
 
     def test_csv_ragged_row(self):
         data = b"date,lat,lon\n2022-03-07,49.2\n"
-        with pytest.raises(DatasetSyntaxError) as exc:
+        with pytest.raises(InputFormatError) as exc:
             parse_dataset(data, Dataset.CH, SourceFormat.CSV, CFG)
-        assert exc.value.offset == len(b"date,lat,lon\n")
+        assert exc.value.line == 2
 
     @pytest.mark.parametrize("bad", [b"2022-03-08,49.2\n", b"2022-03-08,49.2,37\r2,x\n"],
                              ids=["ragged", "bare-cr"])
@@ -97,9 +97,9 @@ class TestParseDataset:
     def test_csv_error_offset_after_a_non_newline_line_break(self, char, bad):
         # str.splitlines breaks at these characters, the csv reader does not
         good = f"date,lat,lon,city\n2022-03-07,49.2,37.2,Iz{char}um\n".encode()
-        with pytest.raises(DatasetSyntaxError) as exc:
+        with pytest.raises(InputFormatError) as exc:
             parse_dataset(good + bad, Dataset.CH, SourceFormat.CSV, CFG)
-        assert exc.value.offset == len(good)
+        assert exc.value.line == 3
 
     def test_csv_quoted_newline_in_field(self):
         data = b'date,lat,lon,city\n2022-03-07,49.2,37.2,"\r\nZhytomyr"\n'
@@ -107,8 +107,9 @@ class TestParseDataset:
         assert records[0].fields["city"] == "\r\nZhytomyr"
 
     def test_invalid_utf8(self):
-        with pytest.raises(DatasetSyntaxError):
+        with pytest.raises(InputFormatError) as exc:
             parse_dataset(b"[\xff]", Dataset.EOR, SourceFormat.JSON, CFG)
+        assert str(exc.value) == "line 1: invalid UTF-8"
 
     def test_mandatory_mapping_required(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resilink.analytics import IntegratedDataset
-from resilink.model import AggregateEvent, CivilDate, Dataset, Event, GazetteerRef, GeoPoint
+from resilink.model import (
+    AggregateEvent,
+    CivilDate,
+    Dataset,
+    Event,
+    GazetteerRef,
+    GeoPoint,
+    InputFormatError,
+)
 from resilink.rdf import (
     DCT_NS,
     ONTOLOGY_NS,
@@ -16,7 +24,6 @@ from resilink.rdf import (
     SDO_NS,
     SEM_NS,
     XSD_NS,
-    NTriplesSyntaxError,
     RdfFormat,
     aggregate_iri,
     emit_aggregate_triples,
@@ -523,7 +530,7 @@ class TestSerialization:
 
 class TestParseNtriples:
     def test_missing_terminator(self):
-        with pytest.raises(NTriplesSyntaxError) as exc:
+        with pytest.raises(InputFormatError) as exc:
             list(parse_ntriples(b"<https://x/s> <https://x/p> <https://x/o>\n"))
         assert exc.value.line == 1
 
@@ -536,12 +543,12 @@ class TestParseNtriples:
 
     def test_error_line_number(self):
         good = b'<https://x/s> <https://x/p> "v" .\n'
-        with pytest.raises(NTriplesSyntaxError) as exc:
+        with pytest.raises(InputFormatError) as exc:
             list(parse_ntriples(good + b"garbage\n"))
         assert exc.value.line == 2
 
     def test_blank_node_rejected(self):
-        with pytest.raises(NTriplesSyntaxError):
+        with pytest.raises(InputFormatError):
             list(parse_ntriples(b"_:b <https://x/p> <https://x/o> .\n"))
 
     @pytest.mark.parametrize(
@@ -561,7 +568,7 @@ class TestParseNtriples:
     )
     def test_malformed_line_reports_its_number(self, line):
         good = b'<https://x/s> <https://x/p> "v" .\n'
-        with pytest.raises(NTriplesSyntaxError) as exc:
+        with pytest.raises(InputFormatError) as exc:
             list(parse_ntriples(good + line + b"\n" + good))
         assert exc.value.line == 2
 
@@ -579,13 +586,13 @@ class TestParseNtriples:
         # each IRI is held to the grammar once, but a line reports the error a
         # whole-statement match would: grammar, then escapes, then the absolute rule
         good = b'<https://x/s> <https://x/p> <https://x/o> .\n'
-        with pytest.raises(NTriplesSyntaxError) as exc:
+        with pytest.raises(InputFormatError) as exc:
             list(parse_ntriples(good + line + b"\n" + good))
         assert (exc.value.line, str(exc.value)) == (2, f"line 2: {message}")
 
     def test_relative_datatype_is_rejected(self):
         # a Term's datatype is an absolute IRI, and the reader makes every check a Term makes
-        with pytest.raises(NTriplesSyntaxError) as exc:
+        with pytest.raises(InputFormatError) as exc:
             list(parse_ntriples(b'<https://x/s> <https://x/p> "v"^^<rel> .\n'))
         assert str(exc.value) == "line 1: IRI must be absolute and N-Triples-safe: 'rel'"
 
