@@ -123,7 +123,7 @@ class IntegratedDataset:
         for agg in self.aggregates:
             for member in agg.members:
                 if member not in self.events:
-                    raise ValueError(f"aggregate member has no event: {member}")
+                    raise ValueError(f"aggregate member has no event: {event_iri(*member)}")
 
     def primary_events(self) -> list[tuple[AggregateEvent, Event]]:
         return [(agg, self.events[agg.primary]) for agg in self.aggregates]

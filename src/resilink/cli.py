@@ -15,6 +15,7 @@ import argparse
 import csv
 import gc
 import io
+import itertools
 import json
 import logging
 import math
@@ -23,6 +24,7 @@ import secrets
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Iterable
 from urllib.parse import urlsplit
 
 from . import analytics, gazetteer, ingest, integration, rdf
@@ -30,9 +32,12 @@ from .model import (
     Dataset,
     Event,
     GazetteerRef,
+    InputFormatError,
     ResilinkError,
+    decode_utf8,
     events_from_json,
     events_to_json,
+    input_file,
     parse_civil_date,
     parse_file,
 )
@@ -103,8 +108,8 @@ class PipelineConfig:
         """Read one config document; every malformed value raises ConfigError."""
         base = Path(path).parent
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError, RecursionError) as exc:
+            raw = json.loads(decode_utf8(Path(path).read_bytes()))
+        except (OSError, ValueError, RecursionError, InputFormatError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         raw = _object(raw, "document", _DOCUMENT_KEYS)
 
@@ -197,8 +202,12 @@ def _resolve_path(value, base: Path, label: str) -> Path | None:
     return p
 
 
-def _atomic_write(path: str | Path, *chunks: bytes) -> None:
-    """Write the chunks, in order, as the file at path; it appears whole or not at all."""
+def _atomic_write(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write the chunks, in order, as the file at path; it appears whole or not at all.
+
+    The chunks are taken one at a time, so a generator's chunks need never
+    all exist at once.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # created as open() would create it, so the umask sets the mode (mkstemp forces 0600)
@@ -217,14 +226,14 @@ def _atomic_write(path: str | Path, *chunks: bytes) -> None:
 
 
 def _write_json(path: str | Path, doc) -> None:
-    _atomic_write(path, json.dumps(doc, indent=2).encode("utf-8"), b"\n")
+    _atomic_write(path, (json.dumps(doc, indent=2).encode("utf-8"), b"\n"))
 
 
 def _write_csv(path: str | Path, rows: list[tuple]) -> None:
     """Write the rows, the header row first, as one CSV file, atomically."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
-    _atomic_write(path, buf.getvalue().encode("utf-8"))
+    _atomic_write(path, (buf.getvalue().encode("utf-8"),))
 
 
 def _with_flags(section, **flags):
@@ -236,8 +245,17 @@ def _read_events(path: str | Path) -> list[Event]:
     return parse_file(path, events_from_json)
 
 
+# Characters of the event JSON encoded per chunk written.
+_SLICE_CHARS = 1 << 16
+
+
 def _write_events(path: str | Path, events) -> None:
-    _atomic_write(path, events_to_json(events).encode("utf-8"), b"\n")
+    """Write the events' canonical JSON, encoded a slice at a time, so no whole bytes copy exists."""
+    text = events_to_json(events)
+    _atomic_write(path, itertools.chain(
+        (text[i:i + _SLICE_CHARS].encode("utf-8") for i in range(0, len(text), _SLICE_CHARS)),
+        (b"\n",),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +329,7 @@ def _cmd_convert(args, cfg: PipelineConfig) -> None:
     lines = []
     for ev in events:
         lines.extend(rdf.emit_event_triples(ev))
-    _atomic_write(args.out, rdf.serialize_bytes(lines, rdf.RdfFormat(args.rdf_format)))
+    _atomic_write(args.out, (rdf.serialize_bytes(lines, rdf.RdfFormat(args.rdf_format)),))
 
 
 def _integrate(a_events: list[Event], b_events: list[Event], cfg: PipelineConfig,
@@ -328,7 +346,7 @@ def _integrate(a_events: list[Event], b_events: list[Event], cfg: PipelineConfig
         lines.extend(rdf.emit_event_triples(ev))
     for agg in result.aggregates:
         lines.extend(rdf.emit_aggregate_triples(agg))
-    _atomic_write(out, rdf.serialize_bytes(lines, fmt))
+    _atomic_write(out, (rdf.serialize_bytes(lines, fmt),))
     if pairs:
         _write_csv(pairs, [
             ("a_id", "b_id", "verdict", "rule", "distance_km", "similarity"),
@@ -358,13 +376,6 @@ def _cmd_integrate(args, cfg: PipelineConfig) -> None:
     )
 
 
-def _integrated_dataset(text: str) -> analytics.IntegratedDataset:
-    """The dataset in an integrated .nt's text, which is freed once split into lines."""
-    rows = rdf.parse_ntriples(text)
-    del text  # a reference kept here would hold the whole text through the load
-    return analytics.IntegratedDataset.from_triples(rows)
-
-
 def _months(args, cfg: PipelineConfig) -> list[str]:
     return args.months.split(",") if args.months else list(cfg.analytics.months)
 
@@ -374,7 +385,7 @@ def _uc1(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
     start, end = parse_civil_date(args.start), parse_civil_date(args.end)
     if args.out_nt:
         lines = analytics.uc1_wkt_triples(ds, city, start, end)
-        _atomic_write(args.out_nt, rdf.serialize_bytes(lines))
+        _atomic_write(args.out_nt, (rdf.serialize_bytes(lines),))
     if args.out_geojson:
         points = analytics.uc1_event_points(ds, city, start, end)
         _write_json(args.out_geojson, analytics.points_feature_collection(points))
@@ -435,8 +446,13 @@ def _uc6(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
 
 
 def _cmd_report(args, cfg: PipelineConfig) -> None:
-    """Load the dataset once and run the use case's handler (_uc1 .. _uc6) on it."""
-    args.use_case_handler(parse_file(args.input, _integrated_dataset), args, cfg)
+    """Load the dataset once and run the use case's handler (_uc1 .. _uc6) on it.
+
+    The .nt is parsed from the open file a line at a time.
+    """
+    with input_file(args.input) as fp:
+        dataset = analytics.IntegratedDataset.from_triples(rdf.parse_ntriples(fp))
+    args.use_case_handler(dataset, args, cfg)
 
 
 def _cmd_linkcheck(args, cfg: PipelineConfig) -> None:

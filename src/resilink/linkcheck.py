@@ -161,22 +161,29 @@ def summary_dict(events: Iterable[Event], rows: Sequence[LinkReportRow]) -> dict
     Every state but Valid is invalid, Missing included. Both invalidity
     bases are reported, because the natural denominator is a matter of
     interpretation: invalid rows over all rows (URLs + missing-URL events),
-    and the event ids with an invalid row over total_events. total_events
-    counts events, so an event listed twice counts twice.
+    and invalid events over total_events. Both event counts count listed
+    events, so an event listed twice counts twice in each and the fraction
+    does not move. An event is invalid when one of its URLs is, or when it
+    has none; a URL's state is the same for every event citing it.
     """
     out = {}
-    totals = Counter(ev.dataset for ev in events)
-    for ds, total_events in sorted(totals.items(), key=lambda kv: kv[0].value):
+    events = list(events)
+    for ds in sorted({ev.dataset for ev in events}, key=lambda ds: ds.value):
+        ds_events = [ev for ev in events if ev.dataset is ds]
         ds_rows = [row for row in rows if row.dataset is ds]
         counts = Counter(row.status for row in ds_rows)
         invalid = [row for row in ds_rows if row.status is not LinkState.VALID]
+        invalid_urls = {row.url for row in invalid}  # "" when an event has no URL
+        invalid_events = sum(
+            any(url in invalid_urls for url in ev.source_urls or ("",)) for ev in ds_events
+        )
         out[ds.value] = {
-            "total_events": total_events,
+            "total_events": len(ds_events),
             "total_urls": len(ds_rows) - counts[LinkState.MISSING],
             "missing_url_events": counts[LinkState.MISSING],
             "counts": {state.value: counts[state] for state in LinkState if counts[state]},
             "invalid": len(invalid),
             "invalid_fraction_urls": len(invalid) / len(ds_rows) if ds_rows else 0.0,
-            "invalid_fraction_events": len({row.event_id for row in invalid}) / total_events,
+            "invalid_fraction_events": invalid_events / len(ds_events),
         }
     return out

@@ -9,8 +9,10 @@ contract and is documented in the README.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import hashlib
+import itertools
 import json
 import re
 import sys
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import BinaryIO, Iterable, Iterator, Mapping
 from urllib.parse import urlsplit
 
 
@@ -34,12 +36,25 @@ class InputFormatError(ResilinkError):
         super().__init__(f"line {line}: {message}")
 
 
-def decode_utf8(data: bytes) -> str:
-    """The text of UTF-8 bytes; invalid UTF-8 is an error at line 1 + the LFs before it."""
+def decode_utf8(data: bytes, line: int = 1) -> str:
+    """The text of UTF-8 bytes that start at the given line of their file.
+
+    Invalid UTF-8 is an error at that line plus the LFs before the bad byte.
+    """
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise InputFormatError(data.count(b"\n", 0, exc.start) + 1, "invalid UTF-8") from exc
+        raise InputFormatError(data.count(b"\n", 0, exc.start) + line, "invalid UTF-8") from exc
+
+
+@contextlib.contextmanager
+def input_file(path: str | Path) -> Iterator[BinaryIO]:
+    """The file at path, open for binary reading; a data error in the block gets the path in front."""
+    try:
+        with open(path, "rb") as fp:
+            yield fp
+    except (ResilinkError, ValueError) as exc:
+        raise ResilinkError(f"{path}: {exc}") from exc
 
 
 def parse_file(path: str | Path, parse):
@@ -47,10 +62,8 @@ def parse_file(path: str | Path, parse):
 
     The text goes to parse alone, so it is freed as soon as parse lets go of it.
     """
-    try:
-        return parse(decode_utf8(Path(path).read_bytes()))
-    except (ResilinkError, ValueError) as exc:
-        raise ResilinkError(f"{path}: {exc}") from exc
+    with input_file(path) as fp:
+        return parse(decode_utf8(fp.read()))
 
 
 class OutOfRangeError(ResilinkError):
@@ -368,9 +381,21 @@ def event_from_dict(d: Mapping) -> Event:
     )
 
 
+_EVENTS_ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
+
+
 def events_to_json(events: Iterable[Event]) -> str:
-    """The events as a canonical JSON array (the stage hand-off file, less its final newline)."""
-    return json.dumps([event_to_dict(e) for e in events], ensure_ascii=False, indent=2)
+    """The events as a canonical JSON array (the stage hand-off file, less its final newline).
+
+    The text is json.dumps(..., ensure_ascii=False, indent=2) of the event
+    dicts. The indented encoder yields a few small strings per value; they
+    are joined a batch at a time, so no list of them all is held.
+    """
+    chunks = _EVENTS_ENCODER.iterencode([event_to_dict(e) for e in events])
+    batches = []
+    while batch := list(itertools.islice(chunks, 4096)):
+        batches.append("".join(batch))
+    return "".join(batches)
 
 
 def events_from_json(data: str | bytes) -> list[Event]:

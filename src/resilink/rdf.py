@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import itertools
 import re
 from enum import Enum
@@ -29,6 +30,7 @@ from .model import (
     EventKey,
     GazetteerRef,
     InputFormatError,
+    OutOfRangeError,
     check_iri,
     decode_utf8,
     parse_civil_date,
@@ -203,11 +205,16 @@ class RdfFormat(str, Enum):
     TURTLE = "turtle"
 
 
+# Lines per encoded chunk: the text is encoded a chunk at a time, so no
+# str of the whole file exists beside its bytes.
+_CHUNK_LINES = 4096
+
+
 def serialize_bytes(lines: Iterable[str], fmt: RdfFormat = RdfFormat.NTRIPLES) -> bytes:
     """N-Triples lines as UTF-8 bytes, deterministically.
 
-    Both formats are written from the same rows: the lines de-duplicated
-    and sorted, which sorts them by subject, predicate, object. Where one
+    Both formats are written from the same rows: the lines sorted, then
+    de-duplicated, which sorts them by subject, predicate, object. Where one
     term's rendering is a prefix of another's ('"a"' of '"a"@en', '"a"@en'
     of '"a"@en-gb'), the next character ('@', '^', '-', a letter or a
     digit) sorts above the ' ' that ends a term in a line.
@@ -216,27 +223,43 @@ def serialize_bytes(lines: Iterable[str], fmt: RdfFormat = RdfFormat.NTRIPLES) -
     using prefixed names where possible and `a` for rdf:type. A subject
     ends at a line's first space, since no IRI holds one.
     """
-    lines = sorted(set(lines))
-    if fmt is RdfFormat.TURTLE:
-        name = functools.cache(_turtle_name)
-        rdf_type = f"<{RDF_NS}type>"
-        body = [f"@prefix {prefix}: <{PREFIXES[prefix]}> ." for prefix in sorted(PREFIXES)]
-        for subject, group in itertools.groupby(lines, key=lambda line: line[:line.index(" ")]):
-            statements = []
-            for line in group:
-                predicate, obj = line[len(subject) + 1:-2].split(" ", 1)
-                if obj[0] == "<":
-                    obj = name(obj)
-                elif obj[-1] == ">":  # a typed literal; no IRI holds '^'
-                    value, _, datatype = obj.rpartition("^^")
-                    obj = f"{value}^^{name(datatype)}"
-                statements.append(f"{'a' if predicate == rdf_type else name(predicate)} {obj}")
-            body += ["", subject, "    " + " ;\n    ".join(statements) + " ."]
-        lines = body
-    elif fmt is not RdfFormat.NTRIPLES:
+    if fmt is not RdfFormat.NTRIPLES and fmt is not RdfFormat.TURTLE:
         raise ValueError(f"unsupported format: {fmt!r}")
-    lines.append("")  # a line break after the last line, without a second copy of the text
-    return "\n".join(lines).encode("utf-8")
+    rows = (line for line, _ in itertools.groupby(sorted(lines)))
+    # BytesIO grows its one buffer in place and hands it out without a copy,
+    # where b"".join would hold every chunk beside the joined bytes.
+    out = io.BytesIO()
+    out.writelines(_utf8_chunks(_turtle(rows) if fmt is RdfFormat.TURTLE else rows))
+    return out.getvalue()
+
+
+def _utf8_chunks(lines: Iterable[str]) -> Iterator[bytes]:
+    """The lines, each followed by a line break, as UTF-8 in chunks of _CHUNK_LINES lines."""
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+        chunk.append("")
+        yield "\n".join(chunk).encode("utf-8")
+
+
+def _turtle(rows: Iterable[str]) -> Iterator[str]:
+    """The Turtle text of sorted, distinct N-Triples lines, in pieces."""
+    name = functools.cache(_turtle_name)
+    rdf_type = f"<{RDF_NS}type>"
+    for prefix in sorted(PREFIXES):
+        yield f"@prefix {prefix}: <{PREFIXES[prefix]}> ."
+    for subject, group in itertools.groupby(rows, key=lambda line: line[:line.index(" ")]):
+        statements = []
+        for line in group:
+            predicate, obj = line[len(subject) + 1:-2].split(" ", 1)
+            if obj[0] == "<":
+                obj = name(obj)
+            elif obj[-1] == ">":  # a typed literal; no IRI holds '^'
+                value, _, datatype = obj.rpartition("^^")
+                obj = f"{value}^^{name(datatype)}"
+            statements.append(f"{'a' if predicate == rdf_type else name(predicate)} {obj}")
+        yield ""
+        yield subject
+        yield "    " + " ;\n    ".join(statements) + " ."
 
 
 # ---------------------------------------------------------------------------
@@ -272,24 +295,26 @@ def _unescape_literal(raw: str, line: int) -> str:
 StatementRow = tuple[str, str, str | None, str | None, str | None, str | None]
 
 
-def parse_ntriples(data: bytes | str) -> Iterator[StatementRow]:
-    """The statements of N-Triples text as rows, lazily; errors carry the 1-based line.
+def parse_ntriples(source: bytes | str | Iterable[bytes]) -> Iterator[StatementRow]:
+    """The statements of N-Triples as rows, lazily; errors carry the 1-based line.
 
-    Statements are delimited by LF/CRLF only; unicode line separators such
-    as U+0085 may appear raw inside literals per the grammar, so the
-    generic splitlines() set must not be used here. Every IRI in a row is
-    absolute and fits the N-Triples IRIREF grammar, and the grammar gives a
-    literal a language or a datatype, never both. Literal escapes are
-    decoded.
+    source is the text, its UTF-8 bytes, or a binary file, which is read
+    and decoded a line at a time. Statements are delimited by LF/CRLF only;
+    unicode line separators such as U+0085 may appear raw inside literals
+    per the grammar, so the generic splitlines() set must not be used here.
+    Every IRI in a row is absolute and fits the N-Triples IRIREF grammar,
+    and the grammar gives a literal a language or a datatype, never both.
+    Literal escapes are decoded.
     """
-    if isinstance(data, bytes):
-        data = decode_utf8(data)
+    if isinstance(source, str):
+        lines: Iterable[bytes | str] = source.split("\n")
+    else:
+        lines = io.BytesIO(source) if isinstance(source, bytes) else source
     valid: set[str] = set()  # IRIs already found N-Triples-safe and absolute
-    lines = data.split("\n")
-    del data  # the lines hold the text now; the caller must not hold the whole text either
-    lines.reverse()  # popped in file order, so each line is freed once read
-    for lineno in range(1, len(lines) + 1):
-        line = lines.pop().strip()
+    for lineno, line in enumerate(lines, 1):
+        if type(line) is bytes:
+            line = decode_utf8(line, lineno)
+        line = line.strip()
         m = _STATEMENT_RE.fullmatch(line)
         if m is None:
             if not line or line.startswith("#"):
@@ -411,12 +436,16 @@ def events_from_rows(
         lon = _first(geo_preds, SDO_NS + "longitude")
         if lat is None or lon is None:
             raise ValueError(f"event node missing coordinates: {subject}")
+        try:
+            point = validate_point(float(lat), float(lon))
+        except (ValueError, OutOfRangeError) as exc:
+            raise ValueError(f"event node {subject}: {exc}") from exc
         region = _first(preds, ONTOLOGY_NS + "addressRegion")
         ev = Event(
             id=local_id,
             dataset=dataset,
             date=civil_date(date),
-            point=validate_point(float(lat), float(lon)),
+            point=point,
             description=_first(preds, DCT_NS + "description"),
             country=ref(preds, "countryGeoNames"),
             city=ref(preds, "cityGeoNames"),

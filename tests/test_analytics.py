@@ -506,6 +506,15 @@ class TestFromNtriples:
         assert IntegratedDataset.from_triples(parse_ntriples(data.decode("utf-8"))) == expected
 
 
+    def test_member_without_event_names_its_iri(self):
+        key = (Dataset.CH, "b956ecc840b78757")
+        agg = AggregateEvent(aggregate_iri([event_iri(*key)]), (key,), key)
+        with pytest.raises(ValueError) as exc:
+            IntegratedDataset.from_events([], [agg])
+        # once the key's repr: (<Dataset.CH: 'ch'>, 'b956ecc840b78757')
+        assert str(exc.value) == f"aggregate member has no event: {event_iri(*key)}"
+
+
 class TestReloadEquivalence:
     def test_primary_count_stable(self, dataset, reloaded):
         assert len(reloaded.aggregates) == len(dataset.aggregates)

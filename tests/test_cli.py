@@ -16,11 +16,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from resilink import cli
 from resilink.analytics import IntegratedDataset, ReportSettings
 from resilink.cli import LinkcheckSettings, PipelineConfig, run_subcommand
 from resilink.gazetteer import EnrichmentConfig
 from resilink.integration import MatchConfig
-from resilink.model import Dataset, events_from_json
+from resilink.model import CivilDate, Dataset, Event, GeoPoint, events_from_json, events_to_json
 from resilink.rdf import parse_ntriples
 from tests.httpmock import ScriptedHandler, start_server, stop_server
 
@@ -422,6 +423,15 @@ class TestDataErrors:
         line = _error_line(capsys)
         assert line.startswith("resilink: error: ") and "config" in line
 
+    def test_config_invalid_utf8_names_the_line(self, workdir, capsys):
+        # the decoder's message once came alone: 'utf-8' codec can't decode byte 0xff ...
+        config = workdir / "config.json"
+        config.write_bytes(b'{\n"match": {"\xff": 1}}\n')
+        assert _run("convert", "--input", _tiny_events(workdir), "--config", config,
+                    "--out", workdir / "out.nt") == 1
+        assert _error_line(capsys) == (
+            f"resilink: error: cannot read config {config}: line 2: invalid UTF-8")
+
     @settings(max_examples=150, deadline=None)
     @given(doc=config_documents)
     def test_any_config_document_ends_in_an_exit_code(self, tmp_path_factory, doc):
@@ -594,6 +604,7 @@ class TestDataErrors:
         (lambda nt: nt.replace(b"Explosion damaged", b"Explosion \xffdamaged", 1),
          "line 206: invalid UTF-8"),
         (lambda nt: nt.replace(b'"49.823"^^', b'"north"^^', 1),
+         "event node https://linked4resilience.eu/event/ch/156e6dd61dc9cbfe: "
          "could not convert string to float: 'north'"),
         (lambda nt: _drop_line(nt, b"ch/156e6dd61dc9cbfe/geo> <https://schema.org/longitude>"),
          "event node missing coordinates: https://linked4resilience.eu/event/ch/156e6dd61dc9cbfe"),
@@ -604,7 +615,7 @@ class TestDataErrors:
          "006fe315012e02de7f022eaee835ff66266eefd087220d06a7d210e2c09cf9f7"),
         (lambda nt: _drop_line(nt, b"<https://linked4resilience.eu/event/eor/eor-131> "
                                    b"<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"),
-         "aggregate member has no event: (<Dataset.EOR: 'eor'>, 'eor-131')"),
+         "aggregate member has no event: https://linked4resilience.eu/event/eor/eor-131"),
     ], ids=["truncated-statement", "relative-iri", "invalid-utf8", "non-numeric-latitude",
             "missing-longitude", "impossible-date", "aggregate-without-primary",
             "member-without-event"])
@@ -788,6 +799,30 @@ class TestDataErrors:
         line = _error_line(capsys)
         assert line.startswith("resilink: error: ") and key in line
         assert not out.exists()
+
+
+def test_atomic_write_leaves_the_target_when_its_chunks_fail(tmp_path):
+    target = tmp_path / "out.nt"
+    target.write_bytes(b"old\n")
+
+    def chunks():
+        yield b"new\n"
+        raise ValueError("chunk failed")
+
+    with pytest.raises(ValueError, match="chunk failed"):
+        cli._atomic_write(target, chunks())
+    assert target.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [target]  # no temp file is left
+
+
+def test_events_written_in_slices_are_the_whole_text(tmp_path, monkeypatch):
+    events = [Event(id=f"e{i}", dataset=Dataset.EOR, date=CivilDate(2022, 3, 7),
+                    point=GeoPoint(50.0, 36.0), city_labels={"uk": "Ізюм"}, description="😀 x")
+              for i in range(40)]
+    monkeypatch.setattr(cli, "_SLICE_CHARS", 7)  # slices end beside two- and four-byte characters
+    path = tmp_path / "events.json"
+    cli._write_events(path, events)
+    assert path.read_bytes() == events_to_json(events).encode("utf-8") + b"\n"
 
 
 def test_worked_config_loads_its_values_and_defaults():

@@ -184,11 +184,9 @@ class TestLinkReport:
             assert twice[ds] == {
                 **once[ds], **doubled,
                 "counts": {state: n * 2 for state, n in once[ds]["counts"].items()},
-                # the numerator counts each event id with an invalid row once
-                "invalid_fraction_events": once[ds]["invalid_fraction_events"] / 2,
-            }
+            }  # both event counts count listed events, so the fractions stay
         assert twice["eor"]["total_events"] == 6
-        assert twice["eor"]["invalid_fraction_events"] == pytest.approx(2 / 6)
+        assert twice["eor"]["invalid_fraction_events"] == pytest.approx(2 / 3)
 
     def test_summary_of_every_state(self, server):
         host = f"http://127.0.0.1:{server.server_address[1]}"
@@ -225,6 +223,21 @@ class TestLinkReport:
         assert eor["invalid"] == 5
         assert eor["invalid_fraction_urls"] == 5 / 7
         assert eor["invalid_fraction_events"] == 5 / 6
+
+    def test_summary_of_events_listed_twice_keeps_its_fractions(self):
+        events = [_event(1, ("https://h/ok", "https://h/gone")), _event(2, ("https://h/ok",)),
+                  _event(3, ()), _event(4, ("https://h/gone",), Dataset.CH)]
+        states = {"https://h/ok": (LinkState.VALID, 200), "https://h/gone": (LinkState.BROKEN, 404),
+                  "": (LinkState.MISSING, None)}
+        rows = [LinkReportRow(url, *states[url], ev.id, ev.dataset)
+                for ev in events for url in ev.source_urls or ("",)]
+        once, twice = summary_dict(events, rows), summary_dict(events * 2, rows * 2)
+        assert once["eor"]["invalid_fraction_events"] == 2 / 3  # events 1 and 3
+        assert once["ch"]["invalid_fraction_events"] == 1.0
+        for ds in ("eor", "ch"):
+            assert twice[ds]["total_events"] == 2 * once[ds]["total_events"]
+            for key in ("invalid_fraction_urls", "invalid_fraction_events"):
+                assert twice[ds][key] == once[ds][key]
 
     def test_politeness_spacing(self, server):
         checker = _checker(server, politeness_s=0.15)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,10 +12,12 @@ from resilink.model import (
     Event,
     GazetteerRef,
     GeoPoint,
+    InputFormatError,
     InvalidDateError,
     MalformedDateError,
     OutOfRangeError,
     content_event_id,
+    decode_utf8,
     event_from_dict,
     event_to_dict,
     events_from_json,
@@ -184,3 +188,25 @@ class TestCanonicalJson:
     def test_rerun_is_byte_identical(self):
         events = [_event(city_labels={"uk": "a", "en": "b"})]
         assert events_to_json(events) == events_to_json(events)
+
+    def test_text_is_the_indented_dump_across_many_batches(self):
+        # the encoder's pieces are joined 4096 at a time; 600 events make about 18k pieces
+        events = [
+            _event(id=f"e{i}", description="Школа пошкоджена" if i % 3 else "school hit",
+                   comments=("violence_level: significant",), source_urls=(f"https://x/{i}",),
+                   city_labels={"en": "Izyum", "uk": "Ізюм"} if i % 2 else {})
+            for i in range(600)
+        ]
+        expected = json.dumps([event_to_dict(ev) for ev in events], ensure_ascii=False, indent=2)
+        assert events_to_json(events) == expected
+        assert events_to_json([]) == "[]"
+
+
+class TestDecodeUtf8:
+    def test_line_counts_from_the_given_first_line(self):
+        with pytest.raises(InputFormatError) as exc:
+            decode_utf8(b"a\nb\xff\n", line=7)
+        assert (exc.value.line, str(exc.value)) == (8, "line 8: invalid UTF-8")
+
+    def test_valid_text(self):
+        assert decode_utf8("Ізюм\n".encode()) == "Ізюм\n"

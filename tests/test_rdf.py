@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import dataclasses
+import io
+import random
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resilink import rdf
 from resilink.analytics import IntegratedDataset
 from resilink.model import (
     AggregateEvent,
@@ -18,6 +23,7 @@ from resilink.model import (
 )
 from resilink.rdf import (
     DCT_NS,
+    EVENT_NS,
     ONTOLOGY_NS,
     PREFIXES,
     RDF_NS,
@@ -528,6 +534,104 @@ class TestSerialization:
         assert events[ev.key] == dataclasses.replace(ev, source_urls=tuple(encoded))
 
 
+def _whole_join(lines) -> bytes:
+    """The N-Triples file of the lines, joined whole: the reference for the chunked writer."""
+    return "".join(line + "\n" for line in sorted(set(lines))).encode("utf-8")
+
+
+def _labelled_event(i: int) -> Event:
+    return _event(id=f"e{i}", description=f"обстріл {i}" if i % 2 else f"shelling {i}",
+                  comments=(f"c{i % 7}",), city_labels={"en": "Izyum", "uk": "Ізюм"})
+
+
+class TestChunkedSerialization:
+    """serialize_bytes encodes _CHUNK_LINES lines at a time; no chunk edge may show."""
+
+    def test_ntriples_equal_the_whole_join_beyond_one_chunk(self):
+        lines = [line for i in range(800) for line in emit_event_triples(_labelled_event(i))]
+        assert len(set(lines)) > 2 * rdf._CHUNK_LINES
+        shuffled = lines * 2  # each line twice, both copies at random places
+        random.Random(7).shuffle(shuffled)
+        assert serialize_bytes(shuffled) == _whole_join(lines)
+
+    @pytest.mark.parametrize("chunk_lines", [1, 2, 3, 5, 64])
+    def test_small_chunks_change_no_byte(self, chunk_lines):
+        events = [_labelled_event(i) for i in range(20)]
+        lines = [line for ev in events for line in emit_event_triples(ev)]
+        triples = [t for ev in events for t in oracles.event_triples(ev)]
+        with mock.patch.object(rdf, "_CHUNK_LINES", chunk_lines):
+            # duplicates land in other chunks than their first copies
+            ntriples = serialize_bytes(lines + lines[:40])
+            turtle = serialize_bytes(lines + lines[:40], RdfFormat.TURTLE)
+        assert ntriples == _whole_join(lines) == oracles.serialize_terms(triples)
+        # each subject's block spans a chunk edge at one size or another
+        assert turtle == oracles.serialize_terms(triples, turtle=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_vocab_triple_strategy | _prefix_triple_strategy, max_size=16),
+           st.integers(1, 4))
+    def test_both_formats_match_the_term_serializer_at_any_chunk_size(self, triples, chunk_lines):
+        lines = _lines(triples)
+        with mock.patch.object(rdf, "_CHUNK_LINES", chunk_lines):
+            assert serialize_bytes(lines) == oracles.serialize_terms(triples)
+            assert serialize_bytes(lines, RdfFormat.TURTLE) == oracles.serialize_terms(
+                triples, turtle=True)
+
+    def test_traced_peak_stays_near_the_output_size(self):
+        # the joined str of non-ASCII lines is two bytes a character: with it and
+        # its bytes both alive, the peak read about 5x the output size
+        lines = [line for i in range(1500) for line in emit_event_triples(_labelled_event(i))]
+        random.Random(3).shuffle(lines)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            data = serialize_bytes(lines)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(data)
+
+
+class TestParseNtriplesStream:
+    """parse_ntriples reads a binary file a line at a time, as report does."""
+
+    GOOD = '<https://x/s> <https://x/p> "v" .\n'
+
+    def _rows(self, data: bytes, tmp_path=None):
+        if tmp_path is None:
+            return list(parse_ntriples(io.BytesIO(data)))
+        path = tmp_path / "in.nt"
+        path.write_bytes(data)
+        with path.open("rb") as fp:
+            return list(parse_ntriples(fp))
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_rows_equal_those_of_the_text(self, tmp_path, on_disk):
+        text = (self.GOOD
+                + '<https://x/s> <https://x/p> "crlf" .\r\n'
+                + '<https://x/s> <https://x/p> "a\u0085b\u2028c" .\n'
+                + '<https://x/s> <https://x/p> "Ізюм"@uk .')  # no final line break
+        rows = self._rows(text.encode(), tmp_path if on_disk else None)
+        assert rows == list(parse_ntriples(text)) == list(parse_ntriples(text.encode()))
+        assert [row[3] for row in rows] == ["v", "crlf", "a\u0085b\u2028c", "Ізюм"]
+
+    @pytest.mark.parametrize("lineno", [3, 4, 40])
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_invalid_utf8_names_its_line(self, tmp_path, lineno, on_disk):
+        good = self.GOOD.encode()
+        bad = b'<https://x/s> <https://x/p> "\xc3\x28" .\r\n'
+        data = good * (lineno - 1) + bad + good
+        with pytest.raises(InputFormatError) as exc:
+            self._rows(data, tmp_path if on_disk else None)
+        assert str(exc.value) == f"line {lineno}: invalid UTF-8"
+
+    def test_a_statement_error_before_invalid_utf8_comes_first(self):
+        data = self.GOOD.encode() + b"garbage\n" + b'"\xff"\n'
+        with pytest.raises(InputFormatError) as exc:
+            self._rows(data)
+        assert exc.value.line == 2
+
+
 class TestParseNtriples:
     def test_missing_terminator(self):
         with pytest.raises(InputFormatError) as exc:
@@ -620,6 +724,17 @@ class TestEventsFromTriples:
         events, aggregates = events_from_rows(parse_ntriples("\n".join(lines)))
         assert events[key] == ev
         assert aggregates == [agg]
+
+    @pytest.mark.parametrize("value, message", [
+        ("north", "could not convert string to float: 'north'"),
+        ("NaN", "latitude out of range: nan"),
+        ("91", "latitude out of range: 91.0"),
+    ])
+    def test_bad_coordinate_names_the_event(self, value, message):
+        lines = [line.replace('"49.2128"', f'"{value}"') for line in emit_event_triples(_event())]
+        with pytest.raises(ValueError) as exc:
+            events_from_rows(parse_ntriples("\n".join(lines)))
+        assert str(exc.value) == f"event node {EVENT_NS}eor/123: {message}"
 
     def test_survives_serialization(self):
         ev = _event(description="x", comments=("a", "b"))
