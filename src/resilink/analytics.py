@@ -8,7 +8,6 @@ are read-only and may run concurrently.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import math
 import re
@@ -27,6 +26,7 @@ from .model import (
     GeoPoint,
     InputFormatError,
     ResilinkError,
+    decode_utf8,
     is_language_code,
     validate_point,
 )
@@ -347,13 +347,17 @@ def uc4_monthly_timeline(
     return [(month, _top_regions(events, n)) for month, events in by_month.items()]
 
 
-def _csv_rows(text: str, header: list[str], expected: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, row) of each non-blank row under the checked header, which is line 1.
+def _csv_rows(data: bytes, header: list[str], expected: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, row) of each non-blank CSV row under the checked header, which is line 1.
 
     A row's line is the csv reader's count of lines read, so a row with a
-    quoted line break is named by its last line.
+    quoted line break is named by its last line. Lines end at LF, CRLF or a
+    lone CR, as the reader's are, and each is decoded on its own, so
+    invalid UTF-8 is named by the same count.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(
+        decode_utf8(line, n) for n, line in enumerate(data.splitlines(keepends=True), 1)
+    )
     try:
         first = next(reader, None)
         if first is None or [h.strip() for h in first] != header:
@@ -368,10 +372,10 @@ def _csv_rows(text: str, header: list[str], expected: str) -> Iterator[tuple[int
         raise InputFormatError(reader.line_num, str(exc)) from exc
 
 
-def read_deaths_csv(text: str) -> dict[str, int]:
-    """The death counts by month of the external `month,deaths` CSV text used by uc5."""
+def read_deaths_csv(data: bytes) -> dict[str, int]:
+    """The death counts by month of the external `month,deaths` CSV used by uc5."""
     out = {}
-    for i, row in _csv_rows(text, ["month", "deaths"], "'YYYY-MM,integer'"):
+    for i, row in _csv_rows(data, ["month", "deaths"], "'YYYY-MM,integer'"):
         month = row[0].strip()
         try:
             _check_month(month)
@@ -410,10 +414,10 @@ def uc5_ratio_series(attacks: Sequence[MonthBucket], deaths_by_month: Mapping[st
     return rows
 
 
-def load_shelters(text: str) -> list[ShelterRecord]:
-    """The shelter records of a `name,lat,lon` CSV text with a header row."""
+def load_shelters(data: bytes) -> list[ShelterRecord]:
+    """The shelter records of a `name,lat,lon` CSV with a header row."""
     shelters = []
-    for i, row in _csv_rows(text, ["name", "lat", "lon"], "3 columns"):
+    for i, row in _csv_rows(data, ["name", "lat", "lon"], "3 columns"):
         try:
             point = validate_point(float(row[1]), float(row[2]))
         except (ValueError, ResilinkError) as exc:

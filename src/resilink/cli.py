@@ -324,12 +324,23 @@ def _cmd_enrich(args, cfg: PipelineConfig) -> None:
     _write_events(args.out, enriched)
 
 
-def _cmd_convert(args, cfg: PipelineConfig) -> None:
-    events = _read_events(args.input)
+def _rdf_lines(events: list[Event], aggregates=()) -> list[str]:
+    """The N-Triples lines of the events, then of the aggregates.
+
+    Callers pass the result straight to rdf.serialize_bytes, which then
+    holds the only reference and frees the lines as it encodes them.
+    """
     lines = []
     for ev in events:
         lines.extend(rdf.emit_event_triples(ev))
-    _atomic_write(args.out, (rdf.serialize_bytes(lines, rdf.RdfFormat(args.rdf_format)),))
+    for agg in aggregates:
+        lines.extend(rdf.emit_aggregate_triples(agg))
+    return lines
+
+
+def _cmd_convert(args, cfg: PipelineConfig) -> None:
+    fmt = rdf.RdfFormat(args.rdf_format)
+    _atomic_write(args.out, (rdf.serialize_bytes(_rdf_lines(_read_events(args.input)), fmt),))
 
 
 def _integrate(a_events: list[Event], b_events: list[Event], cfg: PipelineConfig,
@@ -341,12 +352,8 @@ def _integrate(a_events: list[Event], b_events: list[Event], cfg: PipelineConfig
         "integrate: |A|=%d |B|=%d identical=%d near-distinct=%d integrated=%d",
         c.a, c.b, c.identical, c.near_distinct, c.integrated,
     )
-    lines = []
-    for ev in a_events + b_events:
-        lines.extend(rdf.emit_event_triples(ev))
-    for agg in result.aggregates:
-        lines.extend(rdf.emit_aggregate_triples(agg))
-    _atomic_write(out, (rdf.serialize_bytes(lines, fmt),))
+    _atomic_write(out, (rdf.serialize_bytes(
+        _rdf_lines(a_events + b_events, result.aggregates), fmt),))
     if pairs:
         _write_csv(pairs, [
             ("a_id", "b_id", "verdict", "rule", "distance_km", "similarity"),
@@ -384,8 +391,8 @@ def _uc1(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
     city = GazetteerRef(args.city_geoname_id) if args.city_geoname_id is not None else None
     start, end = parse_civil_date(args.start), parse_civil_date(args.end)
     if args.out_nt:
-        lines = analytics.uc1_wkt_triples(ds, city, start, end)
-        _atomic_write(args.out_nt, (rdf.serialize_bytes(lines),))
+        _atomic_write(args.out_nt, (rdf.serialize_bytes(
+            analytics.uc1_wkt_triples(ds, city, start, end)),))
     if args.out_geojson:
         points = analytics.uc1_event_points(ds, city, start, end)
         _write_json(args.out_geojson, analytics.points_feature_collection(points))
@@ -420,7 +427,8 @@ def _uc4(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
 
 def _uc5(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
     attacks = analytics.monthly_event_counts(ds, _months(args, cfg))
-    deaths = parse_file(args.deaths, analytics.read_deaths_csv)
+    with input_file(args.deaths) as fp:
+        deaths = analytics.read_deaths_csv(fp.read())
     _write_csv(args.out, [
         ("# proof-of-concept: joins unvalidated external data; not for operational decisions",),
         ("month", "attacks", "deaths", "ratio"),
@@ -431,7 +439,8 @@ def _uc5(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
 
 def _uc6(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
     settings = _with_flags(cfg.analytics, uc6_radius_km=args.radius_km)
-    shelters = parse_file(args.shelters, analytics.load_shelters)
+    with input_file(args.shelters) as fp:
+        shelters = analytics.load_shelters(fp.read())
     collection, grid = analytics.uc6_shelter_gap(
         ds, shelters, radius_km=settings.uc6_radius_km, grid_deg=settings.grid_deg
     )

@@ -3,7 +3,11 @@
 The index is loaded from three tab-separated files (a place file, an
 alternate-names file, a postal-code file; the column layouts are given in
 the loader docstrings) and is read-only afterwards, so one index can be
-shared by any number of worker threads.
+shared by any number of worker threads. One load holds each distinct value
+of the repeated code columns (feature code, country code, admin1 code,
+alternate-name language, postal country code) as a single string object,
+shared by every row that carries it, and an ASCII name equal to the name
+is the name's own object.
 
 Every nearest-neighbour query goes through ``PointSet``: candidates are the
 targets whose unit-vector dot with the query is within ``NEAREST_DOT_EPS``
@@ -278,9 +282,10 @@ def _point(lineno: int, lat: str, lon: str) -> GeoPoint:
         raise InputFormatError(lineno, str(exc)) from exc
 
 
-def _places(text: str) -> dict[int, tuple]:
+def _places(text: str, shared: dict[str, str]) -> dict[int, tuple]:
     """geonameid -> the GazetteerEntry fields after it, alternate names still a list."""
     places: dict[int, tuple] = {}
+    one = shared.setdefault
     for lineno, cols in _rows(text, 10):
         gid = _number(lineno, cols[0], int, "geonameid")
         feature_class = cols[6].strip()
@@ -290,25 +295,31 @@ def _places(text: str) -> dict[int, tuple]:
         if gid in places:
             raise InputFormatError(lineno, f"duplicate geonameid {gid}")
         aliases = [("", a.strip()) for a in cols[3].split(",") if a.strip()]
-        places[gid] = (cols[1].strip(), cols[2].strip(), aliases, point, feature_class,
-                       cols[7].strip(), cols[8].strip(), cols[9].strip())
+        name, ascii_name = cols[1].strip(), cols[2].strip()
+        feature_code, country_code, admin1_code = cols[7].strip(), cols[8].strip(), cols[9].strip()
+        places[gid] = (name, name if ascii_name == name else ascii_name, aliases, point,
+                       feature_class, one(feature_code, feature_code),
+                       one(country_code, country_code), one(admin1_code, admin1_code))
     return places
 
 
-def _add_alternate_names(places: dict[int, tuple], text: str) -> None:
+def _add_alternate_names(places: dict[int, tuple], text: str, shared: dict[str, str]) -> None:
     for lineno, cols in _rows(text, 4):
         gid = _number(lineno, cols[1], int, "geonameid")
         if gid in places:
-            places[gid][2].append((cols[2].strip(), cols[3].strip()))
+            lang = cols[2].strip()
+            places[gid][2].append((shared.setdefault(lang, lang), cols[3].strip()))
 
 
-def _postal_codes(text: str) -> list[PostalCodeEntry]:
+def _postal_codes(text: str, shared: dict[str, str]) -> list[PostalCodeEntry]:
     postal = []
     for lineno, cols in _rows(text, 5):
         if not cols[1].strip():
             raise InputFormatError(lineno, "empty postal code")
         point = _point(lineno, cols[3], cols[4])
-        postal.append(PostalCodeEntry(cols[0].strip(), cols[1].strip(), cols[2].strip(), point))
+        country = cols[0].strip()
+        postal.append(PostalCodeEntry(shared.setdefault(country, country), cols[1].strip(),
+                                      cols[2].strip(), point))
     return postal
 
 
@@ -324,9 +335,10 @@ def load_gazetteer(place_file: str | Path, alt_names_file: str | Path, postal_fi
     longitude. Blank lines are allowed everywhere. Lines end at LF or CRLF
     only, so a name may hold any other character, U+2028 included.
     """
-    places = parse_file(place_file, _places)
-    parse_file(alt_names_file, lambda text: _add_alternate_names(places, text))
-    postal = parse_file(postal_file, _postal_codes)
+    shared: dict[str, str] = {}  # each code read by this load -> its one string object
+    places = parse_file(place_file, lambda text: _places(text, shared))
+    parse_file(alt_names_file, lambda text: _add_alternate_names(places, text, shared))
+    postal = parse_file(postal_file, lambda text: _postal_codes(text, shared))
     return GazetteerIndex(
         (
             GazetteerEntry(gid, name, ascii_name, tuple(aliases), *rest)

@@ -16,6 +16,7 @@ import functools
 import hashlib
 import io
 import itertools
+import operator
 import re
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -30,7 +31,7 @@ from .model import (
     EventKey,
     GazetteerRef,
     InputFormatError,
-    OutOfRangeError,
+    ResilinkError,
     check_iri,
     decode_utf8,
     parse_civil_date,
@@ -222,15 +223,34 @@ def serialize_bytes(lines: Iterable[str], fmt: RdfFormat = RdfFormat.NTRIPLES) -
     Turtle: a single prefix block followed by the rows grouped by subject,
     using prefixed names where possible and `a` for rdf:type. A subject
     ends at a line's first space, since no IRI holds one.
+
+    The lines are sorted into a list of the call's own, and the reference
+    to the argument is dropped, so a list handed over with nothing else
+    holding it (`serialize_bytes(build_lines())`) is freed then. Each
+    _CHUNK_LINES lines are dropped from the sorted list as they are taken
+    to be encoded, so a line does not outlive its bytes by more than two
+    chunks. A list the caller keeps is left as it was.
     """
     if fmt is not RdfFormat.NTRIPLES and fmt is not RdfFormat.TURTLE:
         raise ValueError(f"unsupported format: {fmt!r}")
-    rows = (line for line, _ in itertools.groupby(sorted(lines)))
+    descending = sorted(lines, reverse=True)
+    del lines
+    # groupby's keys are the distinct lines; C iterators all the way, none resumes Python per line
+    rows = map(operator.itemgetter(0),
+               itertools.groupby(itertools.chain.from_iterable(_cut_from_the_end(descending))))
     # BytesIO grows its one buffer in place and hands it out without a copy,
     # where b"".join would hold every chunk beside the joined bytes.
     out = io.BytesIO()
     out.writelines(_utf8_chunks(_turtle(rows) if fmt is RdfFormat.TURTLE else rows))
     return out.getvalue()
+
+
+def _cut_from_the_end(items: list[str]) -> Iterator[list[str]]:
+    """The items from the last to the first, in lists of _CHUNK_LINES cut off the list as taken."""
+    while items:
+        chunk = items[:-_CHUNK_LINES - 1:-1]
+        del items[-_CHUNK_LINES:]
+        yield chunk
 
 
 def _utf8_chunks(lines: Iterable[str]) -> Iterator[bytes]:
@@ -413,50 +433,52 @@ def events_from_rows(
     )
     for subject in event_nodes:
         preds = by_subject[subject]
-        if subject.startswith(EVENT_NS + "aggregate/"):
-            primary = _first(preds, ONTOLOGY_NS + "hasPrimarySource")
-            if primary is None:
-                raise ValueError(f"aggregate node without hasPrimarySource: {subject}")
-            members = tuple(
-                sorted(event_key(value) for value, _ in preds.get(ONTOLOGY_NS + "hasMember", ()))
+        kind = "aggregate" if subject.startswith(EVENT_NS + "aggregate/") else "event"
+        if kind == "event":
+            try:
+                dataset, local_id = event_key(subject)
+            except ValueError:
+                continue
+        # one wrap names the node in every error of its construction
+        try:
+            if kind == "aggregate":
+                primary = _first(preds, ONTOLOGY_NS + "hasPrimarySource")
+                if primary is None:
+                    raise ValueError("missing hasPrimarySource")
+                members = tuple(sorted(
+                    event_key(value) for value, _ in preds.get(ONTOLOGY_NS + "hasMember", ())
+                ))
+                aggregates.append(AggregateEvent(iri=subject, members=members,
+                                                 primary=event_key(primary)))
+                continue
+            date = _first(preds, DCT_NS + "date")
+            loc = _first(preds, SDO_NS + "location")
+            if date is None or loc is None:
+                raise ValueError("missing date or location")
+            geo_preds = by_subject.get(_first(by_subject.get(loc, {}), SDO_NS + "geo"), {})
+            lat = _first(geo_preds, SDO_NS + "latitude")
+            lon = _first(geo_preds, SDO_NS + "longitude")
+            if lat is None or lon is None:
+                raise ValueError("missing coordinates")
+            region = _first(preds, ONTOLOGY_NS + "addressRegion")
+            ev = Event(
+                id=local_id,
+                dataset=dataset,
+                date=civil_date(date),
+                point=validate_point(float(lat), float(lon)),
+                description=_first(preds, DCT_NS + "description"),
+                country=ref(preds, "countryGeoNames"),
+                city=ref(preds, "cityGeoNames"),
+                province=ref(preds, "provinceGeoNames", region or ""),
+                postal_code=_first(preds, ONTOLOGY_NS + "postalCode"),
+                source_urls=tuple(sorted(value for value, _ in preds.get(SDO_NS + "url", ()))),
+                comments=tuple(sorted(value for value, _ in preds.get(RDFS_NS + "comment", ()))),
+                city_labels={
+                    language: value
+                    for value, language in preds.get(ONTOLOGY_NS + "cityName", ()) if language
+                },
             )
-            aggregates.append(AggregateEvent(iri=subject, members=members, primary=event_key(primary)))
-            continue
-
-        try:
-            dataset, local_id = event_key(subject)
-        except ValueError:
-            continue
-        date = _first(preds, DCT_NS + "date")
-        loc = _first(preds, SDO_NS + "location")
-        if date is None or loc is None:
-            raise ValueError(f"event node missing date or location: {subject}")
-        geo_preds = by_subject.get(_first(by_subject.get(loc, {}), SDO_NS + "geo"), {})
-        lat = _first(geo_preds, SDO_NS + "latitude")
-        lon = _first(geo_preds, SDO_NS + "longitude")
-        if lat is None or lon is None:
-            raise ValueError(f"event node missing coordinates: {subject}")
-        try:
-            point = validate_point(float(lat), float(lon))
-        except (ValueError, OutOfRangeError) as exc:
-            raise ValueError(f"event node {subject}: {exc}") from exc
-        region = _first(preds, ONTOLOGY_NS + "addressRegion")
-        ev = Event(
-            id=local_id,
-            dataset=dataset,
-            date=civil_date(date),
-            point=point,
-            description=_first(preds, DCT_NS + "description"),
-            country=ref(preds, "countryGeoNames"),
-            city=ref(preds, "cityGeoNames"),
-            province=ref(preds, "provinceGeoNames", region or ""),
-            postal_code=_first(preds, ONTOLOGY_NS + "postalCode"),
-            source_urls=tuple(sorted(value for value, _ in preds.get(SDO_NS + "url", ()))),
-            comments=tuple(sorted(value for value, _ in preds.get(RDFS_NS + "comment", ()))),
-            city_labels={
-                language: value
-                for value, language in preds.get(ONTOLOGY_NS + "cityName", ()) if language
-            },
-        )
+        except (ValueError, ResilinkError) as exc:
+            raise ValueError(f"{kind} node {subject}: {exc}") from exc
         events[ev.key] = ev
     return events, aggregates

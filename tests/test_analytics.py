@@ -303,18 +303,18 @@ class TestUc5:
     def test_deaths_csv_round_trip(self, tmp_path):
         p = tmp_path / "deaths.csv"
         p.write_text("month,deaths\n2022-04,5\n2022-05,7\n")
-        assert read_deaths_csv(p.read_text()) == {"2022-04": 5, "2022-05": 7}
+        assert read_deaths_csv(p.read_bytes()) == {"2022-04": 5, "2022-05": 7}
 
     def test_deaths_csv_repeated_month_rejected(self):
         # the second 2022-03 row used to overwrite the first silently
         with pytest.raises(InputFormatError, match="line 3: month 2022-03 listed twice"):
-            read_deaths_csv("month,deaths\n2022-03,4\n2022-03,9\n")
+            read_deaths_csv(b"month,deaths\n2022-03,4\n2022-03,9\n")
 
     def test_deaths_csv_bad_header(self, tmp_path):
         p = tmp_path / "deaths.csv"
         p.write_text("m,d\n2022-04,5\n")
         with pytest.raises(InputFormatError):
-            read_deaths_csv(p.read_text())
+            read_deaths_csv(p.read_bytes())
 
     def test_writer_marks_proof_of_concept(self, dataset, tmp_path):
         nt, deaths, out = tmp_path / "integrated.nt", tmp_path / "deaths.csv", tmp_path / "uc5.csv"
@@ -424,7 +424,7 @@ class TestUc6:
     def test_shelter_csv_loader(self, tmp_path):
         p = tmp_path / "shelters.csv"
         p.write_text("name,lat,lon\nMetro station,49.99,36.23\n,50.0,36.3\n")
-        shelters = load_shelters(p.read_text())
+        shelters = load_shelters(p.read_bytes())
         assert len(shelters) == 2
         assert shelters[0].name == "Metro station"
         assert shelters[1].name is None
@@ -464,16 +464,34 @@ class TestReportCsvInputs:
     @pytest.mark.parametrize("reader,text,message", REPORT_CSV_ERRORS)
     def test_error(self, reader, text, message):
         with pytest.raises(InputFormatError) as exc:
-            reader(text)
+            reader(text.encode())
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "lone-cr"])
+    @pytest.mark.parametrize("reader,header,good,bad_utf8,ragged,message", [
+        (read_deaths_csv, "month,deaths", "2022-03,4", b"2022-04,\xff", "2022-04",
+         "expected 'YYYY-MM,integer'"),
+        (load_shelters, "name,lat,lon", "x,50.0,36.0", b"y\xff,50.0,36.0", "y,50.0",
+         "expected 3 columns"),
+    ], ids=["deaths", "shelters"])
+    def test_invalid_utf8_is_numbered_as_the_reader_numbers_lines(
+            self, end, reader, header, good, bad_utf8, ragged, message):
+        # a lone CR once ended a line for the reader but not for the UTF-8 error
+        head = f"{header}{end}{good}{end}".encode()
+        with pytest.raises(InputFormatError) as exc:
+            reader(head + bad_utf8 + end.encode())
+        assert str(exc.value) == "line 3: invalid UTF-8"
+        with pytest.raises(InputFormatError) as exc:
+            reader(head + f"{ragged}{end}".encode())
+        assert str(exc.value) == f"line 3: {message}"
 
     def test_line_ends_as_the_csv_module_reads_them(self):
         text = "name,lat,lon\r\nx,50.0,36.0\ry,51.0,36.0\n"
-        assert [s.name for s in load_shelters(text)] == ["x", "y"]
+        assert [s.name for s in load_shelters(text.encode())] == ["x", "y"]
 
     def test_blank_rows_skipped(self):
-        assert read_deaths_csv("month,deaths\n\n2022-04,5\n\n") == {"2022-04": 5}
-        shelters = load_shelters(" name , lat , lon \n\nx,50.0,36.0\n\n")
+        assert read_deaths_csv(b"month,deaths\n\n2022-04,5\n\n") == {"2022-04": 5}
+        shelters = load_shelters(b" name , lat , lon \n\nx,50.0,36.0\n\n")
         assert shelters == [ShelterRecord(point=GeoPoint(50.0, 36.0), name="x")]
 
 

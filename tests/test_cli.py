@@ -22,7 +22,7 @@ from resilink.cli import LinkcheckSettings, PipelineConfig, run_subcommand
 from resilink.gazetteer import EnrichmentConfig
 from resilink.integration import MatchConfig
 from resilink.model import CivilDate, Dataset, Event, GeoPoint, events_from_json, events_to_json
-from resilink.rdf import parse_ntriples
+from resilink.rdf import EVENT_NS, parse_ntriples
 from tests.httpmock import ScriptedHandler, start_server, stop_server
 
 PIPE = Path(__file__).parent / "fixtures" / "pipeline"
@@ -50,6 +50,12 @@ def fixture_nt(tmp_path_factory) -> Path:
     assert _run("pipeline", "--config", PIPE / "config.json", "--eor-input", PIPE / "eor.json",
                 "--ch-input", PIPE / "ch.csv", "--ch-format", "csv", "--outdir", outdir) == 0
     return outdir / "integrated.nt"
+
+
+# nodes of the fixtures' integrated.nt that the malformed-.nt cases corrupt
+_CH_EVENT = f"{EVENT_NS}ch/156e6dd61dc9cbfe"
+_SINGLE = f"{EVENT_NS}aggregate/006fe315012e02de7f022eaee835ff66266eefd087220d06a7d210e2c09cf9f7"
+_PAIR = f"{EVENT_NS}aggregate/3e0c24dcd4962ec0b746bc7cb168ec7b09ec7a5a84b546a7e28f11969b053e7b"
 
 
 def _drop_line(data: bytes, needle: bytes) -> bytes:
@@ -595,6 +601,7 @@ class TestDataErrors:
             (line,) = err.getvalue().strip().splitlines()
             assert line.startswith("resilink: error: ")
 
+    # every reload error names its node: an event, a single-member aggregate, a paired one
     @pytest.mark.parametrize("corrupt, message", [
         (lambda nt: nt[:-20],
          "line 1470: expected '<iri> <iri> <iri-or-literal> .'"),
@@ -604,21 +611,45 @@ class TestDataErrors:
         (lambda nt: nt.replace(b"Explosion damaged", b"Explosion \xffdamaged", 1),
          "line 206: invalid UTF-8"),
         (lambda nt: nt.replace(b'"49.823"^^', b'"north"^^', 1),
-         "event node https://linked4resilience.eu/event/ch/156e6dd61dc9cbfe: "
-         "could not convert string to float: 'north'"),
+         f"event node {_CH_EVENT}: could not convert string to float: 'north'"),
         (lambda nt: _drop_line(nt, b"ch/156e6dd61dc9cbfe/geo> <https://schema.org/longitude>"),
-         "event node missing coordinates: https://linked4resilience.eu/event/ch/156e6dd61dc9cbfe"),
+         f"event node {_CH_EVENT}: missing coordinates"),
         (lambda nt: nt.replace(b'"2023-01-13"^^', b'"2022-02-30"^^', 1),
-         "not a real calendar date: 2022-2-30"),
+         f"event node {_CH_EVENT}: not a real calendar date: 2022-2-30"),
+        (lambda nt: nt.replace(b'"2023-01-13"^^', b'"2023-13-45"^^', 1),
+         f"event node {_CH_EVENT}: not a real calendar date: 2023-13-45"),
+        (lambda nt: nt.replace(b'"2023-01-13"^^', b'"13/01/2023"^^', 1),
+         f"event node {_CH_EVENT}: not an ISO-8601 date: '13/01/2023'"),
+        (lambda nt: nt.replace(b"<https://t.me/chfeed6/2006>", b"<mailto:desk@example.org>", 1),
+         f"event node {_CH_EVENT}: source URL is not absolute: 'mailto:desk@example.org'"),
+        (lambda nt: nt.replace(b'"Merefa"@en', b'"Merefa"@eng', 1),
+         f"event node {_CH_EVENT}: label language must be two lowercase letters: 'eng'"),
+        (lambda nt: nt.replace(b'"violence_level: moderate"', b'""', 1),
+         f"event node {EVENT_NS}eor/eor-001: comments must not contain empty strings"),
+        (lambda nt: nt.replace(b"<http://sws.geonames.org/700646/>",
+                               b"<http://example.org/700646/>", 1),
+         f"event node {_CH_EVENT}: not a GeoNames IRI: 'http://example.org/700646/'"),
         (lambda nt: _drop_line(nt, b"<https://linked4resilience.eu/ontology/hasPrimarySource>"),
-         "aggregate node without hasPrimarySource: https://linked4resilience.eu/event/aggregate/"
-         "006fe315012e02de7f022eaee835ff66266eefd087220d06a7d210e2c09cf9f7"),
+         f"aggregate node {_SINGLE}: missing hasPrimarySource"),
+        (lambda nt: nt.replace(b"hasMember> <https://linked4resilience.eu/event/eor/eor-131>",
+                               b"hasMember> <https://example.org/eor-131>", 1),
+         f"aggregate node {_SINGLE}: not an event IRI: 'https://example.org/eor-131'"),
+        (lambda nt: _drop_line(nt, b"<https://linked4resilience.eu/ontology/hasMember>"),
+         f"aggregate node {_SINGLE}: aggregate must have 1 or 2 members"),
+        (lambda nt: nt.replace(b"hasPrimarySource> <https://linked4resilience.eu/event/eor/eor-004>",
+                               b"hasPrimarySource> <https://linked4resilience.eu/event/eor/eor-131>", 1),
+         f"aggregate node {_PAIR}: primary must be one of the members"),
+        (lambda nt: nt.replace(b"hasMember> <https://linked4resilience.eu/event/ch/b956ecc840b78757>",
+                               b"hasMember> <https://linked4resilience.eu/event/eor/eor-131>", 1),
+         f"aggregate node {_PAIR}: paired members must come from distinct datasets"),
         (lambda nt: _drop_line(nt, b"<https://linked4resilience.eu/event/eor/eor-131> "
                                    b"<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"),
          "aggregate member has no event: https://linked4resilience.eu/event/eor/eor-131"),
     ], ids=["truncated-statement", "relative-iri", "invalid-utf8", "non-numeric-latitude",
-            "missing-longitude", "impossible-date", "aggregate-without-primary",
-            "member-without-event"])
+            "missing-longitude", "impossible-date", "month-out-of-range", "malformed-date",
+            "relative-source-url", "label-language", "empty-comment", "not-a-geonames-iri",
+            "aggregate-without-primary", "member-not-an-event-iri", "aggregate-without-members",
+            "primary-not-a-member", "pair-from-one-dataset", "member-without-event"])
     def test_malformed_integrated_nt_is_one_line_error(self, fixture_nt, workdir, capsys,
                                                        corrupt, message):
         bad = workdir / "integrated.nt"
@@ -674,6 +705,27 @@ class TestDataErrors:
         assert _run("report", use_case, "--input", nt, flag, bad, "--out", out) == 1
         line = _error_line(capsys)
         assert line == f"resilink: error: {bad}: line {lineno}: invalid UTF-8"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("use_case,flag,data,message", [
+        pytest.param("uc5", "--deaths", b"month,deaths\r2022-03,4\r2022-04,\xff\r",
+                     "invalid UTF-8", id="uc5-invalid-utf8"),
+        pytest.param("uc5", "--deaths", b"month,deaths\r2022-03,4\r2022-04\r",
+                     "expected 'YYYY-MM,integer'", id="uc5-ragged"),
+        pytest.param("uc6", "--shelters", b"name,lat,lon\rx,50.0,36.0\ry\xff,50.0,36.0\r",
+                     "invalid UTF-8", id="uc6-invalid-utf8"),
+        pytest.param("uc6", "--shelters", b"name,lat,lon\rx,50.0,36.0\ry,50.0\r",
+                     "expected 3 columns", id="uc6-ragged"),
+    ])
+    def test_report_csv_with_lone_cr_line_ends_names_the_reader_line(
+            self, workdir, capsys, use_case, flag, data, message):
+        # invalid UTF-8 once counted LFs alone and read "line 1" where a ragged row read "line 3"
+        nt = workdir / "events.nt"
+        assert _run("convert", "--input", _tiny_events(workdir), "--out", nt) == 0
+        bad, out = workdir / "input.csv", workdir / "out.csv"
+        bad.write_bytes(data)
+        assert _run("report", use_case, "--input", nt, flag, bad, "--out", out) == 1
+        assert _error_line(capsys) == f"resilink: error: {bad}: line 3: {message}"
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", [
