@@ -60,8 +60,10 @@ class OnlineSettings:
     rate_per_sec: float = 1.0
 
     def __post_init__(self):
-        if not self.base_url:
-            raise ValueError("base_url must be a non-empty URL string")
+        parts = urlsplit(self.base_url)
+        if parts.scheme not in ("http", "https") or not parts.hostname or parts.query or parts.fragment:
+            raise ValueError("base_url must be an http or https URL with a host and no query "
+                             f"or fragment: {self.base_url!r}")
         if not self.rate_per_sec > 0:  # also rejects NaN
             raise ValueError(f"rate_per_sec must be positive: {self.rate_per_sec!r}")
 
@@ -281,7 +283,7 @@ def _cmd_ingest(args, cfg: PipelineConfig) -> None:
 
 def _online_fill(events, cfg: PipelineConfig):
     """Second enrichment pass through the online service for leftovers."""
-    from .geonames_api import GeoNamesClient  # imports requests: only online runs pay for it
+    from .geonames_api import GeoNamesClient  # http.client loads ssl: only online runs pay
 
     settings = cfg.online
     username = settings.username or os.environ.get(USERNAME_ENV)
@@ -465,7 +467,7 @@ def _cmd_report(args, cfg: PipelineConfig) -> None:
 
 
 def _cmd_linkcheck(args, cfg: PipelineConfig) -> None:
-    from . import linkcheck  # imports requests: only this command pays for it
+    from . import linkcheck  # http.client loads ssl: only this command pays for it
 
     settings = _with_flags(cfg.linkcheck, timeout_s=args.timeout, concurrency=args.concurrency)
     events = []

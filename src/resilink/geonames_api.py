@@ -1,22 +1,23 @@
 """Online gazetteer client speaking the GeoNames JSON web-service protocol.
 
-The client is the one stateful component in the enrichment path: all
-requests funnel through a shared rate limiter, each request times out
-after TIMEOUT_S seconds, and transient failures (5xx, timeouts) are
-retried up to MAX_ATTEMPTS attempts in all; both are constants. Results
-map onto the same entry types the offline index uses, so online and
-offline providers are interchangeable.
+The client is the one stateful component in the enrichment path: every
+call goes through a shared rate limiter and linkcheck's one HTTP path,
+each request times out after TIMEOUT_S seconds, and transient
+failures (5xx, timeouts) are retried up to MAX_ATTEMPTS attempts in all;
+both are constants. Results map onto the same entry types the offline
+index uses, so online and offline providers are interchangeable.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-
-import requests
+from urllib.parse import urlencode
 
 from .gazetteer import GazetteerEntry, PostalCodeEntry
-from .linkcheck import RateLimiter
+from .linkcheck import RateLimiter, http_response
 from .model import GeoPoint, ResilinkError
 
 TIMEOUT_S = 10.0
@@ -63,32 +64,29 @@ class GeoNamesClient:
             raise ValueError("rate must be positive")
         self.base_url = self.base_url.rstrip("/")
         self._limiter = RateLimiter(1.0 / self.rate_per_sec)
-        self._session = requests.Session()
 
     def _request(self, path: str, params: dict) -> dict:
+        url = f"{self.base_url}/{path}?{urlencode({**params, 'username': self.username})}"
         last_status = None
         for _ in range(MAX_ATTEMPTS):
             self._limiter.wait()
             try:
-                resp = self._session.get(
-                    f"{self.base_url}/{path}",
-                    params={**params, "username": self.username},
-                    timeout=TIMEOUT_S,
-                )
-            except requests.Timeout:
+                with http_response("GET", url, TIMEOUT_S) as resp:
+                    status, body = resp.status, resp.read()
+            except TimeoutError:
                 last_status = None
                 continue
-            except requests.RequestException as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 raise GeoNamesNetworkError(str(exc)) from exc
-            if resp.status_code == 429:
+            if status == 429:
                 raise RateLimitedError("throttled by service")
-            if resp.status_code >= 500:
-                last_status = resp.status_code
+            if status >= 500:
+                last_status = status
                 continue
-            if resp.status_code != 200:
-                raise ServiceError(resp.status_code)
+            if status != 200:
+                raise ServiceError(status)
             with _parsing_reply(path):
-                payload = resp.json()
+                payload = json.loads(body)
             if not isinstance(payload, dict):
                 raise GeoNamesError(f"malformed reply from {path}: not a JSON object")
             return payload

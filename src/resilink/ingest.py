@@ -130,7 +130,7 @@ def _parse_json_records(text: str) -> list[dict]:
 
 def _parse_csv_records(text: str) -> list[dict]:
     # RFC 4180 with a mandatory header row; rows must match the header width.
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))  # csv splits lines itself, lone CRs too
     try:
         header = next(reader, None)
         if not header or all(not h.strip() for h in header):

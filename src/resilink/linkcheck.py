@@ -3,29 +3,31 @@
 Checks each distinct URL exactly once (HEAD, falling back to GET on 405)
 and classifies the outcome; the report's rows are counted per dataset.
 Results are deterministic regardless of worker count because outcomes are
-keyed by URL and assembled in event order afterwards. The politeness
-scheduler, :class:`RateLimiter`, also paces the GeoNames client.
+keyed by URL and assembled in event order afterwards. The GeoNames client
+shares the politeness scheduler, :class:`RateLimiter`, and :func:`http_response`.
 """
 
 from __future__ import annotations
 
+import http.client
 import math
+import re
 import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Iterable, Sequence
-from urllib.parse import urlsplit, urlunsplit
-
-import requests
+from typing import Hashable, Iterable, Iterator, Sequence
+from urllib.parse import quote, urljoin, urlsplit, urlunsplit
 
 from .model import Dataset, Event
 
 USER_AGENT = "resilink-linkcheck/0.1 (+https://linked4resilience.eu/)"
 
 MAX_REDIRECTS = 5
+_REDIRECT_CODES = frozenset({301, 302, 303, 307, 308})
 
 
 class LinkState(str, Enum):
@@ -70,13 +72,44 @@ class RateLimiter:
             time.sleep(delay)
 
 
+@contextmanager
+def http_response(method: str, url: str, timeout_s: float) -> Iterator[http.client.HTTPResponse]:
+    """The open response to method at url after at most MAX_REDIRECTS redirects, method kept.
+
+    Opens http and https URLs with a host only, UTF-8 percent-encoded where the URI grammar
+    needs it. Raises TimeoutError, another OSError or HTTPException (InvalidURL before any I/O).
+    """
+    for redirects_left in range(MAX_REDIRECTS, -1, -1):
+        try:
+            parts = urlsplit(url)
+            if parts.scheme not in ("http", "https") or not parts.hostname:
+                raise ValueError("not an http or https URL with a host")
+            parts.port, parts.hostname.encode("idna")  # a port out of range, an empty label
+        except ValueError as exc:
+            raise http.client.InvalidURL(f"{exc}: {url!r}") from exc
+        bad_escape = re.search(r"%(?![0-9A-Fa-f]{2})[^\W_]{2}", url)  # then every % is encoded
+        target = quote(urlunsplit(("", "", parts.path or "/", parts.query, "")),
+                       safe="!#$&'()*+,/:;=?@[]~" + ("" if bad_escape else "%"))
+        connection = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+        conn = connection(parts.netloc.rpartition("@")[2], timeout=timeout_s)
+        try:
+            conn.request(method, target, headers={"User-Agent": USER_AGENT})
+            resp = conn.getresponse()
+            location = resp.getheader("Location")
+            if not (redirects_left and location and resp.status in _REDIRECT_CODES):
+                yield resp
+                return
+        finally:
+            conn.close()
+        url = urljoin(url, location)
+
+
 class LinkChecker:
     """HTTP checker with a per-host politeness delay.
 
     ``base_override`` reroutes every request to the given scheme://host
     while keeping path and query; used to point the whole run at a local
-    mock server. Sessions are per-thread; the politeness scheduler is
-    shared.
+    mock server. The politeness scheduler is shared by every worker.
     """
 
     def __init__(
@@ -87,45 +120,25 @@ class LinkChecker:
     ):
         self.timeout_s = timeout_s
         self.base_override = base_override
-        self._local = threading.local()
         self._politeness = RateLimiter(politeness_s)
-
-    def _session(self) -> requests.Session:
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = requests.Session()
-            session.max_redirects = MAX_REDIRECTS
-            session.headers["User-Agent"] = USER_AGENT
-            self._local.session = session
-        return session
-
-    def _effective_url(self, url: str) -> str:
-        if self.base_override is None:
-            return url
-        base = urlsplit(self.base_override)
-        parts = urlsplit(url)
-        return urlunsplit((base.scheme, base.netloc, parts.path, parts.query, ""))
 
     def check(self, url: str) -> tuple[LinkState, int | None]:
         """(state, HTTP code or None) of one URL; every outcome is a state, never an exception."""
-        target = self._effective_url(url)
-        self._politeness.wait(urlsplit(target).netloc)
-        session = self._session()
+        if self.base_override is not None:
+            base, parts = urlsplit(self.base_override), urlsplit(url)
+            url = urlunsplit((base.scheme, base.netloc, parts.path, parts.query, ""))
+        self._politeness.wait(urlsplit(url).netloc)
         try:
-            resp = session.request("HEAD", target, allow_redirects=True, timeout=self.timeout_s)
-            if resp.status_code == 405:
-                resp = session.request(
-                    "GET", target, allow_redirects=True, timeout=self.timeout_s, stream=True
-                )
-                resp.close()
-            code = resp.status_code
-        except requests.Timeout:
+            with http_response("HEAD", url, self.timeout_s) as resp:
+                code, location = resp.status, resp.getheader("Location")
+            if code == 405:
+                with http_response("GET", url, self.timeout_s) as resp:  # its body is never read
+                    code, location = resp.status, resp.getheader("Location")
+        except TimeoutError:
             return LinkState.TIMEOUT, None
-        except requests.TooManyRedirects as exc:
-            return LinkState.BROKEN, exc.response.status_code if exc.response is not None else None
-        except requests.RequestException:
+        except (OSError, http.client.HTTPException):
             return LinkState.NETWORK_ERROR, None
-        if 200 <= code < 400:
+        if 200 <= code < 400 and not (location and code in _REDIRECT_CODES):  # one redirect too many
             return LinkState.VALID, code
         if code in (401, 403):
             return LinkState.PERMISSION_REQUIRED, code

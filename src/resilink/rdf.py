@@ -388,9 +388,11 @@ def _checked_row(row: StatementRow, lineno: int, valid: set[str]) -> StatementRo
 Predicates = dict[str, list[tuple[str, str | None]]]
 
 
-def _first(preds: Predicates, predicate: str) -> str | None:
-    """The value of the predicate's first object, or None."""
+def _single(preds: Predicates, predicate: str) -> str | None:
+    """The value of the predicate's one object, or None; distinct objects are an error."""
     objs = preds.get(predicate)
+    if len(objs or ()) > 1 and len(set(objs)) > 1:  # a repeated statement is one statement
+        raise ValueError(f"{predicate} has {len(set(objs))} distinct objects")
     return objs[0][0] if objs else None
 
 
@@ -423,7 +425,7 @@ def events_from_rows(
     civil_date = functools.cache(parse_civil_date)
 
     def ref(preds: Predicates, predicate: str, preferred: str = "") -> GazetteerRef | None:
-        iri = _first(preds, ONTOLOGY_NS + predicate)
+        iri = _single(preds, ONTOLOGY_NS + predicate)
         return gazetteer_ref(iri, preferred) if iri is not None else None
 
     rdf_type, sem_event = RDF_NS + "type", SEM_NS + "Event"
@@ -442,7 +444,7 @@ def events_from_rows(
         # one wrap names the node in every error of its construction
         try:
             if kind == "aggregate":
-                primary = _first(preds, ONTOLOGY_NS + "hasPrimarySource")
+                primary = _single(preds, ONTOLOGY_NS + "hasPrimarySource")
                 if primary is None:
                     raise ValueError("missing hasPrimarySource")
                 members = tuple(sorted(
@@ -451,26 +453,26 @@ def events_from_rows(
                 aggregates.append(AggregateEvent(iri=subject, members=members,
                                                  primary=event_key(primary)))
                 continue
-            date = _first(preds, DCT_NS + "date")
-            loc = _first(preds, SDO_NS + "location")
+            date = _single(preds, DCT_NS + "date")
+            loc = _single(preds, SDO_NS + "location")
             if date is None or loc is None:
                 raise ValueError("missing date or location")
-            geo_preds = by_subject.get(_first(by_subject.get(loc, {}), SDO_NS + "geo"), {})
-            lat = _first(geo_preds, SDO_NS + "latitude")
-            lon = _first(geo_preds, SDO_NS + "longitude")
+            geo_preds = by_subject.get(_single(by_subject.get(loc, {}), SDO_NS + "geo"), {})
+            lat = _single(geo_preds, SDO_NS + "latitude")
+            lon = _single(geo_preds, SDO_NS + "longitude")
             if lat is None or lon is None:
                 raise ValueError("missing coordinates")
-            region = _first(preds, ONTOLOGY_NS + "addressRegion")
+            region = _single(preds, ONTOLOGY_NS + "addressRegion")
             ev = Event(
                 id=local_id,
                 dataset=dataset,
                 date=civil_date(date),
                 point=validate_point(float(lat), float(lon)),
-                description=_first(preds, DCT_NS + "description"),
+                description=_single(preds, DCT_NS + "description"),
                 country=ref(preds, "countryGeoNames"),
                 city=ref(preds, "cityGeoNames"),
                 province=ref(preds, "provinceGeoNames", region or ""),
-                postal_code=_first(preds, ONTOLOGY_NS + "postalCode"),
+                postal_code=_single(preds, ONTOLOGY_NS + "postalCode"),
                 source_urls=tuple(sorted(value for value, _ in preds.get(SDO_NS + "url", ()))),
                 comments=tuple(sorted(value for value, _ in preds.get(RDFS_NS + "comment", ()))),
                 city_labels={

@@ -38,6 +38,7 @@ class ScriptedHandler(BaseHTTPRequestHandler):
     def _serve(self):
         path = urlsplit(self.path).path
         self.server.request_log.append((self.command, path))
+        self.server.request_targets.append(self.path)  # as sent, query and escapes included
         if path == "/slow":
             time.sleep(self.server.slow_delay_s)
             self._respond(200)
@@ -161,6 +162,7 @@ class GeoNamesHandler(BaseHTTPRequestHandler):
 def start_server(handler_cls, **attrs) -> ThreadingHTTPServer:
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler_cls)
     server.request_log = []
+    server.request_targets = []
     server.slow_delay_s = 1.5
     server.scripted_status = []
     server.scripted_bodies = []  # GeoNamesHandler replies 200 with these first

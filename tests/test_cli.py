@@ -58,6 +58,12 @@ _SINGLE = f"{EVENT_NS}aggregate/006fe315012e02de7f022eaee835ff66266eefd087220d06
 _PAIR = f"{EVENT_NS}aggregate/3e0c24dcd4962ec0b746bc7cb168ec7b09ec7a5a84b546a7e28f11969b053e7b"
 
 
+# a second, different date for _CH_EVENT (dated 2023-01-13), and its coordinates node
+_SECOND_DATE = (f"<{_CH_EVENT}> <http://purl.org/dc/terms/date> "
+                f'"2021-06-01"^^<http://www.w3.org/2001/XMLSchema#date> .\n').encode()
+_GEO = f"<{_CH_EVENT}/geo>".encode()
+
+
 def _drop_line(data: bytes, needle: bytes) -> bytes:
     """The document without its first line that holds needle."""
     lines = data.split(b"\n")
@@ -113,6 +119,9 @@ MALFORMED_CONFIGS = [json.dumps(doc) for doc in [
     {"match": {"sim_link": "0.5"}},
     {"linkcheck": {"concurrency": 2.5}},
     {"online": {"base_url": "http://127.0.0.1:9", "username": 5}},
+    # each once passed the load and failed only at the first request
+    {"online": {"base_url": "file:///tmp"}},
+    {"online": {"base_url": "http://127.0.0.1:9/geonames?lang=en"}},
     {"analytics": {"grid_deg": 10 ** 400}},  # overflows a float
 ]] + [
     '{"linkcheck": {"timeout_s": 1e999}}',  # JSON reads 1e999 as inf
@@ -645,11 +654,20 @@ class TestDataErrors:
         (lambda nt: _drop_line(nt, b"<https://linked4resilience.eu/event/eor/eor-131> "
                                    b"<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"),
          "aggregate member has no event: https://linked4resilience.eu/event/eor/eor-131"),
+        (lambda nt: _SECOND_DATE + nt,
+         f"event node {_CH_EVENT}: http://purl.org/dc/terms/date has 2 distinct objects"),
+        (lambda nt: nt + _SECOND_DATE,
+         f"event node {_CH_EVENT}: http://purl.org/dc/terms/date has 2 distinct objects"),
+        (lambda nt: nt.replace(b'"49.823"^^', b'"49.9"^^<http://www.w3.org/2001/XMLSchema#decimal>'
+                                              b' .\n' + _GEO + b' <https://schema.org/latitude>'
+                                              b' "49.823"^^', 1),
+         f"event node {_CH_EVENT}: https://schema.org/latitude has 2 distinct objects"),
     ], ids=["truncated-statement", "relative-iri", "invalid-utf8", "non-numeric-latitude",
             "missing-longitude", "impossible-date", "month-out-of-range", "malformed-date",
             "relative-source-url", "label-language", "empty-comment", "not-a-geonames-iri",
             "aggregate-without-primary", "member-not-an-event-iri", "aggregate-without-members",
-            "primary-not-a-member", "pair-from-one-dataset", "member-without-event"])
+            "primary-not-a-member", "pair-from-one-dataset", "member-without-event",
+            "second-date-first", "second-date-last", "second-latitude"])
     def test_malformed_integrated_nt_is_one_line_error(self, fixture_nt, workdir, capsys,
                                                        corrupt, message):
         bad = workdir / "integrated.nt"
@@ -659,6 +677,15 @@ class TestDataErrors:
         line = _error_line(capsys)
         assert line == f"resilink: error: {bad}: {message}"
         assert not out.exists()
+
+    def test_a_repeated_statement_is_one_statement(self, fixture_nt, workdir):
+        date = next(line for line in fixture_nt.read_bytes().splitlines(keepends=True)
+                    if line.startswith(f"<{_CH_EVENT}> <http://purl.org/dc/terms/date> ".encode()))
+        twice = workdir / "integrated.nt"
+        twice.write_bytes(date + fixture_nt.read_bytes())
+        for nt, out in ((fixture_nt, workdir / "once.csv"), (twice, workdir / "twice.csv")):
+            assert _run("report", "uc2", "--input", nt, "--keyword", "school", "--out", out) == 0
+        assert (workdir / "twice.csv").read_bytes() == (workdir / "once.csv").read_bytes()
 
     def test_negative_death_count_is_one_line_error(self, workdir, capsys):
         # used to write the ratio -0.294118 and exit 0
@@ -893,9 +920,15 @@ def test_worked_config_loads_its_values_and_defaults():
 def test_cli_import_leaves_requests_unloaded():
     # only linkcheck and the online enrichment pass make HTTP calls, and only
     # nearest-neighbour queries (gazetteer, uc6) use numpy; linkcheck's rate
-    # limiter also paces the online gazetteer, which must not pull numpy in
+    # limiter also paces the online gazetteer, which must not pull numpy in.
+    # Both HTTP clients speak through http.client, whose ssl import costs start-up;
+    # requests and urllib3 are still installed, so an import of them would show here
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-    for module, unloaded in (("resilink.cli", ("requests", "numpy")), ("resilink.linkcheck", ("numpy",))):
+    for module, unloaded in (
+        ("resilink.cli", ("requests", "numpy", "http.client")),
+        ("resilink.linkcheck", ("numpy", "requests", "urllib3")),
+        ("resilink.geonames_api", ("requests", "urllib3")),
+    ):
         code = f"import {module}, sys; print([m for m in {unloaded!r} if m in sys.modules])"
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert (done.returncode, done.stdout) == (0, "[]\n"), (module, done.stdout, done.stderr)
@@ -1020,6 +1053,24 @@ class TestStageCommands:
         events = events_from_json(out.read_bytes())
         assert len(events) == 50
         assert all(e.dataset is Dataset.EOR for e in events)
+
+    def test_ingest_reads_lone_cr_line_ends(self, workdir, capsys):
+        # "new-line character seen in unquoted field" once refused a lone-CR source CSV
+        crlf = (PIPE / "ch.csv").read_bytes()
+        lines = crlf.split(b"\r\n")
+        short = b"\r\n".join([*lines[:3], b"2022-03-07,49.2", *lines[3:]])
+        outputs = {}
+        for name, data in {"crlf": crlf, "cr": crlf.replace(b"\r\n", b"\r"),
+                           "crlf-short": short, "cr-short": short.replace(b"\r\n", b"\r")}.items():
+            source, out = workdir / f"{name}.csv", workdir / f"{name}.json"
+            source.write_bytes(data)
+            code = _run("ingest", "--dataset", "ch", "--format", "csv", "--input", source,
+                        "--config", PIPE / "config.json", "--out", out)
+            outputs[name] = (out.read_bytes() if code == 0
+                             else _error_line(capsys).replace(str(source), "SOURCE"))
+        assert outputs["cr"] == outputs["crlf"]
+        assert outputs["cr-short"] == outputs["crlf-short"] == (
+            "resilink: error: SOURCE: line 4: row has 2 columns, header has 6")
 
     def test_ingest_reruns_byte_identical(self, workdir):
         out = workdir / "a.json"

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from resilink.linkcheck import (
+    MAX_REDIRECTS,
     LinkChecker,
     LinkReportRow,
     LinkState,
@@ -87,6 +88,50 @@ class TestCheckUrl:
                               base_override="http://127.0.0.1:1")
         status, _ = checker.check("https://example.com/ok")
         assert status is LinkState.NETWORK_ERROR
+
+
+class TestWhatGoesOut:
+    """The requests a check sends, as the mock sees them."""
+
+    @pytest.mark.parametrize("url, target", [
+        ("https://example.org/ok/новини", "/ok/%D0%BD%D0%BE%D0%B2%D0%B8%D0%BD%D0%B8"),
+        ("https://example.org/ok?q=новини", "/ok?q=%D0%BD%D0%BE%D0%B2%D0%B8%D0%BD%D0%B8"),
+        ("https://новини.укр/ok", "/ok"),
+        ("https://example.org/ok/a b%20c?q=1%2B1", "/ok/a%20b%20c?q=1%2B1"),  # escapes are kept
+        ("https://example.org/ok/1%20/%zz", "/ok/1%2520/%25zz"),  # unless one is not hex
+    ], ids=["path", "query", "host", "space-and-escapes", "bad-escape"])
+    def test_non_ascii_url_goes_out_utf8_percent_encoded(self, server, url, target):
+        server.request_log.clear()
+        server.request_targets.clear()
+        assert _checker(server).check(url) == (LinkState.VALID, 200)
+        assert server.request_targets == [target]
+        assert server.request_log == [("HEAD", target.partition("?")[0])]
+
+    def test_head_stays_head_across_a_redirect(self, server):
+        server.request_log.clear()
+        assert _checker(server).check("https://example.com/redirect") == (LinkState.VALID, 200)
+        assert server.request_log == [("HEAD", "/redirect"), ("HEAD", "/ok")]
+
+    def test_one_redirect_too_many_is_broken_with_the_last_code(self, server):
+        server.request_log.clear()
+        assert _checker(server).check("https://example.com/loop") == (LinkState.BROKEN, 302)
+        assert server.request_log == [("HEAD", "/loop")] * (MAX_REDIRECTS + 1)
+
+    def test_only_http_and_https_urls_are_opened(self, server, tmp_path):
+        page = tmp_path / "ok"
+        page.write_text("ok")
+        port = server.server_address[1]
+        checker = LinkChecker(timeout_s=0.5, politeness_s=0.0)
+        server.request_log.clear()
+        for url in (f"file://localhost{page}", f"ftp://127.0.0.1:{port}/ok",
+                    "data:text/plain,ok", "http:///ok", f"http://127.0.0.1:{port}99/ok"):
+            assert checker.check(url) == (LinkState.NETWORK_ERROR, None), url
+        assert server.request_log == []
+
+    def test_a_host_that_cannot_be_encoded_is_a_network_error(self):
+        # an empty label once escaped the checker as a ValueError instead of a state
+        checker = LinkChecker(timeout_s=0.5, politeness_s=0.0)
+        assert checker.check("https://a..b/ok") == (LinkState.NETWORK_ERROR, None)
 
 
 class TestLinkReport:
