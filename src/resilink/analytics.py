@@ -7,7 +7,6 @@ are read-only and may run concurrently.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import re
@@ -26,7 +25,8 @@ from .model import (
     GeoPoint,
     InputFormatError,
     ResilinkError,
-    decode_utf8,
+    csv_rows,
+    events_by_key,
     is_language_code,
     validate_point,
 )
@@ -130,7 +130,7 @@ class IntegratedDataset:
 
     @classmethod
     def from_events(cls, events: Iterable[Event], aggregates: Iterable[AggregateEvent]) -> IntegratedDataset:
-        return cls(aggregates=tuple(aggregates), events={ev.key: ev for ev in events})
+        return cls(aggregates=tuple(aggregates), events=events_by_key(events))
 
     @classmethod
     def from_triples(cls, rows: Iterable[StatementRow]) -> IntegratedDataset:
@@ -348,28 +348,15 @@ def uc4_monthly_timeline(
 
 
 def _csv_rows(data: bytes, header: list[str], expected: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, row) of each non-blank CSV row under the checked header, which is line 1.
-
-    A row's line is the csv reader's count of lines read, so a row with a
-    quoted line break is named by its last line. Lines end at LF, CRLF or a
-    lone CR, as the reader's are, and each is decoded on its own, so
-    invalid UTF-8 is named by the same count.
-    """
-    reader = csv.reader(
-        decode_utf8(line, n) for n, line in enumerate(data.splitlines(keepends=True), 1)
-    )
-    try:
-        first = next(reader, None)
-        if first is None or [h.strip() for h in first] != header:
-            raise InputFormatError(1, f"expected the header '{','.join(header)}'")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InputFormatError(reader.line_num, f"expected {expected}")
-            yield reader.line_num, row
-    except csv.Error as exc:
-        raise InputFormatError(reader.line_num, str(exc)) from exc
+    """(line, row) of each non-blank row under the checked header, numbered by model.csv_rows."""
+    rows = csv_rows(data)
+    _, first = next(rows, (1, []))
+    if [h.strip() for h in first] != header:
+        raise InputFormatError(1, f"expected the header '{','.join(header)}'")
+    for line, row in rows:
+        if len(row) != len(header):
+            raise InputFormatError(line, f"expected {expected}")
+        yield line, row
 
 
 def read_deaths_csv(data: bytes) -> dict[str, int]:

@@ -35,6 +35,7 @@ from .model import (
     InputFormatError,
     ResilinkError,
     decode_utf8,
+    events_by_key,
     events_from_json,
     events_to_json,
     input_file,
@@ -267,10 +268,10 @@ def _ingest(path: str | Path, dataset: Dataset, fmt: str, cfg: PipelineConfig) -
     """Parse and normalize one source file; rejected records are only logged."""
     if dataset not in cfg.adapters:
         raise ConfigError(f"config has no adapter for dataset {dataset.value!r}")
-    records = parse_file(path, lambda text: ingest.parse_dataset(
-        text, dataset, ingest.SourceFormat(fmt), cfg.adapters[dataset]
-    ))
-    events, rejected = ingest.normalize_records(records, cfg.adapters[dataset])
+    adapter = cfg.adapters[dataset]
+    with input_file(path) as fp:
+        records = ingest.parse_dataset(fp.read(), dataset, ingest.SourceFormat(fmt), adapter)
+    events, rejected = ingest.normalize_records(records, adapter)
     for err in rejected:
         log.warning("rejected %s", err)
     log.info("ingest %s: %d events, %d rejected", dataset.value, len(events), len(rejected))
@@ -326,7 +327,7 @@ def _cmd_enrich(args, cfg: PipelineConfig) -> None:
     _write_events(args.out, enriched)
 
 
-def _rdf_lines(events: list[Event], aggregates=()) -> list[str]:
+def _rdf_lines(events: Iterable[Event], aggregates=()) -> list[str]:
     """The N-Triples lines of the events, then of the aggregates.
 
     Callers pass the result straight to rdf.serialize_bytes, which then
@@ -341,8 +342,9 @@ def _rdf_lines(events: list[Event], aggregates=()) -> list[str]:
 
 
 def _cmd_convert(args, cfg: PipelineConfig) -> None:
-    fmt = rdf.RdfFormat(args.rdf_format)
-    _atomic_write(args.out, (rdf.serialize_bytes(_rdf_lines(_read_events(args.input)), fmt),))
+    _atomic_write(args.out, (rdf.serialize_bytes(
+        _rdf_lines(events_by_key(_read_events(args.input)).values()),
+        rdf.RdfFormat(args.rdf_format)),))
 
 
 def _integrate(a_events: list[Event], b_events: list[Event], cfg: PipelineConfig,

@@ -7,8 +7,6 @@ source field names so the rest of the pipeline never sees source schemas.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import re
 from dataclasses import dataclass
@@ -21,6 +19,7 @@ from .model import (
     InputFormatError,
     ResilinkError,
     content_event_id,
+    csv_rows,
     decode_utf8,
     parse_civil_date,
     validate_point,
@@ -128,51 +127,39 @@ def _parse_json_records(text: str) -> list[dict]:
     return parsed
 
 
-def _parse_csv_records(text: str) -> list[dict]:
-    # RFC 4180 with a mandatory header row; rows must match the header width.
-    reader = csv.reader(io.StringIO(text, newline=""))  # csv splits lines itself, lone CRs too
-    try:
-        header = next(reader, None)
-        if not header or all(not h.strip() for h in header):
-            raise InputFormatError(1, "missing CSV header row")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InputFormatError(
-                    reader.line_num, f"row has {len(row)} columns, header has {len(header)}"
-                )
-            rows.append(dict(zip(header, row)))
-        return rows
-    except csv.Error as exc:
-        raise InputFormatError(reader.line_num, str(exc)) from exc
+def _parse_csv_records(data: bytes) -> list[dict]:
+    """RFC 4180 rows, read by model.csv_rows, under a mandatory header row of the same width."""
+    rows = csv_rows(data)
+    _, header = next(rows, (1, []))
+    if all(not h.strip() for h in header):
+        raise InputFormatError(1, "missing CSV header row")
+    records = []
+    for line, row in rows:
+        if len(row) != len(header):
+            raise InputFormatError(line, f"row has {len(row)} columns, header has {len(header)}")
+        records.append(dict(zip(header, row)))
+    return records
 
 
 def parse_dataset(
-    data: str | bytes, dataset: Dataset, fmt: SourceFormat, cfg: AdapterConfig
+    data: bytes, dataset: Dataset, fmt: SourceFormat, cfg: AdapterConfig
 ) -> list[RawEventRecord]:
-    """Parse a source file's text (or UTF-8 bytes) into raw records, in file order.
+    """Parse a source file's bytes into raw records, in file order.
 
     Every record must carry the mapped mandatory fields (date, lat, lon);
     a record missing one aborts the parse, since that points at a broken
     adapter mapping rather than one dirty row.
     """
-    text = decode_utf8(data) if isinstance(data, bytes) else data
     if fmt is SourceFormat.JSON:
-        objs = _parse_json_records(text)
+        objs = _parse_json_records(decode_utf8(data))
     elif fmt is SourceFormat.CSV:
-        objs = _parse_csv_records(text)
+        objs = _parse_csv_records(data)
     else:
         raise ValueError(f"unsupported format: {fmt!r}")
 
     records = []
     for i, obj in enumerate(objs):
-        fields = {}
-        for k, v in obj.items():
-            s = _stringify(v)
-            if s is not None:
-                fields[str(k)] = s
+        fields = {str(k): s for k, v in obj.items() if (s := _stringify(v)) is not None}
         for canonical in MANDATORY_FIELDS:
             src = cfg.field_map[canonical]
             if not fields.get(src, "").strip():

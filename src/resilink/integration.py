@@ -22,7 +22,7 @@ from urllib.parse import urlsplit, urlunsplit
 
 from .gazetteer import haversine_km
 from .ingest import clean_location_string
-from .model import AggregateEvent, Event, EventKey, Dataset
+from .model import AggregateEvent, Dataset, Event, EventKey, events_by_key
 from .rdf import aggregate_iri, event_iri
 
 DEFAULT_KEYWORDS = (
@@ -398,12 +398,7 @@ def integrate(
     surviving match, a singleton otherwise), so the integrated event count
     is |A| + |B| - |S|.
     """
-    for events in (a_events, b_events):
-        seen: set[EventKey] = set()
-        for ev in events:
-            if ev.key in seen:
-                raise ValueError(f"duplicate event id within dataset: {ev.key}")
-            seen.add(ev.key)
+    events_by_key([*a_events, *b_events])  # refuses two events with one key
 
     candidates = candidate_pairs(a_events, b_events)
     pairs = [classify_pair(a, b, basis, cfg) for a, b, basis in candidates]

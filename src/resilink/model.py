@@ -10,6 +10,7 @@ contract and is documented in the README.
 from __future__ import annotations
 
 import contextlib
+import csv
 import datetime
 import hashlib
 import itertools
@@ -45,6 +46,23 @@ def decode_utf8(data: bytes, line: int = 1) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputFormatError(data.count(b"\n", 0, exc.start) + line, "invalid UTF-8") from exc
+
+
+def csv_rows(data: bytes) -> Iterator[tuple[int, list[str]]]:
+    """(line, row) of the first row of CSV bytes, blank or not, then of each non-blank row.
+
+    Lines end at LF, CRLF or a lone CR, as the csv module's do, and are decoded one by one,
+    so invalid UTF-8, a csv error and a row are all named by the reader's count of lines.
+    """
+    reader = csv.reader(
+        decode_utf8(line, n) for n, line in enumerate(data.splitlines(keepends=True), 1)
+    )
+    try:
+        for row in reader:
+            if row or reader.line_num == 1:
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise InputFormatError(reader.line_num, str(exc)) from exc
 
 
 @contextlib.contextmanager
@@ -247,6 +265,15 @@ class Event:
     @property
     def key(self) -> EventKey:
         return (self.dataset, self.id)
+
+
+def events_by_key(events: Iterable[Event]) -> dict[EventKey, Event]:
+    """The events by (dataset, id); two events with one key are an error."""
+    by_key: dict[EventKey, Event] = {}
+    for ev in events:
+        if by_key.setdefault(ev.key, ev) is not ev:
+            raise ValueError(f"duplicate {ev.dataset.value} event id: {ev.id!r}")
+    return by_key
 
 
 def content_event_id(

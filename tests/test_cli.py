@@ -7,6 +7,7 @@ import io
 import json
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -356,6 +357,20 @@ class TestDataErrors:
         line = _error_line(capsys)
         assert line.startswith(f"resilink: error: {bad}{message}")
 
+    @pytest.mark.parametrize("command", ["convert", "integrate"])
+    def test_two_events_with_one_key_are_one_line_error(self, workdir, capsys, command):
+        # convert once wrote both under one IRI, and report then refused its two dates;
+        # integrate printed the key as a tuple holding an enum repr
+        events, ch, out = workdir / "events.json", workdir / "ch.json", workdir / "out.nt"
+        events.write_text(json.dumps([{**_GOOD_EVENT, "id": "x"},
+                                      {**_GOOD_EVENT, "id": "x", "date": "2022-03-08"}]))
+        ch.write_text("[]")
+        argv = {"convert": ("convert", "--input", events, "--out", out),
+                "integrate": ("integrate", "--eor", events, "--ch", ch, "--out", out)}[command]
+        assert _run(*argv) == 1
+        assert _error_line(capsys) == "resilink: error: duplicate eor event id: 'x'"
+        assert not out.exists()
+
     def test_integer_coordinates_read_as_floats(self, workdir):
         events = workdir / "events.json"
         events.write_text(json.dumps([{**_GOOD_EVENT, "lat": 49, "lon": 36}]))
@@ -687,6 +702,49 @@ class TestDataErrors:
             assert _run("report", "uc2", "--input", nt, "--keyword", "school", "--out", out) == 0
         assert (workdir / "twice.csv").read_bytes() == (workdir / "once.csv").read_bytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_single_line_mutation_of_the_nt_ends_in_a_named_error(self, fixture_nt,
+                                                                      tmp_path_factory, data):
+        lines = fixture_nt.read_bytes().splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        subject, predicate, rest = lines[i].split(b" ", 2)
+        obj = rest[:-len(b" .\n")]
+        other = data.draw(st.sampled_from(lines), label="other line").split(b" ", 2)
+        mutation = data.draw(st.sampled_from(
+            ["delete", "duplicate", "other object", "other predicate", "literal", "truncate"]))
+        if mutation == "delete":
+            lines[i:i + 1] = []
+        elif mutation == "duplicate":
+            lines.insert(i, lines[i])
+        elif mutation == "other object":
+            lines[i] = b" ".join((subject, predicate, other[2]))
+        elif mutation == "other predicate":
+            lines[i] = b" ".join((subject, other[1], rest))
+        elif mutation == "literal":
+            obj = data.draw(st.sampled_from([b'"north"', b'"nan"', b'"2021-13-01"', b'""']))
+            obj += data.draw(st.sampled_from(
+                [b"", b"^^<http://www.w3.org/2001/XMLSchema#decimal>", b"@en"]))
+            lines[i] = b" ".join((subject, predicate, obj + b" .\n"))
+        else:
+            lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i]) - 2))] + b"\n"
+        bad = tmp_path_factory.getbasetemp() / "mutated.nt"
+        bad.write_bytes(b"".join(lines))
+        err = io.StringIO()
+        gc.freeze()  # else the collection each command starts with walks every object pytest holds
+        try:
+            with contextlib.redirect_stderr(err):
+                code = _run("report", "uc2", "--input", bad, "--keyword", "school",
+                            "--out", bad.with_suffix(".csv"))
+        finally:
+            gc.unfreeze()
+        if code != 0:
+            assert code == 1
+            (line,) = err.getvalue().strip().splitlines()
+            named = (rf"line \d+: |(event|aggregate) node {re.escape(EVENT_NS)}\S+: "
+                     rf"|aggregate member has no event: {re.escape(EVENT_NS)}\S+$")
+            assert re.match(f"resilink: error: {re.escape(str(bad))}: ({named})", line), line
+
     def test_negative_death_count_is_one_line_error(self, workdir, capsys):
         # used to write the ratio -0.294118 and exit 0
         nt = workdir / "events.nt"
@@ -734,24 +792,38 @@ class TestDataErrors:
         assert line == f"resilink: error: {bad}: line {lineno}: invalid UTF-8"
         assert not out.exists()
 
-    @pytest.mark.parametrize("use_case,flag,data,message", [
-        pytest.param("uc5", "--deaths", b"month,deaths\r2022-03,4\r2022-04,\xff\r",
+    @pytest.mark.parametrize("command,data,message", [
+        pytest.param("uc5", b"month,deaths\r2022-03,4\r2022-04,\xff\r",
                      "invalid UTF-8", id="uc5-invalid-utf8"),
-        pytest.param("uc5", "--deaths", b"month,deaths\r2022-03,4\r2022-04\r",
+        pytest.param("uc5", b"month,deaths\r2022-03,4\r2022-04\r",
                      "expected 'YYYY-MM,integer'", id="uc5-ragged"),
-        pytest.param("uc6", "--shelters", b"name,lat,lon\rx,50.0,36.0\ry\xff,50.0,36.0\r",
+        pytest.param("uc6", b"name,lat,lon\rx,50.0,36.0\ry\xff,50.0,36.0\r",
                      "invalid UTF-8", id="uc6-invalid-utf8"),
-        pytest.param("uc6", "--shelters", b"name,lat,lon\rx,50.0,36.0\ry,50.0\r",
+        pytest.param("uc6", b"name,lat,lon\rx,50.0,36.0\ry,50.0\r",
                      "expected 3 columns", id="uc6-ragged"),
+        pytest.param("ingest", b"date,lat,lon\r2022-03-07,49.2,37.2\r2022-03-08,49.\xff,37.2\r",
+                     "invalid UTF-8", id="ingest-invalid-utf8"),
+        pytest.param("ingest", b"date,lat,lon\r2022-03-07,49.2,37.2\r2022-03-08,49.2\r",
+                     "row has 2 columns, header has 3", id="ingest-ragged"),
     ])
     def test_report_csv_with_lone_cr_line_ends_names_the_reader_line(
-            self, workdir, capsys, use_case, flag, data, message):
-        # invalid UTF-8 once counted LFs alone and read "line 1" where a ragged row read "line 3"
-        nt = workdir / "events.nt"
-        assert _run("convert", "--input", _tiny_events(workdir), "--out", nt) == 0
+            self, workdir, capsys, command, data, message):
+        # invalid UTF-8 once counted LFs alone and read "line 1" where a ragged row read
+        # "line 3": in the shelter and deaths CSVs, and then in the source CSV
         bad, out = workdir / "input.csv", workdir / "out.csv"
         bad.write_bytes(data)
-        assert _run("report", use_case, "--input", nt, flag, bad, "--out", out) == 1
+        if command == "ingest":
+            config = workdir / "config.json"
+            config.write_text(json.dumps({"adapters": {"ch": {"date": "date", "lat": "lat",
+                                                              "lon": "lon"}}}))
+            argv = ("ingest", "--dataset", "ch", "--format", "csv", "--input", bad,
+                    "--config", config, "--out", out)
+        else:
+            nt = workdir / "events.nt"
+            assert _run("convert", "--input", _tiny_events(workdir), "--out", nt) == 0
+            flag = {"uc5": "--deaths", "uc6": "--shelters"}[command]
+            argv = ("report", command, "--input", nt, flag, bad, "--out", out)
+        assert _run(*argv) == 1
         assert _error_line(capsys) == f"resilink: error: {bad}: line 3: {message}"
         assert not out.exists()
 

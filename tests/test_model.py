@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import pytest
@@ -17,6 +19,7 @@ from resilink.model import (
     MalformedDateError,
     OutOfRangeError,
     content_event_id,
+    csv_rows,
     decode_utf8,
     event_from_dict,
     event_to_dict,
@@ -210,3 +213,38 @@ class TestDecodeUtf8:
 
     def test_valid_text(self):
         assert decode_utf8("Ізюм\n".encode()) == "Ізюм\n"
+
+
+# CSV fields with the csv module's special characters, and characters a str
+# splits lines at but the csv module does not
+_csv_field = st.lists(st.sampled_from([*"a,\" \x0c\x85 é", "\n", "\r", "\r\n"]),
+                      max_size=6).map("".join)
+_line_end = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def _csv_line(fields: list[str]) -> str:
+    return ",".join(
+        '"' + f.replace('"', '""') + '"' if any(c in f for c in ',"\r\n') else f for f in fields
+    )
+
+
+_csv_text = st.lists(st.tuples(st.lists(_csv_field, max_size=3), _line_end), max_size=6).map(
+    lambda rows: "".join(_csv_line(fields) + end for fields, end in rows))
+
+
+class TestCsvRows:
+    @given(text=_csv_text)
+    def test_rows_and_lines_are_the_csv_modules(self, text):
+        reader = csv.reader(io.StringIO(text, newline=""))
+        rows = [(reader.line_num, row) for row in reader]
+        expected = rows[:1] + [(line, row) for line, row in rows[1:] if row]
+        assert list(csv_rows(text.encode())) == expected
+
+    @given(text=_csv_text.filter(bool), data=st.data())
+    def test_invalid_utf8_is_named_by_its_physical_line(self, text, data):
+        lines = text.encode().splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i] = b"\xff" + lines[i]
+        with pytest.raises(InputFormatError) as exc:
+            list(csv_rows(b"".join(lines)))
+        assert str(exc.value) == f"line {i + 1}: invalid UTF-8"
