@@ -688,7 +688,9 @@ def run_subcommand(argv: list[str]) -> int:
         # The parser's reference cycles are the only ones a command leaves in bulk:
         # free them, then run without the cyclic collector, whose passes would only
         # walk the gazetteer's and the events' objects, none of them in a cycle.
-        gc.collect()
+        # The parser is young, so the two young generations hold its cycles; a
+        # full pass would also walk every old object of an embedding process.
+        gc.collect(1)
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:

@@ -16,6 +16,7 @@ from typing import Mapping
 from .model import (
     Dataset,
     Event,
+    EventKey,
     InputFormatError,
     ResilinkError,
     content_event_id,
@@ -275,13 +276,20 @@ def normalize_records(
 ) -> tuple[list[Event], list[RecordError]]:
     """Tolerant normalization: bad records are collected, not fatal.
 
-    Count preservation holds: len(events) + len(rejected) == len(records).
+    A record whose (dataset, id) an earlier record already took is
+    rejected. Count preservation holds: len(events) + len(rejected) ==
+    len(records).
     """
     events: list[Event] = []
     rejected: list[RecordError] = []
+    seen: set[EventKey] = set()
     for raw in records:
         try:
-            events.append(normalize_record(raw, cfg))
+            ev = normalize_record(raw, cfg)
+            if ev.key in seen:
+                raise RecordError(raw.index, f"duplicate {ev.dataset.value} event id: {ev.id!r}")
+            seen.add(ev.key)
+            events.append(ev)
         except RecordError as exc:
             # Kept without the tracebacks of the error and of what it chains: their
             # frames reach this one, which holds every record and event in a cycle.

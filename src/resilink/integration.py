@@ -8,16 +8,23 @@ to difflib's with autojunk off. Each longest matching block of a small
 range is found by a ``str.find`` scan, which is quick on ordinary
 descriptions but cubic at worst; a range larger than ``_SCAN_CELLS``
 goes to a suffix automaton, linear in the range, so the worst case over
-a pair stays quadratic where difflib's is cubic. Within one dataset,
+a pair stays quadratic where difflib's is cubic. Above a fixed amount of
+work, ``integrate`` computes the similarities on every CPU the process
+may use, in forked workers, and classifies the pairs in the parent; the
+results do not depend on the number of CPUs. Within one dataset,
 distinct records are assumed to describe distinct events, so matching
 is cross-dataset only and one-to-one.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
+from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import BinaryIO, Iterator, NoReturn, Sequence
 from urllib.parse import urlsplit, urlunsplit
 
 from .gazetteer import haversine_km
@@ -126,6 +133,23 @@ class IntegrationResult:
 # C-level search beats building the automaton's per-state dicts up to
 # about 256 x 256 characters and loses beyond it.
 _SCAN_CELLS = 1 << 16
+
+# The candidate pairs' similarities are computed in forked workers only
+# when their cells, len(a) * len(b) summed over the pairs, exceed this.
+# Below it the fork costs more than the spare CPUs save: in a 60-67 MB
+# `integrate` process on a 2-CPU VM, the fork, the reaping and the
+# parent's first write to each page after the fork cost about 20 ms, and
+# the second CPU saved about 3 ms per million cells. Forking lost 15 ms at
+# 1.8 M cells, broke even near 7 M and won 20 ms at 11.6 M and 88 ms at
+# 35 M (20-40 alternating in-process runs each). A larger heap costs more
+# page faults, so the bound sits above the break-even.
+_FORK_CELLS = 10_000_000
+# Pairs go out in chunks of this many, costliest first, so that a slow pair
+# is taken early and no CPU waits idle at the end for another's last chunk.
+_CHUNK_PAIRS = 8
+# One 4-byte token per chunk is written to the queue pipe before the first
+# fork; 1,024 tokens fill one page, the least a Linux pipe holds.
+_MAX_CHUNKS = 1024
 
 
 def _longest_block(a: str, alo: int, ahi: int, b: str, blo: int, bhi: int) -> tuple[int, int, int]:
@@ -264,6 +288,111 @@ def similarity(a: str, b: str) -> float:
     return 2.0 * matched / n
 
 
+def _spare_cpus() -> int:
+    """CPUs beyond its own that this process may fork workers onto.
+
+    0 when the platform cannot fork or report the process's CPUs, or
+    when another thread runs: a forked child would inherit the locks that
+    thread holds, held for ever.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 0
+    if threading.active_count() != 1:
+        return 0
+    return len(os.sched_getaffinity(0)) - 1
+
+
+def _taken(queue_r: int) -> Iterator[int]:
+    """The chunk numbers this process takes from the queue pipe until it is empty.
+
+    Every token is in the pipe before the first fork and each read asks for
+    exactly one, so concurrent readers each get whole tokens.
+    """
+    while token := os.read(queue_r, 4):
+        yield int.from_bytes(token, "little")
+
+
+def _worker(queue_r: int, out_w: int, texts: Sequence[tuple[str, str]], chunks: list[list[int]]) -> NoReturn:
+    """A forked worker: compute the chunks it takes, send them back and exit.
+
+    For each chunk it sends the chunk's number and then the chunk's
+    similarities, all as one array('d'). It leaves through os._exit, so no
+    cleanup of the parent's runs twice; any failure exits non-zero.
+    """
+    code = 1
+    try:
+        out = array("d")
+        for k in _taken(queue_r):
+            out.append(k)
+            out.extend(similarity(*texts[i]) for i in chunks[k])
+        with open(out_w, "wb") as f:
+            f.write(out)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _similarities(texts: Sequence[tuple[str, str]]) -> list[float]:
+    """similarity(a, b) of each pair, in order, on the CPUs this process may use.
+
+    The pairs are computed in this process unless their cells exceed
+    ``_FORK_CELLS``, there is a spare CPU and it is safe to fork. Otherwise
+    one worker is forked per spare CPU, and the workers and this process
+    take chunks of pairs, costliest first, from one pipe. A chunk that a
+    worker took but did not deliver, because it died or the fork failed,
+    is computed here, so the result is the same whatever the workers do.
+    Every worker is reaped before this returns or raises.
+    """
+    cells = [len(a) * len(b) for a, b in texts]
+    if sum(cells) <= _FORK_CELLS or (spare := _spare_cpus()) < 1:
+        return [similarity(a, b) for a, b in texts]
+    size = max(_CHUNK_PAIRS, -(-len(texts) // _MAX_CHUNKS))
+    order = sorted(range(len(texts)), key=cells.__getitem__, reverse=True)
+    chunks = [order[k:k + size] for k in range(0, len(order), size)]
+    values: list[float | None] = [None] * len(texts)
+
+    queue_r, queue_w = os.pipe()
+    os.write(queue_w, b"".join(k.to_bytes(4, "little") for k in range(len(chunks))))
+    os.close(queue_w)
+    results: dict[int, BinaryIO] = {}  # worker pid -> its result pipe, until reaped
+    try:
+        for _ in range(min(spare, len(chunks) - 1)):
+            out_r, out_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no worker: this process takes its share
+                pid = None
+            if pid == 0:
+                _worker(queue_r, out_w, texts, chunks)
+            os.close(out_w)
+            if pid is None:
+                os.close(out_r)
+                break
+            results[pid] = open(out_r, "rb")
+        for k in _taken(queue_r):
+            for i in chunks[k]:
+                values[i] = similarity(*texts[i])
+        for pid, f in list(results.items()):
+            with f:
+                got = array("d", f.read())
+            status = os.waitpid(pid, 0)[1]
+            del results[pid]
+            if os.waitstatus_to_exitcode(status) == 0:
+                pos = 0
+                while pos < len(got):
+                    chunk = chunks[int(got[pos])]
+                    for i, value in zip(chunk, got[pos + 1:pos + 1 + len(chunk)]):
+                        values[i] = value
+                    pos += 1 + len(chunk)
+    finally:
+        os.close(queue_r)
+        for pid, f in results.items():
+            f.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [similarity(*texts[i]) if v is None else v for i, v in enumerate(values)]
+
+
 # ---------------------------------------------------------------------------
 # Candidate generation and classification
 
@@ -325,16 +454,18 @@ def candidate_pairs(
 
 
 def classify_pair(
-    a: Event, b: Event, city_basis: str, cfg: MatchConfig = MatchConfig()
+    a: Event, b: Event, city_basis: str, cfg: MatchConfig = MatchConfig(),
+    sim: float | None = None,
 ) -> MatchPair:
     """Apply the three ordered rules to one candidate pair from candidate_pairs.
 
     The first rule that yields Identical wins; a NearDistinct verdict from
     an earlier rule survives only if no later rule upgrades the pair. Pairs
     no rule covers stay Unclassified and are kept for manual examination.
+    ``sim`` is the descriptions' similarity, computed here when not given.
     """
     d = haversine_km(a.point, b.point)
-    s = similarity(a.description or "", b.description or "")
+    s = similarity(a.description or "", b.description or "") if sim is None else sim
     desc_a = (a.description or "").lower()
     desc_b = (b.description or "").lower()
 
@@ -401,7 +532,8 @@ def integrate(
     events_by_key([*a_events, *b_events])  # refuses two events with one key
 
     candidates = candidate_pairs(a_events, b_events)
-    pairs = [classify_pair(a, b, basis, cfg) for a, b, basis in candidates]
+    sims = _similarities([(a.description or "", b.description or "") for a, b, _ in candidates])
+    pairs = [classify_pair(a, b, basis, cfg, s) for (a, b, basis), s in zip(candidates, sims)]
 
     survivors: set[tuple[str, str]] = set()
     used_a: set[str] = set()

@@ -3,7 +3,9 @@
 These deliberately avoid the library's code paths: the similarity oracles
 find blocks by exhaustive scanning and with the standard library's
 difflib, the distance oracle uses the spherical law of cosines, and the
-nearest-neighbor oracle is a pure-Python linear scan. The RDF term model
+nearest-neighbor oracle is a pure-Python linear scan. The reference
+integration forms every cross-dataset pair and resolves conflicts by
+repeatedly taking the best remaining match. The RDF term model
 builds every triple as validated terms with its own IRI, language-tag and
 escape rules, and renders and sorts them term by term.
 """
@@ -20,7 +22,18 @@ from operator import itemgetter
 from typing import Callable
 
 from resilink import rdf
-from resilink.model import Event, GazetteerRef, GeoPoint
+from resilink.gazetteer import haversine_km
+from resilink.ingest import clean_location_string
+from resilink.integration import (
+    IntegrationCounts,
+    IntegrationResult,
+    MatchConfig,
+    MatchPair,
+    MatchRule,
+    Verdict,
+    normalize_url,
+)
+from resilink.model import AggregateEvent, Dataset, Event, GazetteerRef, GeoPoint
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -62,6 +75,105 @@ def brute_force_ratio(a: str, b: str) -> float:
 def difflib_ratio(a: str, b: str) -> float:
     """Ratcliff/Obershelp as difflib computes it, lowercased, with autojunk off."""
     return SequenceMatcher(None, a.lower(), b.lower(), autojunk=False).ratio()
+
+
+def integrate_reference(a_events: list[Event], b_events: list[Event], cfg: MatchConfig) -> IntegrationResult:
+    """integrate as README states it, by plain loops over every A x B pair.
+
+    A pair is a candidate when both events fall on one day and name one
+    city: equal gazetteer ids when both are resolved, else equal cleaned,
+    lowercased names (the resolved city's preferred name, or the raw
+    one). Similarity is difflib's. The rules, in order: a shared link
+    within the link thresholds; an "area" report within the area
+    thresholds; a keyword report within the keyword thresholds; else
+    NearDistinct under the area rule, then the keyword rule, when either
+    word is present. Conflicts are resolved by repeatedly taking the best
+    remaining Identical pair (highest similarity, then smallest distance,
+    then smallest ids) whose events are both still free; every other
+    Identical pair is demoted to Unclassified.
+    """
+    def city_name(ev: Event) -> str | None:
+        if ev.city is not None and ev.city.preferred_name:
+            return ev.city.preferred_name
+        return ev.city_name
+
+    def city_basis(a: Event, b: Event) -> str | None:
+        if a.city is not None and b.city is not None:
+            return "geoname_id" if a.city.geoname_id == b.city.geoname_id else None
+        na, nb = city_name(a), city_name(b)
+        if na is None or nb is None:
+            return None
+        return "name" if clean_location_string(na).lower() == clean_location_string(nb).lower() else None
+
+    def rule(a: Event, b: Event, s: float, d: float) -> tuple[Verdict, MatchRule]:
+        da, db = (a.description or "").lower(), (b.description or "").lower()
+        links = {normalize_url(u) for u in a.source_urls} & {normalize_url(u) for u in b.source_urls}
+        area = cfg.area_token in da or cfg.area_token in db
+        keyword = any(k in da or k in db for k in cfg.keywords)
+        if links and s > cfg.sim_link and d < cfg.dist_link_km:
+            return Verdict.IDENTICAL, MatchRule.SHARED_LINK
+        if area and s > cfg.sim_area and d < cfg.dist_area_km:
+            return Verdict.IDENTICAL, MatchRule.AREA
+        if keyword and s > cfg.sim_keyword and d < cfg.dist_keyword_km:
+            return Verdict.IDENTICAL, MatchRule.KEYWORD
+        if area:
+            return Verdict.NEAR_DISTINCT, MatchRule.AREA
+        if keyword:
+            return Verdict.NEAR_DISTINCT, MatchRule.KEYWORD
+        return Verdict.UNCLASSIFIED, MatchRule.NONE
+
+    def richness(ev: Event) -> int:
+        fields = (ev.description, ev.country, ev.city, ev.province, ev.postal_code)
+        return sum(1 for v in fields if v) + len(ev.source_urls) + len(ev.comments) + len(ev.city_labels)
+
+    pairs, members = [], []
+    for a in a_events:
+        for b in b_events:
+            basis = city_basis(a, b) if a.date == b.date else None
+            if basis is None:
+                continue
+            s = difflib_ratio(a.description or "", b.description or "")
+            d = haversine_km(a.point, b.point)
+            pairs.append(MatchPair(a.id, b.id, d, s, *rule(a, b, s, d), basis))
+            members.append((a, b))
+
+    matched: list[int] = []
+    used_a: set[str] = set()
+    used_b: set[str] = set()
+    while True:
+        free = [k for k, p in enumerate(pairs) if p.verdict is Verdict.IDENTICAL
+                and p.a not in used_a and p.b not in used_b]
+        if not free:
+            break
+        best = min(free, key=lambda k: (-pairs[k].similarity, pairs[k].distance_km, pairs[k].a, pairs[k].b))
+        matched.append(best)
+        used_a.add(pairs[best].a)
+        used_b.add(pairs[best].b)
+    pairs = [
+        p if p.verdict is not Verdict.IDENTICAL or k in matched
+        else dataclasses.replace(p, verdict=Verdict.UNCLASSIFIED)
+        for k, p in enumerate(pairs)
+    ]
+
+    aggregates = []
+    for k in sorted(matched):
+        a, b = members[k]
+        primary = a if richness(a) > richness(b) or (
+            richness(a) == richness(b) and a.dataset is Dataset.EOR) else b
+        aggregates.append(AggregateEvent(
+            rdf.aggregate_iri([rdf.event_iri(*a.key), rdf.event_iri(*b.key)]),
+            (a.key, b.key), primary.key))
+    for events, used in ((a_events, used_a), (b_events, used_b)):
+        for ev in events:
+            if ev.id not in used:
+                aggregates.append(AggregateEvent(rdf.aggregate_iri([rdf.event_iri(*ev.key)]), (ev.key,), ev.key))
+
+    counts = IntegrationCounts(
+        a=len(a_events), b=len(b_events), identical=len(matched),
+        near_distinct=sum(1 for p in pairs if p.verdict is Verdict.NEAR_DISTINCT),
+        integrated=len(aggregates),
+    )
+    return IntegrationResult(pairs=tuple(pairs), aggregates=tuple(aggregates), counts=counts)
 
 
 def law_of_cosines_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:

@@ -731,13 +731,9 @@ class TestDataErrors:
         bad = tmp_path_factory.getbasetemp() / "mutated.nt"
         bad.write_bytes(b"".join(lines))
         err = io.StringIO()
-        gc.freeze()  # else the collection each command starts with walks every object pytest holds
-        try:
-            with contextlib.redirect_stderr(err):
-                code = _run("report", "uc2", "--input", bad, "--keyword", "school",
-                            "--out", bad.with_suffix(".csv"))
-        finally:
-            gc.unfreeze()
+        with contextlib.redirect_stderr(err):
+            code = _run("report", "uc2", "--input", bad, "--keyword", "school",
+                        "--out", bad.with_suffix(".csv"))
         if code != 0:
             assert code == 1
             (line,) = err.getvalue().strip().splitlines()
@@ -1033,6 +1029,24 @@ class TestCyclicCollector:
             (gc.enable if was_enabled else gc.disable)()
         assert seen == ([] if code == 2 else [False])
 
+    def test_a_command_collects_only_the_young_generations(self, workdir):
+        # a full pass would walk every old object of a process that embeds the CLI
+        passes = []
+
+        def record(phase, info):
+            if phase == "stop":
+                passes.append((info["generation"], info["collected"]))
+
+        gc.collect()  # no automatic pass reaches generation 2 for a while after this
+        gc.callbacks.append(record)
+        try:
+            assert _run("ingest", "--dataset", "ch", "--format", "csv", "--input", PIPE / "ch.csv",
+                        "--config", PIPE / "config.json", "--out", workdir / "ch.json") == 0
+        finally:
+            gc.callbacks.remove(record)
+        assert all(generation < 2 for generation, _ in passes), passes
+        assert any(generation == 1 and collected for generation, collected in passes), passes
+
     def test_pipeline_with_a_rejected_record_leaves_no_event_in_cyclic_garbage(self, workdir):
         # without the collector, a bulk reference cycle is memory that a command never
         # frees; run in a child, as pytest's log capture would keep the rejection alive
@@ -1143,6 +1157,32 @@ class TestStageCommands:
         assert outputs["cr"] == outputs["crlf"]
         assert outputs["cr-short"] == outputs["crlf-short"] == (
             "resilink: error: SOURCE: line 4: row has 2 columns, header has 6")
+
+    def test_ingest_rejects_a_second_record_with_one_id(self, workdir, caplog):
+        config, source, out = workdir / "config.json", workdir / "ch.csv", workdir / "ch.json"
+        config.write_text(json.dumps(
+            {"adapters": {"ch": {"id": "id", "date": "date", "lat": "lat", "lon": "lon"}}}))
+        source.write_text("id,date,lat,lon\nx,2022-03-08,49.2,37.2\nx,2022-03-09,49.3,37.3\n")
+        with caplog.at_level(logging.WARNING, logger="resilink"):
+            assert _run("ingest", "--dataset", "ch", "--format", "csv", "--input", source,
+                        "--config", config, "--out", out) == 0
+        assert [e.id for e in events_from_json(out.read_bytes())] == ["x"]
+        assert [r.getMessage() for r in caplog.records] == [
+            "rejected record 1: duplicate ch event id: 'x'"]
+
+    def test_pipeline_with_a_repeated_source_row_rejects_the_copy(self, workdir, caplog):
+        # the copy once reached integrate, which refused the second event with its id
+        header, first, *rest = (PIPE / "ch.csv").read_bytes().split(b"\r\n")
+        source = workdir / "ch.csv"
+        source.write_bytes(b"\r\n".join([header, first, first, *rest]))
+        outdir = workdir / "out"
+        with caplog.at_level(logging.WARNING, logger="resilink"):
+            assert _run("pipeline", "--config", PIPE / "config.json",
+                        "--eor-input", PIPE / "eor.json", "--ch-input", source,
+                        "--ch-format", "csv", "--outdir", outdir) == 0
+        (message,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("rejected")]
+        assert re.fullmatch(r"rejected record 1: duplicate ch event id: '[0-9a-f]{16}'", message)
+        assert json.loads((outdir / "counts.json").read_text())["b"] == 20
 
     def test_ingest_reruns_byte_identical(self, workdir):
         out = workdir / "a.json"

@@ -216,7 +216,7 @@ class TestNormalizeRecord:
 
 class TestNormalizeRecords:
     def test_count_preservation(self):
-        records = _parse_json([_record(), _record(lat="95"), _record(), _record(date="2022-02-30")])
+        records = _parse_json([_record(), _record(lat="95"), _record(desc="x"), _record(date="2022-02-30")])
         events, rejected = normalize_records(records, CFG)
         assert len(events) + len(rejected) == len(records)
         assert len(rejected) == 2
@@ -232,7 +232,8 @@ class TestNormalizeRecords:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            events, rejected = normalize_records(_parse_json([_record(), _record(**bad), _record()]), CFG)
+            events, rejected = normalize_records(
+                _parse_json([_record(), _record(**bad), _record(desc="x")]), CFG)
             assert (len(events), len(rejected)) == (2, 1)
             del events, rejected
             gc.set_debug(gc.DEBUG_SAVEALL)

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import errno
 import inspect
+import os
 import random
+import select
+import signal
 import sys
+import threading
 import time
 
 import pytest
@@ -25,6 +31,7 @@ from resilink.integration import (
     similarity,
 )
 from resilink.cli import run_subcommand
+from resilink.gazetteer import haversine_km
 from resilink.model import CivilDate, Dataset, Event, GazetteerRef, GeoPoint, events_to_json
 from tests import oracles
 
@@ -513,3 +520,249 @@ class TestPairReport:
         assert len(lines) == 1 + len(integrated.pairs)
         identical_rows = [l for l in lines[1:] if ",Identical," in l]
         assert len(identical_rows) == 5
+
+
+# ---------------------------------------------------------------------------
+# integrate against the reference, and the forked similarity path
+
+DESCRIPTIONS = ("school hit", "School hit near the station", "area shelled", "Area shelled near the school",
+                "station hit", "smoke over the river", "", None)
+URLS = ("https://t.me/c/1", "HTTPS://T.ME/c/1/", "https://t.me/c/2")
+
+
+@st.composite
+def _worlds(draw):
+    """Two small datasets in 2-4 cities over 2-3 days, and a config.
+
+    Candidate pairs, ties in similarity and distance, name and geoname-id
+    city bases, and conflicts over one event are common. Each threshold is
+    its default or a similarity or distance that some pair has, so that
+    pairs sit exactly on a bound.
+    """
+    n_cities = draw(st.integers(2, 4))
+    days = draw(st.integers(2, 3))
+
+    def event(dataset, id):
+        # the first city and the first day are the busiest
+        c = min(draw(st.sampled_from((0, 0, 0, 1, 2, 3))), n_cities - 1)
+        resolved = draw(st.booleans())
+        return Event(
+            id=id,
+            dataset=dataset,
+            date=CivilDate(2022, 3, min(draw(st.sampled_from((1, 1, 2, 3))), days)),
+            point=GeoPoint(49.0 + draw(st.sampled_from((0.0, 0.5, 1.0, 1.5))) * KM, 36.0),
+            description=draw(st.sampled_from(DESCRIPTIONS)),
+            city=GazetteerRef(c + 1, f"City {c}") if resolved else None,
+            city_name=None if resolved else draw(
+                st.sampled_from((f"City {c}", f" city  {c} ", f"CITY {c}", None))),
+            postal_code=draw(st.sampled_from((None, "61000"))),
+            source_urls=tuple(draw(st.lists(st.sampled_from(URLS), max_size=2))),
+        )
+
+    a_ids, b_ids = draw(st.permutations("pqrstu")), draw(st.permutations("pqrstu"))
+    a = [event(Dataset.EOR, a_ids[i]) for i in range(draw(st.integers(3, 6)))]
+    b = [event(Dataset.CH, b_ids[i]) for i in range(draw(st.integers(3, 6)))]
+    sims = sorted({oracles.difflib_ratio(x.description or "", y.description or "") for x in a for y in b})
+    dists = sorted({d for x in a for y in b if (d := haversine_km(x.point, y.point)) > 0})
+    cfg = MatchConfig(**{
+        **{name: draw(st.sampled_from([default, *sims]))
+           for name, default in (("sim_link", 0.55), ("sim_area", 0.75), ("sim_keyword", 0.55))},
+        **{name: draw(st.sampled_from([default, *dists]))
+           for name, default in (("dist_link_km", 2.0), ("dist_area_km", 2.0), ("dist_keyword_km", 1.0))},
+    })
+    return a, b, cfg
+
+
+def _count_forks(monkeypatch) -> list[int]:
+    """The pids of the workers that integrate forks from now on."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@contextlib.contextmanager
+def _path(name: str):
+    """integrate's serial path, or its forked path on any input of two pairs or more."""
+    with pytest.MonkeyPatch.context() as mp:
+        forks = _count_forks(mp)
+        if name == "forked":
+            _cpus(mp, 2)
+            mp.setattr(integration, "_FORK_CELLS", -1)
+            mp.setattr(integration, "_CHUNK_PAIRS", 1)
+        else:
+            _cpus(mp, 1)
+        yield forks
+
+
+class TestIntegrateReference:
+    @pytest.mark.parametrize("path", ["serial", "forked"])
+    @settings(max_examples=200, deadline=None)
+    @given(world=_worlds())
+    def test_integrate_equals_the_reference(self, path, world):
+        a, b, cfg = world
+        with _path(path) as forks:
+            result = integrate(a, b, cfg)
+        expected = oracles.integrate_reference(a, b, cfg)
+        assert result.pairs == expected.pairs
+        assert result.aggregates == expected.aggregates
+        assert result.counts == expected.counts
+        assert len(forks) == (path == "forked" and len(result.pairs) >= 2)
+
+
+@pytest.fixture(scope="module")
+def crowded():
+    """45 events on one day in one city: 500 candidate pairs whose cells pass
+    the fork bound, with "ab"*250 against "ax"*250 among them."""
+    rng = random.Random(2525)
+    words = ("school", "hospital", "area", "shelled", "near", "the", "station", "hit", "roof")
+
+    def text():
+        return " ".join(rng.choice(words) for _ in range(24))
+
+    def events(dataset, prefix, n, last):
+        return [
+            _event(dataset=dataset, id=f"{prefix}{i}", point=(49.0 + rng.random() * 0.02, 36.0),
+                   city=GazetteerRef(1, "X"), description=last if i == n - 1 else text())
+            for i in range(n)
+        ]
+
+    a, b = events(Dataset.EOR, "a", 20, "ab" * 250), events(Dataset.CH, "b", 25, "ax" * 250)
+    cells = sum(len(x.description) * len(y.description) for x in a for y in b)
+    assert cells > integration._FORK_CELLS
+    return a, b
+
+
+@pytest.fixture(scope="module")
+def crowded_serial(crowded):
+    with _path("serial") as forks:
+        result = integrate(*crowded)
+    assert not forks
+    return result
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedSimilarities:
+    def test_forked_results_equal_serial(self, crowded, crowded_serial, monkeypatch):
+        forks = _count_forks(monkeypatch)
+        _cpus(monkeypatch, 2)
+        assert integrate(*crowded) == crowded_serial
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_one_worker_per_spare_cpu(self, crowded, crowded_serial, monkeypatch):
+        forks = _count_forks(monkeypatch)
+        _cpus(monkeypatch, 4)
+        assert integrate(*crowded) == crowded_serial
+        assert len(forks) == 3
+        _no_child_left()
+
+    def test_single_cpu_affinity_runs_serially(self, crowded, crowded_serial, monkeypatch):
+        forks = _count_forks(monkeypatch)
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            assert integrate(*crowded) == crowded_serial
+        finally:
+            os.sched_setaffinity(0, cpus)
+        assert not forks
+
+    def test_a_second_thread_runs_serially(self, crowded, crowded_serial, monkeypatch):
+        forks = _count_forks(monkeypatch)
+        _cpus(monkeypatch, 2)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            assert integrate(*crowded) == crowded_serial
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert not forks
+
+    def test_failed_fork_gives_exact_results(self, crowded, crowded_serial, monkeypatch):
+        def refused():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refused)
+        _cpus(monkeypatch, 4)
+        assert integrate(*crowded) == crowded_serial
+
+    @staticmethod
+    def _worker_signals(monkeypatch, then):
+        """Make each worker, on its first pair, write a byte to a pipe and call
+        `then`; this process reads the byte before its own first pair, so a
+        worker has taken a chunk by then."""
+        parent, similarity = os.getpid(), integration.similarity
+        started_r, started_w = os.pipe()
+
+        def signalling(a, b):
+            if os.getpid() != parent:
+                os.write(started_w, b"w")
+                then()
+            elif not signalling.waited:
+                signalling.waited = True
+                assert select.select([started_r], [], [], 30)[0], "no worker started"
+            return similarity(a, b)
+
+        signalling.waited = False
+        monkeypatch.setattr(integration, "similarity", signalling)
+        return started_r, started_w
+
+    def test_killed_worker_gives_exact_results(self, crowded, crowded_serial, monkeypatch):
+        fds = self._worker_signals(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        statuses, waitpid = [], os.waitpid
+
+        def recorded(pid, options):
+            got = waitpid(pid, options)
+            statuses.append(got[1])
+            return got
+
+        monkeypatch.setattr(os, "waitpid", recorded)
+        _cpus(monkeypatch, 2)
+        try:
+            assert integrate(*crowded) == crowded_serial
+        finally:
+            for fd in fds:
+                os.close(fd)
+        assert [os.WIFSIGNALED(s) and os.WTERMSIG(s) for s in statuses] == [signal.SIGKILL]
+        _no_child_left()
+
+    def test_no_child_left_when_integrate_raises(self, crowded, monkeypatch):
+        fds = self._worker_signals(monkeypatch, lambda: time.sleep(60))
+        calls = 0
+        similarity = integration.similarity
+
+        def failing(a, b):
+            nonlocal calls
+            calls += 1
+            if calls == 2:  # in this process, after a worker has started
+                raise RuntimeError("stop")
+            return similarity(a, b)
+
+        monkeypatch.setattr(integration, "similarity", failing)
+        _cpus(monkeypatch, 2)
+        started = time.monotonic()
+        try:
+            with pytest.raises(RuntimeError, match="stop"):
+                integrate(*crowded)
+        finally:
+            for fd in fds:
+                os.close(fd)
+        assert time.monotonic() - started < 30  # the sleeping worker was killed, not awaited
+        _no_child_left()
