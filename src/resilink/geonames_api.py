@@ -2,10 +2,11 @@
 
 The client is the one stateful component in the enrichment path: every
 call goes through a shared rate limiter and linkcheck's one HTTP path,
-each request times out after TIMEOUT_S seconds, and transient
-failures (5xx, timeouts) are retried up to MAX_ATTEMPTS attempts in all;
-both are constants. Results map onto the same entry types the offline
-index uses, so online and offline providers are interchangeable.
+each request times out after TIMEOUT_S seconds, transient failures
+(5xx, timeouts) are retried up to MAX_ATTEMPTS attempts in all, and a
+reply longer than MAX_REPLY_BYTES is an error; all three are constants.
+Results map onto the same entry types the offline index uses, so online
+and offline providers are interchangeable.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .model import GeoPoint, ResilinkError
 
 TIMEOUT_S = 10.0
 MAX_ATTEMPTS = 3
+MAX_REPLY_BYTES = 1 << 20  # a reply holds one entry or a few; no more of a body is read
 
 
 class GeoNamesError(ResilinkError):
@@ -72,12 +74,14 @@ class GeoNamesClient:
             self._limiter.wait()
             try:
                 with http_response("GET", url, TIMEOUT_S) as resp:
-                    status, body = resp.status, resp.read()
+                    status, body = resp.status, resp.read(MAX_REPLY_BYTES + 1)
             except TimeoutError:
                 last_status = None
                 continue
             except (OSError, http.client.HTTPException) as exc:
                 raise GeoNamesNetworkError(str(exc)) from exc
+            if len(body) > MAX_REPLY_BYTES:
+                raise GeoNamesError(f"reply from {path} is longer than {MAX_REPLY_BYTES} bytes")
             if status == 429:
                 raise RateLimitedError("throttled by service")
             if status >= 500:

@@ -10,21 +10,25 @@ descriptions but cubic at worst; a range larger than ``_SCAN_CELLS``
 goes to a suffix automaton, linear in the range, so the worst case over
 a pair stays quadratic where difflib's is cubic. Above a fixed amount of
 work, ``integrate`` computes the similarities on every CPU the process
-may use, in forked workers, and classifies the pairs in the parent; the
-results do not depend on the number of CPUs. Within one dataset,
+may use: forked workers write them into one shared array filled with
+NaN, which no similarity in [0, 1] is, and the parent computes each pair
+still NaN, then classifies the pairs; the results do not depend on the
+number of CPUs or on which workers die. Within one dataset,
 distinct records are assumed to describe distinct events, so matching
 is cross-dataset only and one-to-one.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 import os
 import signal
 import threading
 from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import BinaryIO, Iterator, NoReturn, Sequence
+from typing import NoReturn, Sequence
 from urllib.parse import urlsplit, urlunsplit
 
 from .gazetteer import haversine_km
@@ -302,31 +306,27 @@ def _spare_cpus() -> int:
     return len(os.sched_getaffinity(0)) - 1
 
 
-def _taken(queue_r: int) -> Iterator[int]:
-    """The chunk numbers this process takes from the queue pipe until it is empty.
+def _write_taken(queue_r: int, values: memoryview, texts: Sequence[tuple[str, str]], chunks: list[list[int]]) -> None:
+    """Write into values the similarities of the chunks this process takes, until the queue pipe is empty.
 
     Every token is in the pipe before the first fork and each read asks for
     exactly one, so concurrent readers each get whole tokens.
     """
     while token := os.read(queue_r, 4):
-        yield int.from_bytes(token, "little")
+        for i in chunks[int.from_bytes(token, "little")]:
+            values[i] = similarity(*texts[i])
 
 
-def _worker(queue_r: int, out_w: int, texts: Sequence[tuple[str, str]], chunks: list[list[int]]) -> NoReturn:
-    """A forked worker: compute the chunks it takes, send them back and exit.
+def _worker(queue_r: int, values: memoryview, texts: Sequence[tuple[str, str]], chunks: list[list[int]]) -> NoReturn:
+    """A forked worker: _write_taken into the shared array values, then exit.
 
-    For each chunk it sends the chunk's number and then the chunk's
-    similarities, all as one array('d'). It leaves through os._exit, so no
-    cleanup of the parent's runs twice; any failure exits non-zero.
+    A pair is delivered once written, and one it never writes stays NaN. It
+    leaves through os._exit, non-zero on a failure, so no cleanup of the
+    parent's runs twice.
     """
     code = 1
     try:
-        out = array("d")
-        for k in _taken(queue_r):
-            out.append(k)
-            out.extend(similarity(*texts[i]) for i in chunks[k])
-        with open(out_w, "wb") as f:
-            f.write(out)
+        _write_taken(queue_r, values, texts, chunks)
         code = 0
     finally:
         os._exit(code)
@@ -335,62 +335,47 @@ def _worker(queue_r: int, out_w: int, texts: Sequence[tuple[str, str]], chunks: 
 def _similarities(texts: Sequence[tuple[str, str]]) -> list[float]:
     """similarity(a, b) of each pair, in order, on the CPUs this process may use.
 
-    The pairs are computed in this process unless their cells exceed
-    ``_FORK_CELLS``, there is a spare CPU and it is safe to fork. Otherwise
-    one worker is forked per spare CPU, and the workers and this process
-    take chunks of pairs, costliest first, from one pipe. A chunk that a
-    worker took but did not deliver, because it died or the fork failed,
-    is computed here, so the result is the same whatever the workers do.
-    Every worker is reaped before this returns or raises.
+    The pairs are computed in this process unless they are two or more,
+    their cells exceed ``_FORK_CELLS``, there is a spare CPU and it is safe
+    to fork. Otherwise one worker is forked per spare CPU, and the workers
+    and this process take chunks of pairs, costliest first, from one pipe
+    and write each similarity into one shared array filled with NaN. A pair
+    still NaN once every worker is reaped, because a worker died or the
+    fork failed, is computed here. Every worker is reaped before this
+    returns or raises.
     """
     cells = [len(a) * len(b) for a, b in texts]
-    if sum(cells) <= _FORK_CELLS or (spare := _spare_cpus()) < 1:
+    if len(texts) < 2 or sum(cells) <= _FORK_CELLS or (spare := _spare_cpus()) < 1:
         return [similarity(a, b) for a, b in texts]
     size = max(_CHUNK_PAIRS, -(-len(texts) // _MAX_CHUNKS))
     order = sorted(range(len(texts)), key=cells.__getitem__, reverse=True)
     chunks = [order[k:k + size] for k in range(0, len(order), size)]
-    values: list[float | None] = [None] * len(texts)
+    values = memoryview(mmap.mmap(-1, 8 * len(texts))).cast("d")  # shared with the workers
+    values[:] = array("d", [math.nan]) * len(texts)
 
     queue_r, queue_w = os.pipe()
     os.write(queue_w, b"".join(k.to_bytes(4, "little") for k in range(len(chunks))))
     os.close(queue_w)
-    results: dict[int, BinaryIO] = {}  # worker pid -> its result pipe, until reaped
+    pids: list[int] = []  # forked workers, until reaped
     try:
         for _ in range(min(spare, len(chunks) - 1)):
-            out_r, out_w = os.pipe()
             try:
                 pid = os.fork()
             except OSError:  # no worker: this process takes its share
-                pid = None
-            if pid == 0:
-                _worker(queue_r, out_w, texts, chunks)
-            os.close(out_w)
-            if pid is None:
-                os.close(out_r)
                 break
-            results[pid] = open(out_r, "rb")
-        for k in _taken(queue_r):
-            for i in chunks[k]:
-                values[i] = similarity(*texts[i])
-        for pid, f in list(results.items()):
-            with f:
-                got = array("d", f.read())
-            status = os.waitpid(pid, 0)[1]
-            del results[pid]
-            if os.waitstatus_to_exitcode(status) == 0:
-                pos = 0
-                while pos < len(got):
-                    chunk = chunks[int(got[pos])]
-                    for i, value in zip(chunk, got[pos + 1:pos + 1 + len(chunk)]):
-                        values[i] = value
-                    pos += 1 + len(chunk)
+            if pid == 0:
+                _worker(queue_r, values, texts, chunks)
+            pids.append(pid)
+        _write_taken(queue_r, values, texts, chunks)
+        while pids:
+            os.waitpid(pids[-1], 0)
+            pids.pop()
     finally:
         os.close(queue_r)
-        for pid, f in results.items():
-            f.close()
+        for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return [similarity(*texts[i]) if v is None else v for i, v in enumerate(values)]
+    return [similarity(*texts[i]) if math.isnan(v) else v for i, v in enumerate(values)]
 
 
 # ---------------------------------------------------------------------------

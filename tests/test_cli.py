@@ -886,11 +886,14 @@ class TestDataErrors:
         assert target.is_dir() and not list(target.iterdir())
         assert not list(workdir.glob("*.tmp"))
 
-    def test_malformed_online_reply_is_one_line_error(self, workdir, capsys, gaz_index):
+    @staticmethod
+    def _enrich_online(workdir, gaz_index, body: bytes) -> Path:
+        """Run enrich, expecting exit 1, with an online gazetteer that replies body;
+        return the path it was told to write."""
         from tests.httpmock import GeoNamesHandler
 
         server = start_server(GeoNamesHandler, index=gaz_index)
-        server.scripted_bodies.append(b'{"geonames": [{"name": "x"}]}')
+        server.scripted_bodies.append(body)
         try:
             cfg = json.loads((PIPE / "config.json").read_text())
             cfg["gazetteer"] = {k: str(PIPE / v) for k, v in cfg["gazetteer"].items()}
@@ -907,8 +910,20 @@ class TestDataErrors:
             assert _run("enrich", "--input", far, "--config", config, "--out", out) == 1
         finally:
             stop_server(server)
+        return out
+
+    def test_malformed_online_reply_is_one_line_error(self, workdir, capsys, gaz_index):
+        out = self._enrich_online(workdir, gaz_index, b'{"geonames": [{"name": "x"}]}')
         line = _error_line(capsys)
         assert line.startswith("resilink: error: malformed reply")
+        assert not out.exists()
+
+    def test_oversized_online_reply_is_one_line_error(self, workdir, capsys, gaz_index):
+        from resilink.geonames_api import MAX_REPLY_BYTES
+
+        out = self._enrich_online(workdir, gaz_index, b'{"geonames": []}'.ljust(MAX_REPLY_BYTES + 1))
+        assert _error_line(capsys) == ("resilink: error: reply from findNearbyPlaceNameJSON "
+                                       f"is longer than {MAX_REPLY_BYTES} bytes")
         assert not out.exists()
 
     def test_linkcheck_concurrency_zero_rejected(self, workdir):

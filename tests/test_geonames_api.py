@@ -5,6 +5,7 @@ import time
 import pytest
 
 from resilink.geonames_api import (
+    MAX_REPLY_BYTES,
     GeoNamesClient,
     GeoNamesError,
     GeoNamesNetworkError,
@@ -99,6 +100,16 @@ class TestMalformedReplies:
                 "place": lambda: client.find_nearby_place(49.0, 36.0),
                 "postal": lambda: client.find_nearby_postal(49.0, 36.0),
             }[call]()
+
+    def test_reply_longer_than_the_cap_is_a_geonames_error(self, server):
+        empty = b'{"geonames": []}'
+        server.scripted_bodies.extend([empty.ljust(MAX_REPLY_BYTES), empty.ljust(MAX_REPLY_BYTES + 1)])
+        client = _client(server)
+        assert client.find_nearby_place(49.0, 36.0) is None  # a reply of the cap's length is read
+        with pytest.raises(GeoNamesError, match=f"reply from findNearbyPlaceNameJSON is longer "
+                                                f"than {MAX_REPLY_BYTES} bytes"):
+            client.find_nearby_place(49.0, 36.0)
+        assert len(server.request_log) == 2  # not retried
 
     def test_empty_hit_list_is_no_match(self, server):
         server.scripted_bodies.extend([b'{"geonames": []}', b"{}"])

@@ -743,7 +743,48 @@ class TestForkedSimilarities:
         assert [os.WIFSIGNALED(s) and os.WTERMSIG(s) for s in statuses] == [signal.SIGKILL]
         _no_child_left()
 
-    def test_no_child_left_when_integrate_raises(self, crowded, monkeypatch):
+    def test_worker_killed_mid_chunk_keeps_what_it_wrote(self, crowded, crowded_serial, monkeypatch):
+        pairs, taken = 0, 0
+
+        def second_pair_kills():
+            nonlocal pairs
+            pairs += 1  # the worker's own copy: it has written its first pair by the second
+            if pairs == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        fds = self._worker_signals(monkeypatch, second_pair_kills)
+        parent, signalling = os.getpid(), integration.similarity
+
+        def counted(a, b):
+            nonlocal taken
+            taken += os.getpid() == parent
+            return signalling(a, b)
+
+        statuses, waitpid = [], os.waitpid
+
+        def recorded(pid, options):
+            got = waitpid(pid, options)
+            statuses.append(got[1])
+            return got
+
+        monkeypatch.setattr(integration, "similarity", counted)
+        monkeypatch.setattr(os, "waitpid", recorded)
+        _cpus(monkeypatch, 2)
+        assert integration._CHUNK_PAIRS == 8
+        try:
+            result = integrate(*crowded)
+        finally:
+            for fd in fds:
+                os.close(fd)
+        assert result == crowded_serial
+        assert [os.WIFSIGNALED(s) and os.WTERMSIG(s) for s in statuses] == [signal.SIGKILL]
+        assert taken == len(result.pairs) - 1  # this process computed all but the written pair
+        _no_child_left()
+
+    def _integrate_raises(self, crowded, monkeypatch) -> None:
+        """integrate(*crowded) on 2 CPUs raises in this process after a worker
+        has started, while the worker sleeps; the sleeping worker must be
+        killed, not awaited."""
         fds = self._worker_signals(monkeypatch, lambda: time.sleep(60))
         calls = 0
         similarity = integration.similarity
@@ -764,5 +805,21 @@ class TestForkedSimilarities:
         finally:
             for fd in fds:
                 os.close(fd)
-        assert time.monotonic() - started < 30  # the sleeping worker was killed, not awaited
+        assert time.monotonic() - started < 30
+
+    def test_no_child_left_when_integrate_raises(self, crowded, monkeypatch):
+        self._integrate_raises(crowded, monkeypatch)
         _no_child_left()
+
+    def test_no_fd_left(self, crowded, crowded_serial, monkeypatch):
+        forks = _count_forks(monkeypatch)
+        _cpus(monkeypatch, 2)
+        before = set(os.listdir("/proc/self/fd"))
+        assert integrate(*crowded) == crowded_serial
+        assert set(os.listdir("/proc/self/fd")) == before
+        assert len(forks) == 1
+
+    def test_no_fd_left_when_integrate_raises(self, crowded, monkeypatch):
+        before = set(os.listdir("/proc/self/fd"))
+        self._integrate_raises(crowded, monkeypatch)
+        assert set(os.listdir("/proc/self/fd")) == before

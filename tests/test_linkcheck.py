@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import threading
 import time
+from urllib.parse import urlsplit
 
 import pytest
 
+from resilink import linkcheck
 from resilink.linkcheck import (
     MAX_REDIRECTS,
     LinkChecker,
@@ -24,6 +27,31 @@ def server():
     srv = start_server(ScriptedHandler, slow_delay_s=1.5)
     yield srv
     stop_server(srv)
+
+
+@pytest.fixture()
+def sleeps(monkeypatch) -> list:
+    """The key of each sleep that RateLimiter.wait makes during the test, in order.
+
+    Whether a wait sleeps does not depend on how busy the machine is, so
+    tests assert on it instead of on an upper bound of the wall time."""
+    got, local, wait, sleep = [], threading.local(), RateLimiter.wait, time.sleep
+
+    def keyed(self, key=None):
+        local.key = key
+        try:
+            wait(self, key)
+        finally:
+            del local.key
+
+    def recorded(delay):
+        if hasattr(local, "key"):
+            got.append(local.key)
+        sleep(delay)
+
+    monkeypatch.setattr(RateLimiter, "wait", keyed)
+    monkeypatch.setattr(linkcheck.time, "sleep", recorded)
+    return got
 
 
 def _checker(server, **kwargs) -> LinkChecker:
@@ -292,7 +320,7 @@ class TestLinkReport:
         elapsed = time.monotonic() - t0
         assert elapsed >= 0.15  # second request to the same host waited its slot
 
-    def test_politeness_is_per_host(self, server):
+    def test_politeness_is_per_host(self, server, sleeps):
         other = start_server(ScriptedHandler)
         try:
             hosts = [f"http://127.0.0.1:{srv.server_address[1]}" for srv in (server, other)]
@@ -306,25 +334,26 @@ class TestLinkReport:
             stop_server(other)
         assert {row.status for row in rows} == {LinkState.VALID}
         # the first host's second request waits one slot; the other host waits on neither
-        assert 0.15 <= elapsed < 0.3
+        assert elapsed >= 0.15
+        assert sleeps in ([], [urlsplit(hosts[0]).netloc])
 
 
 class TestRateLimiter:
-    def test_keys_are_spaced_apart_independently(self):
+    def test_keys_are_spaced_apart_independently(self, sleeps):
         limiter = RateLimiter(0.15)
         t0 = time.monotonic()
         limiter.wait("a")
         limiter.wait("b")
-        assert time.monotonic() - t0 < 0.15
+        assert sleeps == []
         limiter.wait("a")
         assert time.monotonic() - t0 >= 0.15
+        assert sleeps in ([], ["a"])
 
-    def test_zero_interval_never_waits(self):
+    def test_zero_interval_never_waits(self, sleeps):
         limiter = RateLimiter(0.0)
-        t0 = time.monotonic()
         for _ in range(100):
             limiter.wait("a")
-        assert time.monotonic() - t0 < 0.1
+        assert sleeps == []
 
     @pytest.mark.parametrize("interval", [-0.1, float("inf"), float("nan")])
     def test_bad_interval_rejected(self, interval):
