@@ -18,7 +18,6 @@ import io
 import itertools
 import json
 import logging
-import math
 import os
 import secrets
 import sys
@@ -29,16 +28,17 @@ from urllib.parse import urlsplit
 
 from . import analytics, gazetteer, ingest, integration, rdf
 from .model import (
+    MAX_WAIT_S,
     Dataset,
     Event,
     GazetteerRef,
     InputFormatError,
     ResilinkError,
-    decode_utf8,
     events_by_key,
     events_from_json,
     events_to_json,
     input_file,
+    json_document,
     parse_civil_date,
     parse_file,
 )
@@ -65,8 +65,9 @@ class OnlineSettings:
         if parts.scheme not in ("http", "https") or not parts.hostname or parts.query or parts.fragment:
             raise ValueError("base_url must be an http or https URL with a host and no query "
                              f"or fragment: {self.base_url!r}")
-        if not self.rate_per_sec > 0:  # also rejects NaN
-            raise ValueError(f"rate_per_sec must be positive: {self.rate_per_sec!r}")
+        if not self.rate_per_sec * MAX_WAIT_S >= 1:  # also rejects NaN
+            raise ValueError(f"rate_per_sec must be at least one per {MAX_WAIT_S:g} s: "
+                             f"{self.rate_per_sec!r}")
 
 
 @dataclass(frozen=True)
@@ -78,10 +79,10 @@ class LinkcheckSettings:
     politeness_s: float = 0.2
 
     def __post_init__(self):
-        if not 0 < self.timeout_s < math.inf:  # also rejects NaN
-            raise ValueError(f"timeout_s must be positive and finite: {self.timeout_s!r}")
-        if not 0 <= self.politeness_s < math.inf:
-            raise ValueError(f"politeness_s must be >= 0 and finite: {self.politeness_s!r}")
+        if not 0 < self.timeout_s <= MAX_WAIT_S:  # also rejects NaN
+            raise ValueError(f"timeout_s must be positive and at most {MAX_WAIT_S:g}: {self.timeout_s!r}")
+        if not 0 <= self.politeness_s <= MAX_WAIT_S:
+            raise ValueError(f"politeness_s must be >= 0 and at most {MAX_WAIT_S:g}: {self.politeness_s!r}")
         if not (self.concurrency >= 1 and self.concurrency % 1 == 0):
             raise ValueError(f"concurrency must be a count >= 1: {self.concurrency!r}")
         object.__setattr__(self, "concurrency", int(self.concurrency))
@@ -111,8 +112,8 @@ class PipelineConfig:
         """Read one config document; every malformed value raises ConfigError."""
         base = Path(path).parent
         try:
-            raw = json.loads(decode_utf8(Path(path).read_bytes()))
-        except (OSError, ValueError, RecursionError, InputFormatError) as exc:
+            raw = json_document(Path(path).read_bytes(), "document", dict)
+        except (OSError, ValueError, InputFormatError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         raw = _object(raw, "document", _DOCUMENT_KEYS)
 
@@ -698,7 +699,7 @@ def run_subcommand(argv: list[str]) -> int:
         finally:
             if gc_was_enabled:
                 gc.enable()
-    except (ResilinkError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (ResilinkError, OSError, ValueError) as exc:
         print(f"resilink: error: {exc}", file=sys.stderr)
         return 1
     return 0

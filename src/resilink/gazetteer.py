@@ -35,7 +35,6 @@ every target no farther than it; when the scan's answer is beyond
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -50,6 +49,7 @@ from .model import (
     OutOfRangeError,
     ResilinkError,
     is_language_code,
+    json_document,
     parse_file,
 )
 
@@ -114,13 +114,7 @@ class OverrideTable:
     @classmethod
     def from_json(cls, text: str) -> OverrideTable:
         """The table in an override file's JSON text: one object of name -> geoname id."""
-        try:
-            data = json.loads(text)
-        except RecursionError as exc:
-            raise ValueError("override table JSON is nested too deeply") from exc
-        if not isinstance(data, dict):
-            raise ValueError("override table must be a JSON object of name -> geoname id")
-        return cls(mapping=data)
+        return cls(mapping=json_document(text, "override table JSON", dict))
 
 
 EMPTY_OVERRIDES = OverrideTable(mapping={})

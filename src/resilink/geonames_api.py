@@ -12,14 +12,13 @@ and offline providers are interchangeable.
 from __future__ import annotations
 
 import http.client
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from urllib.parse import urlencode
 
 from .gazetteer import GazetteerEntry, PostalCodeEntry
 from .linkcheck import RateLimiter, http_response
-from .model import GeoPoint, ResilinkError
+from .model import GeoPoint, ResilinkError, json_document
 
 TIMEOUT_S = 10.0
 MAX_ATTEMPTS = 3
@@ -49,7 +48,7 @@ def _parsing_reply(path: str):
     """Turn a missing or unparsable field of a reply into a GeoNamesError."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ResilinkError) as exc:
         raise GeoNamesError(f"malformed reply from {path}: {exc!r}") from exc
 
 
@@ -90,10 +89,7 @@ class GeoNamesClient:
             if status != 200:
                 raise ServiceError(status)
             with _parsing_reply(path):
-                payload = json.loads(body)
-            if not isinstance(payload, dict):
-                raise GeoNamesError(f"malformed reply from {path}: not a JSON object")
-            return payload
+                return json_document(body, "reply", dict)
         if last_status is None:
             raise GeoNamesNetworkError("timed out after retries")
         raise ServiceError(last_status)

@@ -21,7 +21,7 @@ from .model import (
     ResilinkError,
     content_event_id,
     csv_rows,
-    decode_utf8,
+    json_document,
     parse_civil_date,
     validate_point,
 )
@@ -115,13 +115,8 @@ def _stringify(value) -> str | None:
     return json.dumps(value, ensure_ascii=False)
 
 
-def _parse_json_records(text: str) -> list[dict]:
-    try:
-        parsed = json.loads(text)  # a syntax error keeps the json module's message, with its line
-    except RecursionError as exc:
-        raise ValueError("source JSON is nested too deeply") from exc
-    if not isinstance(parsed, list):
-        raise ValueError("expected a top-level JSON array")
+def _parse_json_records(data: bytes) -> list[dict]:
+    parsed = json_document(data, "source JSON", list)
     for i, obj in enumerate(parsed):
         if not isinstance(obj, dict):
             raise ValueError(f"entry {i} is not a JSON object")
@@ -152,7 +147,7 @@ def parse_dataset(
     adapter mapping rather than one dirty row.
     """
     if fmt is SourceFormat.JSON:
-        objs = _parse_json_records(decode_utf8(data))
+        objs = _parse_json_records(data)
     elif fmt is SourceFormat.CSV:
         objs = _parse_csv_records(data)
     else:

@@ -10,7 +10,6 @@ shares the politeness scheduler, :class:`RateLimiter`, and :func:`http_response`
 from __future__ import annotations
 
 import http.client
-import math
 import re
 import threading
 import time
@@ -22,7 +21,7 @@ from enum import Enum
 from typing import Hashable, Iterable, Iterator, Sequence
 from urllib.parse import quote, urljoin, urlsplit, urlunsplit
 
-from .model import Dataset, Event
+from .model import MAX_WAIT_S, Dataset, Event
 
 USER_AGENT = "resilink-linkcheck/0.1 (+https://linked4resilience.eu/)"
 
@@ -54,8 +53,8 @@ class RateLimiter:
     """Spaces the calls that share a key at least interval_s apart; 0 never waits."""
 
     def __init__(self, interval_s: float):
-        if not 0 <= interval_s < math.inf:
-            raise ValueError(f"interval must be >= 0 and finite: {interval_s!r}")
+        if not 0 <= interval_s <= MAX_WAIT_S:
+            raise ValueError(f"interval must be >= 0 and at most {MAX_WAIT_S:g} s: {interval_s!r}")
         self._interval = interval_s
         self._lock = threading.Lock()
         self._next: dict[Hashable, float] = {}

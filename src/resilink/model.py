@@ -5,6 +5,10 @@ across concurrent workers. The canonical normalized-event JSON produced by
 :func:`events_to_json` is the hand-off format between pipeline stages
 (ingest -> enrich -> convert/integrate); its key set is part of the public
 contract and is documented in the README.
+
+Each input format has one reader here, through which every stage and the
+GeoNames client read: :func:`decode_utf8` for UTF-8 text, :func:`csv_rows`
+for CSV and :func:`json_document` for JSON.
 """
 
 from __future__ import annotations
@@ -37,15 +41,38 @@ class InputFormatError(ResilinkError):
         super().__init__(f"line {line}: {message}")
 
 
+# The longest wait, a timeout or a pause between requests, that the program accepts:
+# time.sleep() and socket timeouts overflow on far larger values.
+MAX_WAIT_S = 3600.0
+
+
 def decode_utf8(data: bytes, line: int = 1) -> str:
     """The text of UTF-8 bytes that start at the given line of their file.
 
     Invalid UTF-8 is an error at that line plus the LFs before the bad byte.
+    On line 1, one leading byte order mark (U+FEFF) is dropped; elsewhere it is text.
     """
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputFormatError(data.count(b"\n", 0, exc.start) + line, "invalid UTF-8") from exc
+    return text.removeprefix("\ufeff") if line == 1 else text
+
+
+def json_document(data: str | bytes, what: str, top: type[list] | type[dict]) -> list | dict:
+    """The JSON value of data, which must be an array (top is list) or an object (top is dict).
+
+    Bytes are decoded by decode_utf8. A syntax error is json's own JSONDecodeError,
+    with its line and column; nesting too deep for the parser and a value of
+    another type are ValueErrors that name what the document is.
+    """
+    try:
+        value = json.loads(decode_utf8(data) if isinstance(data, bytes) else data)
+    except RecursionError as exc:
+        raise ValueError(f"{what} is nested too deeply") from exc
+    if not isinstance(value, top):
+        raise ValueError(f"{what} must be a JSON {'array' if top is list else 'object'}")
+    return value
 
 
 def csv_rows(data: bytes) -> Iterator[tuple[int, list[str]]]:
@@ -426,16 +453,8 @@ def events_to_json(events: Iterable[Event]) -> str:
 
 
 def events_from_json(data: str | bytes) -> list[Event]:
-    if isinstance(data, bytes):
-        data = decode_utf8(data)
-    try:
-        parsed = json.loads(data)
-    except RecursionError as exc:
-        raise ValueError("canonical event JSON is nested too deeply") from exc
-    if not isinstance(parsed, list):
-        raise ValueError("canonical event JSON must be an array of objects")
     events = []
-    for i, obj in enumerate(parsed):
+    for i, obj in enumerate(json_document(data, "canonical event JSON", list)):
         try:
             events.append(event_from_dict(obj))
         except (ResilinkError, ValueError) as exc:

@@ -124,6 +124,11 @@ MALFORMED_CONFIGS = [json.dumps(doc) for doc in [
     {"online": {"base_url": "file:///tmp"}},
     {"online": {"base_url": "http://127.0.0.1:9/geonames?lang=en"}},
     {"analytics": {"grid_deg": 10 ** 400}},  # overflows a float
+    # a wait too long for sleep() or a socket timeout, once an OverflowError traceback at the
+    # first request, or a sleep of years
+    {"linkcheck": {"timeout_s": 1e300}},
+    {"linkcheck": {"politeness_s": 1e300}},
+    {"online": {"rate_per_sec": 1e-300, "base_url": "http://127.0.0.1:9", "username": "demo"}},
 ]] + [
     '{"linkcheck": {"timeout_s": 1e999}}',  # JSON reads 1e999 as inf
     '{"linkcheck": {"politeness_s": 1e999}}',
@@ -497,8 +502,8 @@ class TestDataErrors:
                     "--radius-km", radius, "--out", workdir / "uc6.csv")
         assert code == 1
 
-    @pytest.mark.parametrize("reader", ["events", "source", "overrides"])
-    def test_deeply_nested_json_is_one_line_error(self, workdir, capsys, reader):
+    @pytest.mark.parametrize("reader", ["events", "source", "overrides", "config", "reply"])
+    def test_deeply_nested_json_is_one_line_error(self, workdir, capsys, gaz_index, reader):
         deep = workdir / "deep.json"
         deep.write_text("[" * 100_000 + "]" * 100_000)
         cfg = json.loads((PIPE / "config.json").read_text())
@@ -512,8 +517,14 @@ class TestDataErrors:
                        "--config", PIPE / "config.json", "--out", workdir / "out.json"),
             "overrides": ("enrich", "--input", _tiny_events(workdir), "--config", config,
                           "--out", workdir / "out.json"),
+            "config": ("convert", "--input", _tiny_events(workdir), "--config", deep,
+                       "--out", workdir / "out.nt"),
+            "reply": None,  # an online gazetteer's reply, once a RecursionError traceback
         }[reader]
-        assert _run(*argv) == 1
+        if argv is None:
+            self._enrich_online(workdir, gaz_index, deep.read_bytes())
+        else:
+            assert _run(*argv) == 1
         line = _error_line(capsys)
         assert line.startswith("resilink: error: ") and "nested too deeply" in line
 
@@ -941,8 +952,9 @@ class TestDataErrors:
         ("{}", ("--timeout", "0"), "timeout_s"),
         ("{}", ("--timeout", "-1"), "timeout_s"),
         ("{}", ("--timeout", "nan"), "timeout_s"),
+        ("{}", ("--timeout", "1e300"), "timeout_s"),
     ], ids=["config-timeout-inf", "config-politeness-inf", "flag-timeout-inf", "flag-timeout-0",
-            "flag-timeout-negative", "flag-timeout-nan"])
+            "flag-timeout-negative", "flag-timeout-nan", "flag-timeout-1e300"])
     def test_bad_linkcheck_timing_is_one_line_error(self, workdir, capsys, config, flags, key):
         # an infinite timeout or delay ended in an OverflowError traceback, and a
         # timeout of 0, -1 or nan in urllib3's message; a flag now obeys the config's rule
@@ -1142,6 +1154,33 @@ class TestSourceBoundary:
 
 
 class TestStageCommands:
+    @pytest.mark.parametrize("case", ["ingest csv", "report nt", "convert json", "convert config",
+                                      "enrich places.tsv"])
+    def test_leading_byte_order_mark_is_dropped(self, workdir, fixture_nt, case):
+        # spreadsheet exports and Windows tools write one; each reader once refused it
+        shutil.copytree(PIPE.parent, workdir / "fixtures")
+        pipe = workdir / "fixtures" / "pipeline"
+        events, nt, config = _tiny_events(workdir), workdir / "integrated.nt", workdir / "config.json"
+        shutil.copy(fixture_nt, nt)
+        config.write_text('{"linkcheck": {"timeout_s": 2.0}}')
+        marked, argv = {  # the file that gets the mark, and the command that reads it
+            "ingest csv": (pipe / "ch.csv", ("ingest", "--dataset", "ch", "--format", "csv",
+                                             "--input", pipe / "ch.csv", "--config", pipe / "config.json")),
+            "report nt": (nt, ("report", "uc2", "--input", nt, "--keyword", "school")),
+            "convert json": (events, ("convert", "--input", events)),
+            "convert config": (config, ("convert", "--input", events, "--config", config)),
+            "enrich places.tsv": (workdir / "fixtures" / "gazetteer" / "places.tsv",
+                                  ("enrich", "--input", events, "--config", pipe / "config.json")),
+        }[case]
+        data = marked.read_bytes()
+        written = []
+        for prefix in (b"", "\ufeff".encode()):
+            marked.write_bytes(prefix + data)
+            out = workdir / f"out{len(written)}"
+            assert _run(*argv, "--out", out) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     def test_ingest_writes_canonical_json(self, workdir):
         out = workdir / "eor.events.json"
         code = _run(

@@ -87,6 +87,12 @@ MALFORMED_REPLIES = [
     pytest.param("postal", b'{"postalCodes": [{"postalCode": "1", "lat": null, "lng": 2}]}',
                  id="lat-null"),
     pytest.param("place", b'{"geonames": [{"geonameId": 1}]}', id="entry-without-coordinates"),
+    # the first once escaped as a RecursionError, the second as an OutOfRangeError naming no service
+    pytest.param("place", b"[" * 100_000 + b"]" * 100_000, id="nested-too-deeply"),
+    pytest.param("place", b'{"geonames": [{"geonameId": 1, "lat": "91", "lng": "2"}]}',
+                 id="lat-out-of-range"),
+    # read by model.decode_utf8, whose error is not a ValueError
+    pytest.param("place", b'{"geonames": "\xff"}', id="invalid-utf8"),
 ]
 
 

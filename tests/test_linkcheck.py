@@ -18,7 +18,7 @@ from resilink.linkcheck import (
     summary_dict,
 )
 from resilink.cli import run_subcommand
-from resilink.model import CivilDate, Dataset, Event, GeoPoint, events_to_json
+from resilink.model import MAX_WAIT_S, CivilDate, Dataset, Event, GeoPoint, events_to_json
 from tests.httpmock import ScriptedHandler, start_server, stop_server
 
 
@@ -355,7 +355,7 @@ class TestRateLimiter:
             limiter.wait("a")
         assert sleeps == []
 
-    @pytest.mark.parametrize("interval", [-0.1, float("inf"), float("nan")])
+    @pytest.mark.parametrize("interval", [-0.1, float("inf"), float("nan"), MAX_WAIT_S + 1])
     def test_bad_interval_rejected(self, interval):
         with pytest.raises(ValueError):
             RateLimiter(interval)

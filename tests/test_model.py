@@ -214,6 +214,12 @@ class TestDecodeUtf8:
     def test_valid_text(self):
         assert decode_utf8("Ізюм\n".encode()) == "Ізюм\n"
 
+    def test_byte_order_mark_dropped_on_line_1_only(self):
+        # spreadsheet exports and Windows tools start a file with one
+        assert decode_utf8("\ufeffa\n\ufeffb\n".encode()) == "a\n\ufeffb\n"
+        assert decode_utf8("\ufeff\ufeffa".encode()) == "\ufeffa"
+        assert decode_utf8("\ufeffb\n".encode(), line=2) == "\ufeffb\n"
+
 
 # CSV fields with the csv module's special characters, and characters a str
 # splits lines at but the csv module does not
