@@ -664,6 +664,31 @@ def _report_usage_error(args) -> str | None:
     return None
 
 
+# The output flags of each command that writes several files, by their argparse names.
+_OUTPUT_FLAGS = {
+    "integrate": ("out", "pairs", "counts"),
+    "uc1": ("out_nt", "out_geojson"),
+    "uc6": ("out", "out_geojson"),
+    "linkcheck": ("out_csv", "out_json"),
+}
+
+
+def _output_clash(args) -> str | None:
+    """Two output flags that name one file, which the later write would overwrite, or None.
+
+    Paths are compared resolved, so ./x and a symbolic link to x are one file.
+    """
+    seen: dict[str, str] = {}
+    for name in _OUTPUT_FLAGS.get(getattr(args, "use_case", args.command), ()):
+        if (value := getattr(args, name)) is None:
+            continue
+        flag, path = "--" + name.replace("_", "-"), os.path.realpath(value)
+        if path in seen:
+            return f"{seen[path]} and {flag} name one file: {value}"
+        seen[path] = flag
+    return None
+
+
 def run_subcommand(argv: list[str]) -> int:
     """Execute exactly one pipeline stage; returns the process exit code."""
     try:
@@ -680,8 +705,9 @@ def run_subcommand(argv: list[str]) -> int:
     if args.command == "linkcheck" and args.offline:
         print("resilink: linkcheck refuses to run with --offline", file=sys.stderr)
         return 2
-    if args.command == "report" and (problem := _report_usage_error(args)):
-        print(f"resilink report {args.use_case}: {problem}", file=sys.stderr)
+    command = f"report {args.use_case}" if args.command == "report" else args.command
+    if problem := (args.command == "report" and _report_usage_error(args)) or _output_clash(args):
+        print(f"resilink {command}: {problem}", file=sys.stderr)
         return 2
 
     try:

@@ -13,7 +13,10 @@ work, ``integrate`` computes the similarities on every CPU the process
 may use: forked workers write them into one shared array filled with
 NaN, which no similarity in [0, 1] is, and the parent computes each pair
 still NaN, then classifies the pairs; the results do not depend on the
-number of CPUs or on which workers die. Within one dataset,
+number of CPUs or on which workers die. Each worker, and the parent
+while it computes its share, is placed on a CPU of its own, because the
+kernel may leave a forked child on its parent's CPU, where the two take
+turns instead of running together. Within one dataset,
 distinct records are assumed to describe distinct events, so matching
 is cross-dataset only and one-to-one.
 """
@@ -140,13 +143,16 @@ _SCAN_CELLS = 1 << 16
 
 # The candidate pairs' similarities are computed in forked workers only
 # when their cells, len(a) * len(b) summed over the pairs, exceed this.
-# Below it the fork costs more than the spare CPUs save: in a 60-67 MB
-# `integrate` process on a 2-CPU VM, the fork, the reaping and the
-# parent's first write to each page after the fork cost about 20 ms, and
-# the second CPU saved about 3 ms per million cells. Forking lost 15 ms at
-# 1.8 M cells, broke even near 7 M and won 20 ms at 11.6 M and 88 ms at
-# 35 M (20-40 alternating in-process runs each). A larger heap costs more
-# page faults, so the bound sits above the break-even.
+# Below it the fork costs about what the spare CPUs save. Timed on a 2-CPU
+# VM by 20 alternating in-process `cli._integrate` runs per size, with the
+# workers and the parent placed on CPUs of their own, the median forked
+# run against the serial one was +25 ms at 5.9 M cells, -3 ms at 7.0 M,
+# -12 ms at 9.9 M, -31 ms at 14.1 M, -118 ms at 20.6 M and -169 ms at
+# 35.8 M, and forking won 6, 10, 14, 13, 17 and 19 of the 20 runs.
+# Unplaced, the same forks lost 8-41 ms up to 14.1 M and broke even at
+# 35.8 M, because the kernel left the worker on the parent's CPU. A
+# larger heap costs more page faults after the fork, so the bound sits
+# above the break-even.
 _FORK_CELLS = 10_000_000
 # Pairs go out in chunks of this many, costliest first, so that a slow pair
 # is taken early and no CPU waits idle at the end for another's last chunk.
@@ -292,18 +298,26 @@ def similarity(a: str, b: str) -> float:
     return 2.0 * matched / n
 
 
-def _spare_cpus() -> int:
-    """CPUs beyond its own that this process may fork workers onto.
+def _fork_cpus() -> list[int]:
+    """The sorted CPUs this process may use and fork workers onto.
 
-    0 when the platform cannot fork or report the process's CPUs, or
+    Empty when the platform cannot fork or report the process's CPUs, or
     when another thread runs: a forked child would inherit the locks that
     thread holds, held for ever.
     """
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 0
+        return []
     if threading.active_count() != 1:
-        return 0
-    return len(os.sched_getaffinity(0)) - 1
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _place(cpus: Sequence[int]) -> None:
+    """Let this process run only on cpus, or leave it where it runs if the kernel refuses."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:  # e.g. a CPU offline or outside the process's cpuset
+        pass
 
 
 def _write_taken(queue_r: int, values: memoryview, texts: Sequence[tuple[str, str]], chunks: list[list[int]]) -> None:
@@ -317,15 +331,17 @@ def _write_taken(queue_r: int, values: memoryview, texts: Sequence[tuple[str, st
             values[i] = similarity(*texts[i])
 
 
-def _worker(queue_r: int, values: memoryview, texts: Sequence[tuple[str, str]], chunks: list[list[int]]) -> NoReturn:
-    """A forked worker: _write_taken into the shared array values, then exit.
+def _worker(queue_r: int, values: memoryview, texts: Sequence[tuple[str, str]], chunks: list[list[int]],
+            cpu: int) -> NoReturn:
+    """A forked worker: placed on cpu, _write_taken into the shared array values, then exit.
 
     A pair is delivered once written, and one it never writes stays NaN. It
     leaves through os._exit, non-zero on a failure, so no cleanup of the
-    parent's runs twice.
+    parent's runs twice and no exception unwinds into the parent's code.
     """
     code = 1
     try:
+        _place((cpu,))
         _write_taken(queue_r, values, texts, chunks)
         code = 0
     finally:
@@ -343,9 +359,17 @@ def _similarities(texts: Sequence[tuple[str, str]]) -> list[float]:
     still NaN once every worker is reaped, because a worker died or the
     fork failed, is computed here. Every worker is reaped before this
     returns or raises.
+
+    A forked child starts on its parent's CPU, and the kernel may leave it
+    there, so that the two take turns on one CPU. So, once a worker is
+    forked, worker n runs only on CPU n + 1 of this process's sorted CPUs
+    and this process only on the first, while it computes its share; its
+    own CPUs are put back before this returns or raises. A process the
+    kernel will not place runs where it is, and the similarities never
+    depend on where each process ran.
     """
     cells = [len(a) * len(b) for a, b in texts]
-    if len(texts) < 2 or sum(cells) <= _FORK_CELLS or (spare := _spare_cpus()) < 1:
+    if len(texts) < 2 or sum(cells) <= _FORK_CELLS or len(cpus := _fork_cpus()) < 2:
         return [similarity(a, b) for a, b in texts]
     size = max(_CHUNK_PAIRS, -(-len(texts) // _MAX_CHUNKS))
     order = sorted(range(len(texts)), key=cells.__getitem__, reverse=True)
@@ -358,14 +382,16 @@ def _similarities(texts: Sequence[tuple[str, str]]) -> list[float]:
     os.close(queue_w)
     pids: list[int] = []  # forked workers, until reaped
     try:
-        for _ in range(min(spare, len(chunks) - 1)):
+        for cpu in cpus[1:len(chunks)]:  # one worker per spare CPU, and fewer than the chunks
             try:
                 pid = os.fork()
             except OSError:  # no worker: this process takes its share
                 break
             if pid == 0:
-                _worker(queue_r, values, texts, chunks)
+                _worker(queue_r, values, texts, chunks, cpu)
             pids.append(pid)
+        if pids:
+            _place(cpus[:1])
         _write_taken(queue_r, values, texts, chunks)
         while pids:
             os.waitpid(pids[-1], 0)
@@ -375,6 +401,7 @@ def _similarities(texts: Sequence[tuple[str, str]]) -> list[float]:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        _place(cpus)
     return [similarity(*texts[i]) if math.isnan(v) else v for i, v in enumerate(values)]
 
 

@@ -247,6 +247,35 @@ class TestUsageErrors:
         last = capsys.readouterr().err.strip().splitlines()[-1]
         assert last.endswith(f"error: argument {flag}: must not be empty")
 
+    @pytest.mark.parametrize("command", ["integrate", "report uc1", "report uc6", "linkcheck"])
+    def test_two_output_flags_naming_one_file_are_a_usage_error(self, fixture_nt, workdir, capsys,
+                                                                 monkeypatch, command):
+        # integrate --out X --pairs X --counts X once exited 0, and X held only the counts
+        monkeypatch.chdir(workdir)
+        events, ch, shelters = _tiny_events(workdir), workdir / "ch.json", workdir / "shelters.csv"
+        ch.write_text("[]")
+        shelters.write_text("name,lat,lon\ncentral,49.9935,36.2304\n")
+        (workdir / "sub").mkdir()
+        os.symlink("out.b", "link")
+        argv, clash = {
+            "integrate": (("integrate", "--eor", events, "--ch", ch, "--out", "out.a",
+                           "--pairs", "out.b", "--counts", "./out.b"),
+                          "--pairs and --counts name one file: ./out.b"),
+            "report uc1": (("report", "uc1", "--input", fixture_nt, "--start", "2022-01-01",
+                            "--end", "2023-01-01", "--out-nt", "out.a", "--out-geojson", "sub/../out.a"),
+                           "--out-nt and --out-geojson name one file: sub/../out.a"),
+            "report uc6": (("report", "uc6", "--input", fixture_nt, "--shelters", shelters,
+                            "--out", "link", "--out-geojson", "out.b"),
+                           "--out and --out-geojson name one file: out.b"),
+            "linkcheck": (("linkcheck", "--input", events, "--out-csv", workdir / "out.a",
+                           "--out-json", "out.a"),
+                          "--out-csv and --out-json name one file: out.a"),
+        }[command]
+        before = set(workdir.iterdir())
+        assert _run(*argv) == 2
+        assert _error_line(capsys) == f"resilink {command}: {clash}"
+        assert set(workdir.iterdir()) == before
+
     @pytest.mark.parametrize("url", ["notaurl", "ftp://127.0.0.1/", "http://", "//127.0.0.1:9",
                                      "127.0.0.1:9", "file:///tmp/x", "http://127.0.0.1:8080/mock?x=1",
                                      "http://127.0.0.1:8080/mock", "https://127.0.0.1:8080/?x=1",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import importlib.util
 import inspect
 import os
 import random
@@ -10,6 +11,7 @@ import signal
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -591,6 +593,15 @@ def _cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+@pytest.fixture(autouse=True)
+def _real_cpus():
+    """Put this process's CPUs back after each test: integrate puts back the
+    CPUs it was shown, and a test that fakes them may show fewer than it has."""
+    cpus = os.sched_getaffinity(0)
+    yield
+    os.sched_setaffinity(0, cpus)
+
+
 @contextlib.contextmanager
 def _path(name: str):
     """integrate's serial path, or its forked path on any input of two pairs or more."""
@@ -782,9 +793,9 @@ class TestForkedSimilarities:
         _no_child_left()
 
     def _integrate_raises(self, crowded, monkeypatch) -> None:
-        """integrate(*crowded) on 2 CPUs raises in this process after a worker
-        has started, while the worker sleeps; the sleeping worker must be
-        killed, not awaited."""
+        """integrate(*crowded), on two CPUs or more, raises in this process
+        after a worker has started, while the worker sleeps; the sleeping
+        worker must be killed, not awaited."""
         fds = self._worker_signals(monkeypatch, lambda: time.sleep(60))
         calls = 0
         similarity = integration.similarity
@@ -797,7 +808,6 @@ class TestForkedSimilarities:
             return similarity(a, b)
 
         monkeypatch.setattr(integration, "similarity", failing)
-        _cpus(monkeypatch, 2)
         started = time.monotonic()
         try:
             with pytest.raises(RuntimeError, match="stop"):
@@ -808,6 +818,7 @@ class TestForkedSimilarities:
         assert time.monotonic() - started < 30
 
     def test_no_child_left_when_integrate_raises(self, crowded, monkeypatch):
+        _cpus(monkeypatch, 2)
         self._integrate_raises(crowded, monkeypatch)
         _no_child_left()
 
@@ -820,6 +831,120 @@ class TestForkedSimilarities:
         assert len(forks) == 1
 
     def test_no_fd_left_when_integrate_raises(self, crowded, monkeypatch):
+        _cpus(monkeypatch, 2)
         before = set(os.listdir("/proc/self/fd"))
         self._integrate_raises(crowded, monkeypatch)
         assert set(os.listdir("/proc/self/fd")) == before
+
+    def test_each_process_asks_for_its_own_cpu(self, crowded, crowded_serial, monkeypatch):
+        forks = _count_forks(monkeypatch)
+        _cpus(monkeypatch, 4)
+        asked_r, asked_w = os.pipe()
+
+        def recorded(pid, cpus):  # the workers inherit it, and write to the same pipe
+            os.write(asked_w, f"{os.getpid()} {','.join(map(str, sorted(cpus)))}\n".encode())
+
+        monkeypatch.setattr(os, "sched_setaffinity", recorded)
+        try:
+            result = integrate(*crowded)
+        finally:
+            os.close(asked_w)
+            with os.fdopen(asked_r) as fp:
+                asked = [line.split() for line in fp]
+        assert result == crowded_serial
+        assert len(forks) == 3
+        by_pid = {}
+        for pid, cpus in asked:
+            by_pid.setdefault(int(pid), []).append(cpus)
+        # each worker once, on CPU n + 1; this process on CPU 0, then back on all four
+        assert by_pid == {os.getpid(): ["0", "0,1,2,3"], **{pid: [str(n + 1)] for n, pid in enumerate(forks)}}
+        _no_child_left()
+
+    def test_affinity_is_put_back(self, crowded, crowded_serial, monkeypatch):
+        cpus = os.sched_getaffinity(0)
+        if len(cpus) < 2:
+            pytest.skip("the forked path needs two CPUs in this process's affinity")
+        parent, similarity = os.getpid(), integration.similarity
+        seen = set()
+
+        def watched(a, b):
+            if os.getpid() == parent:
+                seen.add(frozenset(os.sched_getaffinity(0)))
+            return similarity(a, b)
+
+        forks = _count_forks(monkeypatch)
+        with monkeypatch.context() as mp:
+            mp.setattr(integration, "similarity", watched)
+            assert integrate(*crowded) == crowded_serial
+        assert forks
+        assert frozenset({min(cpus)}) in seen  # placed while it computed its share
+        assert os.sched_getaffinity(0) == cpus
+        self._integrate_raises(crowded, monkeypatch)
+        assert os.sched_getaffinity(0) == cpus
+        _no_child_left()
+
+    def test_refused_placement_gives_exact_results(self, crowded, crowded_serial, monkeypatch):
+        forks = _count_forks(monkeypatch)
+        _cpus(monkeypatch, 2)
+
+        def refused(pid, cpus):
+            raise OSError(errno.EINVAL, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refused)
+        assert integrate(*crowded) == crowded_serial
+        assert len(forks) == 1
+        _no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# The fork at its real threshold, on the benchmark's integrate-dense corpus
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_bench(mp: pytest.MonkeyPatch, name: str):
+    """bench/<name>.py, read-only, as the module `name` while mp holds."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    mp.setitem(sys.modules, name, module)  # dataclasses, and checks' import of generate, look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def dense_corpus(tmp_path_factory):
+    """The enriched EoR and CH JSON of the benchmark's third-scale integrate-dense
+    corpus, and the check of a pairs.csv against its planted truth. 3,103
+    and 368 events in 10 cities give candidate pairs of 35-43 M cells,
+    with "ab"*250 against "ax"*250 among them."""
+    with pytest.MonkeyPatch.context() as mp:
+        generate, checks = _load_bench(mp, "generate"), _load_bench(mp, "checks")
+    corpus = generate.make_corpus(2811, n_cities=10, n_days=100, miss_share=0.0,
+                                  n_decoys=40, adversarial=True)
+    eor, ch = generate.write_enriched(corpus, tmp_path_factory.mktemp("dense"))
+    truth, ch_points = generate.truth_doc(corpus), checks.ch_points(ch)
+    return eor, ch, lambda pairs: checks.check_pairs(pairs, truth, ch_points)
+
+
+def test_fork_at_the_real_threshold_writes_what_one_cpu_writes(dense_corpus, tmp_path, monkeypatch):
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("the fork needs two CPUs in this process's affinity")
+    forks = _count_forks(monkeypatch)
+    eor, ch, check_pairs = dense_corpus
+    outputs = ("integrated.nt", "pairs.csv", "counts.json")
+    written = {}
+    for run, affinity in (("two", cpus[:2]), ("one", cpus[:1])):
+        out = tmp_path / run
+        os.sched_setaffinity(0, affinity)
+        try:
+            assert run_subcommand(["integrate", "--eor", str(eor), "--ch", str(ch),
+                                   *(f"--{flag}={out / name}" for flag, name in
+                                     zip(("out", "pairs", "counts"), outputs))]) == 0
+        finally:
+            os.sched_setaffinity(0, cpus)
+        written[run] = [(out / name).read_bytes() for name in outputs]
+        assert len(forks) == 1  # the two-CPU run forked its one worker; the one-CPU run none
+    assert written["two"] == written["one"]
+    assert check_pairs(tmp_path / "two" / "pairs.csv") == []
+    _no_child_left()
