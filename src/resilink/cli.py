@@ -491,6 +491,13 @@ def _cmd_linkcheck(args, cfg: PipelineConfig) -> None:
         _write_json(args.out_json, linkcheck.summary_dict(events, rows))
 
 
+def _pipeline_outputs(outdir: str | Path) -> list[Path]:
+    """pipeline's files under outdir: each dataset's events and enriched JSON, then integrate's three."""
+    outdir = Path(outdir)
+    return [*(outdir / f"{d.value}.{stage}.json" for d in Dataset for stage in ("events", "enriched")),
+            outdir / "integrated.nt", outdir / "pairs.csv", outdir / "counts.json"]
+
+
 def _cmd_pipeline(args, cfg: PipelineConfig) -> None:
     """Ingest and enrich both datasets, then integrate them.
 
@@ -498,7 +505,7 @@ def _cmd_pipeline(args, cfg: PipelineConfig) -> None:
     memory; the intermediate files are still written, byte for byte as
     the single stages write them.
     """
-    outdir = Path(args.outdir)
+    outputs = iter(_pipeline_outputs(args.outdir))
     index, overrides = cfg.load_index(), cfg.load_overrides()
     enriched = []
     for dataset, path, fmt in (
@@ -506,14 +513,11 @@ def _cmd_pipeline(args, cfg: PipelineConfig) -> None:
         (Dataset.CH, args.ch_input, args.ch_format),
     ):
         events = _ingest(path, dataset, fmt, cfg)
-        _write_events(outdir / f"{dataset.value}.events.json", events)
+        _write_events(next(outputs), events)
         enriched.append(_enrich(events, index, overrides, cfg, args.offline))
-        _write_events(outdir / f"{dataset.value}.enriched.json", enriched[-1])
+        _write_events(next(outputs), enriched[-1])
     del index, events  # integration needs neither; keep them out of its peak memory
-    _integrate(
-        *enriched, cfg, outdir / "integrated.nt", outdir / "pairs.csv", outdir / "counts.json",
-        rdf.RdfFormat.NTRIPLES,
-    )
+    _integrate(*enriched, cfg, *outputs, rdf.RdfFormat.NTRIPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -664,28 +668,31 @@ def _report_usage_error(args) -> str | None:
     return None
 
 
-# The output flags of each command that writes several files, by their argparse names.
-_OUTPUT_FLAGS = {
-    "integrate": ("out", "pairs", "counts"),
-    "uc1": ("out_nt", "out_geojson"),
-    "uc6": ("out", "out_geojson"),
-    "linkcheck": ("out_csv", "out_json"),
-}
+# The file flags of every command, by their argparse names.
+_INPUT_FLAGS = ("input", "eor", "ch", "eor_input", "ch_input", "shelters", "deaths", "config")
+_OUTPUT_FLAGS = ("out", "pairs", "counts", "out_nt", "out_geojson", "out_csv", "out_json")
 
 
 def _output_clash(args) -> str | None:
-    """Two output flags that name one file, which the later write would overwrite, or None.
+    """An output that names an input or another output of the command, which its write would overwrite, or None.
 
     Paths are compared resolved, so ./x and a symbolic link to x are one file.
     """
+    def flag(name):
+        return "--" + name.replace("_", "-")
+
     seen: dict[str, str] = {}
-    for name in _OUTPUT_FLAGS.get(getattr(args, "use_case", args.command), ()):
-        if (value := getattr(args, name)) is None:
-            continue
-        flag, path = "--" + name.replace("_", "-"), os.path.realpath(value)
-        if path in seen:
-            return f"{seen[path]} and {flag} name one file: {value}"
-        seen[path] = flag
+    for name in _INPUT_FLAGS:
+        value = getattr(args, name, None) or []
+        for path in [value] if isinstance(value, str) else value:  # linkcheck repeats --input
+            seen.setdefault(os.path.realpath(path), flag(name))
+    outputs = [(flag(name), value) for name in _OUTPUT_FLAGS if (value := getattr(args, name, None)) is not None]
+    if args.command == "pipeline":
+        outputs = [(f"--outdir's {path.name}", path) for path in _pipeline_outputs(args.outdir)]
+    for out, value in outputs:
+        if (path := os.path.realpath(value)) in seen:
+            return f"{seen[path]} and {out} name one file: {value}"
+        seen[path] = out
     return None
 
 

@@ -10,13 +10,12 @@ descriptions but cubic at worst; a range larger than ``_SCAN_CELLS``
 goes to a suffix automaton, linear in the range, so the worst case over
 a pair stays quadratic where difflib's is cubic. Above a fixed amount of
 work, ``integrate`` computes the similarities on every CPU the process
-may use: forked workers write them into one shared array filled with
-NaN, which no similarity in [0, 1] is, and the parent computes each pair
-still NaN, then classifies the pairs; the results do not depend on the
-number of CPUs or on which workers die. Each worker, and the parent
-while it computes its share, is placed on a CPU of its own, because the
-kernel may leave a forked child on its parent's CPU, where the two take
-turns instead of running together. Within one dataset,
+may use: one forked worker per CPU, each placed on a CPU of its own,
+writes them into one shared array filled with NaN, which no similarity
+in [0, 1] is. The parent only waits, and its own CPUs stay as they
+were; once the workers are reaped it computes each pair still NaN, then
+classifies the pairs, so the results do not depend on the number of
+CPUs or on which workers die. Within one dataset,
 distinct records are assumed to describe distinct events, so matching
 is cross-dataset only and one-to-one.
 """
@@ -143,14 +142,13 @@ _SCAN_CELLS = 1 << 16
 
 # The candidate pairs' similarities are computed in forked workers only
 # when their cells, len(a) * len(b) summed over the pairs, exceed this.
-# Below it the fork costs about what the spare CPUs save. Timed on a 2-CPU
-# VM by 20 alternating in-process `cli._integrate` runs per size, with the
-# workers and the parent placed on CPUs of their own, the median forked
-# run against the serial one was +25 ms at 5.9 M cells, -3 ms at 7.0 M,
-# -12 ms at 9.9 M, -31 ms at 14.1 M, -118 ms at 20.6 M and -169 ms at
-# 35.8 M, and forking won 6, 10, 14, 13, 17 and 19 of the 20 runs.
-# Unplaced, the same forks lost 8-41 ms up to 14.1 M and broke even at
-# 35.8 M, because the kernel left the worker on the parent's CPU. A
+# Below it the fork costs about what the extra CPU saves. Timed on a 2-CPU
+# VM by 20 alternating in-process `cli._integrate` runs per size, one
+# worker per CPU, the median forked run against the serial one was +3 ms
+# at 6.0 M cells, -10 ms at 7.6 M, -17 ms at 10.0 M, -85 ms at 14.0 M and
+# -36 ms at 20.0 M, and forking won 8, 14, 17, 19 and 19 of the 20 runs.
+# Unplaced, one worker beside a parent that took a share lost 8-41 ms up
+# to 14.1 M cells, because the kernel left it on the parent's CPU. A
 # larger heap costs more page faults after the fork, so the bound sits
 # above the break-even.
 _FORK_CELLS = 10_000_000
@@ -312,37 +310,27 @@ def _fork_cpus() -> list[int]:
     return sorted(os.sched_getaffinity(0))
 
 
-def _place(cpus: Sequence[int]) -> None:
-    """Let this process run only on cpus, or leave it where it runs if the kernel refuses."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:  # e.g. a CPU offline or outside the process's cpuset
-        pass
-
-
-def _write_taken(queue_r: int, values: memoryview, texts: Sequence[tuple[str, str]], chunks: list[list[int]]) -> None:
-    """Write into values the similarities of the chunks this process takes, until the queue pipe is empty.
-
-    Every token is in the pipe before the first fork and each read asks for
-    exactly one, so concurrent readers each get whole tokens.
-    """
-    while token := os.read(queue_r, 4):
-        for i in chunks[int.from_bytes(token, "little")]:
-            values[i] = similarity(*texts[i])
-
-
 def _worker(queue_r: int, values: memoryview, texts: Sequence[tuple[str, str]], chunks: list[list[int]],
             cpu: int) -> NoReturn:
-    """A forked worker: placed on cpu, _write_taken into the shared array values, then exit.
+    """A forked worker: placed on cpu, it writes into the shared array values
+    the similarities of the chunks it takes, until the queue pipe is empty.
 
-    A pair is delivered once written, and one it never writes stays NaN. It
-    leaves through os._exit, non-zero on a failure, so no cleanup of the
-    parent's runs twice and no exception unwinds into the parent's code.
+    Every token is in the pipe before the first fork and each read asks for
+    exactly one, so the workers each get whole tokens. A pair is delivered
+    once written, and one it never writes stays NaN. A CPU the kernel
+    refuses leaves the worker where it runs. It leaves through os._exit,
+    non-zero on a failure, so no cleanup of the parent's runs twice and no
+    exception unwinds into the parent's code.
     """
     code = 1
     try:
-        _place((cpu,))
-        _write_taken(queue_r, values, texts, chunks)
+        try:
+            os.sched_setaffinity(0, (cpu,))
+        except OSError:  # e.g. a CPU offline or outside the process's cpuset
+            pass
+        while token := os.read(queue_r, 4):
+            for i in chunks[int.from_bytes(token, "little")]:
+                values[i] = similarity(*texts[i])
         code = 0
     finally:
         os._exit(code)
@@ -352,21 +340,17 @@ def _similarities(texts: Sequence[tuple[str, str]]) -> list[float]:
     """similarity(a, b) of each pair, in order, on the CPUs this process may use.
 
     The pairs are computed in this process unless they are two or more,
-    their cells exceed ``_FORK_CELLS``, there is a spare CPU and it is safe
-    to fork. Otherwise one worker is forked per spare CPU, and the workers
-    and this process take chunks of pairs, costliest first, from one pipe
-    and write each similarity into one shared array filled with NaN. A pair
-    still NaN once every worker is reaped, because a worker died or the
-    fork failed, is computed here. Every worker is reaped before this
-    returns or raises.
-
-    A forked child starts on its parent's CPU, and the kernel may leave it
-    there, so that the two take turns on one CPU. So, once a worker is
-    forked, worker n runs only on CPU n + 1 of this process's sorted CPUs
-    and this process only on the first, while it computes its share; its
-    own CPUs are put back before this returns or raises. A process the
-    kernel will not place runs where it is, and the similarities never
-    depend on where each process ran.
+    their cells exceed ``_FORK_CELLS``, the process may use two CPUs or
+    more and it is safe to fork. Otherwise one worker is forked per CPU,
+    never more than the chunks, and worker n runs only on CPU n of this
+    process's sorted CPUs: a forked child starts on its parent's CPU, and
+    the kernel may leave it there, so that two workers take turns on one
+    CPU. The workers take chunks of pairs, costliest first, from one pipe
+    and write each similarity into one shared array filled with NaN, while
+    this process waits; its own CPUs are never changed. A pair still NaN
+    once every worker is reaped, because a worker died or a fork failed, is
+    computed here. Every worker is reaped before this returns or raises,
+    and the similarities never depend on where each process ran.
     """
     cells = [len(a) * len(b) for a, b in texts]
     if len(texts) < 2 or sum(cells) <= _FORK_CELLS or len(cpus := _fork_cpus()) < 2:
@@ -382,17 +366,14 @@ def _similarities(texts: Sequence[tuple[str, str]]) -> list[float]:
     os.close(queue_w)
     pids: list[int] = []  # forked workers, until reaped
     try:
-        for cpu in cpus[1:len(chunks)]:  # one worker per spare CPU, and fewer than the chunks
+        for cpu in cpus[:len(chunks)]:  # one worker per CPU, and no more than the chunks
             try:
                 pid = os.fork()
-            except OSError:  # no worker: this process takes its share
+            except OSError:  # no more workers: this process computes what they leave
                 break
             if pid == 0:
                 _worker(queue_r, values, texts, chunks, cpu)
             pids.append(pid)
-        if pids:
-            _place(cpus[:1])
-        _write_taken(queue_r, values, texts, chunks)
         while pids:
             os.waitpid(pids[-1], 0)
             pids.pop()
@@ -401,7 +382,6 @@ def _similarities(texts: Sequence[tuple[str, str]]) -> list[float]:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        _place(cpus)
     return [similarity(*texts[i]) if math.isnan(v) else v for i, v in enumerate(values)]
 
 

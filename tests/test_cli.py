@@ -276,6 +276,44 @@ class TestUsageErrors:
         assert _error_line(capsys) == f"resilink {command}: {clash}"
         assert set(workdir.iterdir()) == before
 
+    @pytest.mark.parametrize("argv, clash", [
+        (("ingest", "--dataset", "eor", "--format", "json", "--input", "in.json", "--config", "config.json",
+          "--out", "./in.json"), "--input and --out name one file: ./in.json"),
+        (("enrich", "--input", "in.json", "--config", "config.json", "--out", "in.json"),
+         "--input and --out name one file: in.json"),
+        (("convert", "--input", "in.json", "--config", "config.json", "--out", "sub/../config.json"),
+         "--config and --out name one file: sub/../config.json"),
+        (("integrate", "--eor", "in.json", "--ch", "ch.json", "--out", "out.nt", "--pairs", "link"),
+         "--ch and --pairs name one file: link"),
+        (("report", "uc2", "--input", "in.nt", "--keyword", "school", "--out", "in.nt"),
+         "--input and --out name one file: in.nt"),
+        (("report", "uc5", "--input", "in.nt", "--deaths", "deaths.csv", "--out", "deaths.csv"),
+         "--deaths and --out name one file: deaths.csv"),
+        (("report", "uc6", "--input", "in.nt", "--shelters", "shelters.csv", "--out-geojson", "shelters.csv"),
+         "--shelters and --out-geojson name one file: shelters.csv"),
+        (("linkcheck", "--input", "in.json", "--input", "ch.json", "--out-csv", "out.csv", "--out-json", "ch.json"),
+         "--input and --out-json name one file: ch.json"),
+        (("pipeline", "--config", "config.json", "--eor-input", "in.json", "--ch-input", "sub/ch.enriched.json",
+          "--outdir", "sub"), "--ch-input and --outdir's ch.enriched.json name one file: sub/ch.enriched.json"),
+        (("pipeline", "--config", "sub/counts.json", "--eor-input", "in.json", "--ch-input", "ch.json",
+          "--outdir", "sub"), "--config and --outdir's counts.json name one file: sub/counts.json"),
+    ], ids=lambda v: " ".join(v[:2] if v[0] == "report" else v[:1]) if isinstance(v, tuple) else None)
+    def test_an_output_naming_an_input_is_a_usage_error(self, workdir, capsys, monkeypatch, argv, clash):
+        # integrate --eor e.json --ch c.json --out e.json once exited 0 and left N-Triples in e.json
+        monkeypatch.chdir(workdir)
+        _tiny_events(workdir).rename("in.json")
+        for name, text in (("ch.json", "[]"), ("config.json", "{}"), ("in.nt", ""),
+                           ("deaths.csv", "month,deaths\n2022-03,1\n"), ("shelters.csv", "name,lat,lon\n"),
+                           ("sub/ch.enriched.json", "[]"), ("sub/counts.json", "{}")):
+            Path(name).parent.mkdir(exist_ok=True)
+            Path(name).write_text(text)
+        os.symlink("ch.json", "link")
+        before = {path: path.read_bytes() for path in workdir.rglob("*") if path.is_file()}
+        assert _run(*argv) == 2
+        command = " ".join(argv[:2] if argv[0] == "report" else argv[:1])
+        assert _error_line(capsys) == f"resilink {command}: {clash}"
+        assert {path: path.read_bytes() for path in workdir.rglob("*") if path.is_file()} == before
+
     @pytest.mark.parametrize("url", ["notaurl", "ftp://127.0.0.1/", "http://", "//127.0.0.1:9",
                                      "127.0.0.1:9", "file:///tmp/x", "http://127.0.0.1:8080/mock?x=1",
                                      "http://127.0.0.1:8080/mock", "https://127.0.0.1:8080/?x=1",

@@ -593,15 +593,6 @@ def _cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-@pytest.fixture(autouse=True)
-def _real_cpus():
-    """Put this process's CPUs back after each test: integrate puts back the
-    CPUs it was shown, and a test that fakes them may show fewer than it has."""
-    cpus = os.sched_getaffinity(0)
-    yield
-    os.sched_setaffinity(0, cpus)
-
-
 @contextlib.contextmanager
 def _path(name: str):
     """integrate's serial path, or its forked path on any input of two pairs or more."""
@@ -628,7 +619,7 @@ class TestIntegrateReference:
         assert result.pairs == expected.pairs
         assert result.aggregates == expected.aggregates
         assert result.counts == expected.counts
-        assert len(forks) == (path == "forked" and len(result.pairs) >= 2)
+        assert len(forks) == (2 if path == "forked" and len(result.pairs) >= 2 else 0)
 
 
 @pytest.fixture(scope="module")
@@ -672,14 +663,14 @@ class TestForkedSimilarities:
         forks = _count_forks(monkeypatch)
         _cpus(monkeypatch, 2)
         assert integrate(*crowded) == crowded_serial
-        assert len(forks) == 1
+        assert len(forks) == 2
         _no_child_left()
 
-    def test_one_worker_per_spare_cpu(self, crowded, crowded_serial, monkeypatch):
+    def test_one_worker_per_cpu(self, crowded, crowded_serial, monkeypatch):
         forks = _count_forks(monkeypatch)
         _cpus(monkeypatch, 4)
         assert integrate(*crowded) == crowded_serial
-        assert len(forks) == 3
+        assert len(forks) == 4
         _no_child_left()
 
     def test_single_cpu_affinity_runs_serially(self, crowded, crowded_serial, monkeypatch):
@@ -715,28 +706,35 @@ class TestForkedSimilarities:
         assert integrate(*crowded) == crowded_serial
 
     @staticmethod
-    def _worker_signals(monkeypatch, then):
-        """Make each worker, on its first pair, write a byte to a pipe and call
-        `then`; this process reads the byte before its own first pair, so a
-        worker has taken a chunk by then."""
+    def _first_worker(monkeypatch, then) -> tuple[int, int]:
+        """Make the first worker to start call `then` before each of its pairs.
+
+        The workers race for the one byte in a pipe on their first pair, and
+        the one that reads it is the first. Returns the pipe's two ends.
+        """
         parent, similarity = os.getpid(), integration.similarity
-        started_r, started_w = os.pipe()
+        token_r, token_w = os.pipe()
+        os.write(token_w, b"t")
+        os.set_blocking(token_r, False)
+        first = []  # each worker's own copy: [whether it read the byte], once it tried
 
         def signalling(a, b):
             if os.getpid() != parent:
-                os.write(started_w, b"w")
-                then()
-            elif not signalling.waited:
-                signalling.waited = True
-                assert select.select([started_r], [], [], 30)[0], "no worker started"
+                if not first:
+                    try:
+                        first.append(os.read(token_r, 1) == b"t")
+                    except BlockingIOError:  # another worker read it
+                        first.append(False)
+                if first[0]:
+                    then()
             return similarity(a, b)
 
-        signalling.waited = False
         monkeypatch.setattr(integration, "similarity", signalling)
-        return started_r, started_w
+        return token_r, token_w
 
-    def test_killed_worker_gives_exact_results(self, crowded, crowded_serial, monkeypatch):
-        fds = self._worker_signals(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    @staticmethod
+    def _statuses(monkeypatch) -> list[int]:
+        """The exit statuses of the workers that integrate reaps from now on."""
         statuses, waitpid = [], os.waitpid
 
         def recorded(pid, options):
@@ -745,13 +743,18 @@ class TestForkedSimilarities:
             return got
 
         monkeypatch.setattr(os, "waitpid", recorded)
+        return statuses
+
+    def test_killed_worker_gives_exact_results(self, crowded, crowded_serial, monkeypatch):
+        fds = self._first_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        statuses = self._statuses(monkeypatch)
         _cpus(monkeypatch, 2)
         try:
             assert integrate(*crowded) == crowded_serial
         finally:
             for fd in fds:
                 os.close(fd)
-        assert [os.WIFSIGNALED(s) and os.WTERMSIG(s) for s in statuses] == [signal.SIGKILL]
+        assert sorted(os.WIFSIGNALED(s) and os.WTERMSIG(s) for s in statuses) == [0, signal.SIGKILL]
         _no_child_left()
 
     def test_worker_killed_mid_chunk_keeps_what_it_wrote(self, crowded, crowded_serial, monkeypatch):
@@ -763,7 +766,7 @@ class TestForkedSimilarities:
             if pairs == 2:
                 os.kill(os.getpid(), signal.SIGKILL)
 
-        fds = self._worker_signals(monkeypatch, second_pair_kills)
+        fds = self._first_worker(monkeypatch, second_pair_kills)
         parent, signalling = os.getpid(), integration.similarity
 
         def counted(a, b):
@@ -771,15 +774,8 @@ class TestForkedSimilarities:
             taken += os.getpid() == parent
             return signalling(a, b)
 
-        statuses, waitpid = [], os.waitpid
-
-        def recorded(pid, options):
-            got = waitpid(pid, options)
-            statuses.append(got[1])
-            return got
-
         monkeypatch.setattr(integration, "similarity", counted)
-        monkeypatch.setattr(os, "waitpid", recorded)
+        statuses = self._statuses(monkeypatch)
         _cpus(monkeypatch, 2)
         assert integration._CHUNK_PAIRS == 8
         try:
@@ -788,26 +784,36 @@ class TestForkedSimilarities:
             for fd in fds:
                 os.close(fd)
         assert result == crowded_serial
-        assert [os.WIFSIGNALED(s) and os.WTERMSIG(s) for s in statuses] == [signal.SIGKILL]
-        assert taken == len(result.pairs) - 1  # this process computed all but the written pair
+        assert sorted(os.WIFSIGNALED(s) and os.WTERMSIG(s) for s in statuses) == [0, signal.SIGKILL]
+        # the other worker drained the queue; this process computed the rest of the dead one's chunk
+        assert taken == integration._CHUNK_PAIRS - 1
         _no_child_left()
 
-    def _integrate_raises(self, crowded, monkeypatch) -> None:
-        """integrate(*crowded), on two CPUs or more, raises in this process
-        after a worker has started, while the worker sleeps; the sleeping
-        worker must be killed, not awaited."""
-        fds = self._worker_signals(monkeypatch, lambda: time.sleep(60))
-        calls = 0
-        similarity = integration.similarity
+    def _integrate_raises(self, crowded, crowded_serial, monkeypatch) -> None:
+        """integrate(*crowded) on two CPUs returns, then raises in this process
+        while it waits for the workers, once the first worker has started and
+        sleeps; the sleeping worker must be killed, not awaited. This
+        process's own CPUs are the same after each."""
+        getaffinity = os.sched_getaffinity
+        cpus = getaffinity(0)
+        _cpus(monkeypatch, 2)
+        assert integrate(*crowded) == crowded_serial
+        assert getaffinity(0) == cpus
 
-        def failing(a, b):
-            nonlocal calls
-            calls += 1
-            if calls == 2:  # in this process, after a worker has started
+        started_r, started_w = os.pipe()
+        fds = (started_r, started_w, *self._first_worker(
+            monkeypatch, lambda: (os.write(started_w, b"w"), time.sleep(60))))
+        waitpid = os.waitpid
+
+        def failing(pid, options):
+            if not failing.raised:  # the first wait, in integrate's loop; the rest reap in its finally
+                failing.raised = True
+                assert select.select([started_r], [], [], 30)[0], "no worker started"
                 raise RuntimeError("stop")
-            return similarity(a, b)
+            return waitpid(pid, options)
 
-        monkeypatch.setattr(integration, "similarity", failing)
+        failing.raised = False
+        monkeypatch.setattr(os, "waitpid", failing)
         started = time.monotonic()
         try:
             with pytest.raises(RuntimeError, match="stop"):
@@ -816,10 +822,10 @@ class TestForkedSimilarities:
             for fd in fds:
                 os.close(fd)
         assert time.monotonic() - started < 30
+        assert getaffinity(0) == cpus
 
-    def test_no_child_left_when_integrate_raises(self, crowded, monkeypatch):
-        _cpus(monkeypatch, 2)
-        self._integrate_raises(crowded, monkeypatch)
+    def test_no_child_left_when_integrate_raises(self, crowded, crowded_serial, monkeypatch):
+        self._integrate_raises(crowded, crowded_serial, monkeypatch)
         _no_child_left()
 
     def test_no_fd_left(self, crowded, crowded_serial, monkeypatch):
@@ -828,12 +834,11 @@ class TestForkedSimilarities:
         before = set(os.listdir("/proc/self/fd"))
         assert integrate(*crowded) == crowded_serial
         assert set(os.listdir("/proc/self/fd")) == before
-        assert len(forks) == 1
+        assert len(forks) == 2
 
-    def test_no_fd_left_when_integrate_raises(self, crowded, monkeypatch):
-        _cpus(monkeypatch, 2)
+    def test_no_fd_left_when_integrate_raises(self, crowded, crowded_serial, monkeypatch):
         before = set(os.listdir("/proc/self/fd"))
-        self._integrate_raises(crowded, monkeypatch)
+        self._integrate_raises(crowded, crowded_serial, monkeypatch)
         assert set(os.listdir("/proc/self/fd")) == before
 
     def test_each_process_asks_for_its_own_cpu(self, crowded, crowded_serial, monkeypatch):
@@ -852,35 +857,12 @@ class TestForkedSimilarities:
             with os.fdopen(asked_r) as fp:
                 asked = [line.split() for line in fp]
         assert result == crowded_serial
-        assert len(forks) == 3
+        assert len(forks) == 4
         by_pid = {}
         for pid, cpus in asked:
             by_pid.setdefault(int(pid), []).append(cpus)
-        # each worker once, on CPU n + 1; this process on CPU 0, then back on all four
-        assert by_pid == {os.getpid(): ["0", "0,1,2,3"], **{pid: [str(n + 1)] for n, pid in enumerate(forks)}}
-        _no_child_left()
-
-    def test_affinity_is_put_back(self, crowded, crowded_serial, monkeypatch):
-        cpus = os.sched_getaffinity(0)
-        if len(cpus) < 2:
-            pytest.skip("the forked path needs two CPUs in this process's affinity")
-        parent, similarity = os.getpid(), integration.similarity
-        seen = set()
-
-        def watched(a, b):
-            if os.getpid() == parent:
-                seen.add(frozenset(os.sched_getaffinity(0)))
-            return similarity(a, b)
-
-        forks = _count_forks(monkeypatch)
-        with monkeypatch.context() as mp:
-            mp.setattr(integration, "similarity", watched)
-            assert integrate(*crowded) == crowded_serial
-        assert forks
-        assert frozenset({min(cpus)}) in seen  # placed while it computed its share
-        assert os.sched_getaffinity(0) == cpus
-        self._integrate_raises(crowded, monkeypatch)
-        assert os.sched_getaffinity(0) == cpus
+        # worker n once, on CPU n; this process never
+        assert by_pid == {pid: [str(n)] for n, pid in enumerate(forks)}
         _no_child_left()
 
     def test_refused_placement_gives_exact_results(self, crowded, crowded_serial, monkeypatch):
@@ -892,7 +874,7 @@ class TestForkedSimilarities:
 
         monkeypatch.setattr(os, "sched_setaffinity", refused)
         assert integrate(*crowded) == crowded_serial
-        assert len(forks) == 1
+        assert len(forks) == 2
         _no_child_left()
 
 
@@ -944,7 +926,7 @@ def test_fork_at_the_real_threshold_writes_what_one_cpu_writes(dense_corpus, tmp
         finally:
             os.sched_setaffinity(0, cpus)
         written[run] = [(out / name).read_bytes() for name in outputs]
-        assert len(forks) == 1  # the two-CPU run forked its one worker; the one-CPU run none
+        assert len(forks) == 2  # the two-CPU run forked its two workers; the one-CPU run none
     assert written["two"] == written["one"]
     assert check_pairs(tmp_path / "two" / "pairs.csv") == []
     _no_child_left()
