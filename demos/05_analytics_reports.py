@@ -38,7 +38,7 @@ index = load_gazetteer(
     ROOT / "gazetteer" / "alt_names.tsv",
     ROOT / "gazetteer" / "postal.tsv",
 )
-overrides = OverrideTable.from_json((ROOT / "pipeline" / "overrides.json").read_text())
+overrides = OverrideTable.from_json((ROOT / "pipeline" / "overrides.json").read_bytes())
 
 
 def load(name, dataset, fmt):

@@ -21,7 +21,7 @@ import logging
 import os
 import secrets
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable
 from urllib.parse import urlsplit
@@ -270,8 +270,8 @@ def _ingest(path: str | Path, dataset: Dataset, fmt: str, cfg: PipelineConfig) -
     if dataset not in cfg.adapters:
         raise ConfigError(f"config has no adapter for dataset {dataset.value!r}")
     adapter = cfg.adapters[dataset]
-    with input_file(path) as fp:
-        records = ingest.parse_dataset(fp.read(), dataset, ingest.SourceFormat(fmt), adapter)
+    records = parse_file(path, lambda data: ingest.parse_dataset(
+        data, dataset, ingest.SourceFormat(fmt), adapter))
     events, rejected = ingest.normalize_records(records, adapter)
     for err in rejected:
         log.warning("rejected %s", err)
@@ -366,10 +366,7 @@ def _integrate(a_events: list[Event], b_events: list[Event], cfg: PipelineConfig
               for p in result.pairs),
         ])
     if counts:
-        _write_json(counts, {
-            "a": c.a, "b": c.b, "identical": c.identical,
-            "near_distinct": c.near_distinct, "integrated": c.integrated,
-        })
+        _write_json(counts, asdict(c))
 
 
 def _read_events_of(path: str, dataset: Dataset) -> list[Event]:
@@ -432,8 +429,7 @@ def _uc4(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
 
 def _uc5(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
     attacks = analytics.monthly_event_counts(ds, _months(args, cfg))
-    with input_file(args.deaths) as fp:
-        deaths = analytics.read_deaths_csv(fp.read())
+    deaths = parse_file(args.deaths, analytics.read_deaths_csv)
     _write_csv(args.out, [
         ("# proof-of-concept: joins unvalidated external data; not for operational decisions",),
         ("month", "attacks", "deaths", "ratio"),
@@ -444,8 +440,7 @@ def _uc5(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
 
 def _uc6(ds: analytics.IntegratedDataset, args, cfg: PipelineConfig) -> None:
     settings = _with_flags(cfg.analytics, uc6_radius_km=args.radius_km)
-    with input_file(args.shelters) as fp:
-        shelters = analytics.load_shelters(fp.read())
+    shelters = parse_file(args.shelters, analytics.load_shelters)
     collection, grid = analytics.uc6_shelter_gap(
         ds, shelters, radius_km=settings.uc6_radius_km, grid_deg=settings.grid_deg
     )

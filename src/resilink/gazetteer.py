@@ -48,6 +48,7 @@ from .model import (
     InputFormatError,
     OutOfRangeError,
     ResilinkError,
+    decode_utf8,
     is_language_code,
     json_document,
     parse_file,
@@ -106,15 +107,20 @@ class OverrideTable:
     mapping: Mapping[str, int]
 
     def __post_init__(self):
-        for v in self.mapping.values():
+        mapping: dict[str, int] = {}
+        for name, v in self.mapping.items():
             if type(v) is not int or v < 1:  # a JSON integer: no boolean, fraction or string
                 raise ValueError(f"override table values must be geoname ids: {v!r}")
-        object.__setattr__(self, "mapping", {clean_location_string(k): v for k, v in self.mapping.items()})
+            name = clean_location_string(name)
+            if mapping.setdefault(name, v) != v:
+                raise ValueError(f"override table gives the name {name!r} twice, "
+                                 f"as geoname ids {mapping[name]} and {v}")
+        object.__setattr__(self, "mapping", mapping)
 
     @classmethod
-    def from_json(cls, text: str) -> OverrideTable:
-        """The table in an override file's JSON text: one object of name -> geoname id."""
-        return cls(mapping=json_document(text, "override table JSON", dict))
+    def from_json(cls, data: bytes) -> OverrideTable:
+        """The table in an override file's JSON bytes: one object of name -> geoname id."""
+        return cls(mapping=json_document(data, "override table JSON", dict))
 
 
 EMPTY_OVERRIDES = OverrideTable(mapping={})
@@ -243,13 +249,13 @@ class GazetteerIndex:
         return (self._postal[found[0]], found[1]) if found else None
 
 
-def _rows(text: str, ncols: int) -> Iterator[tuple[int, list[str]]]:
-    """(line number, columns) of each non-blank line, which must have ncols columns.
+def _rows(data: bytes, ncols: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, columns) of each non-blank line of UTF-8 bytes, which must have ncols columns.
 
     Lines end at LF only, with a CR before it dropped: a name may hold U+2028,
     U+0085, a form feed or another character that str.splitlines breaks at.
     """
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(decode_utf8(data).split("\n"), start=1):
         line = line.removesuffix("\r")
         if not line.strip():
             continue
@@ -276,11 +282,11 @@ def _point(lineno: int, lat: str, lon: str) -> GeoPoint:
         raise InputFormatError(lineno, str(exc)) from exc
 
 
-def _places(text: str, shared: dict[str, str]) -> dict[int, tuple]:
+def _places(data: bytes, shared: dict[str, str]) -> dict[int, tuple]:
     """geonameid -> the GazetteerEntry fields after it, alternate names still a list."""
     places: dict[int, tuple] = {}
     one = shared.setdefault
-    for lineno, cols in _rows(text, 10):
+    for lineno, cols in _rows(data, 10):
         gid = _number(lineno, cols[0], int, "geonameid")
         feature_class = cols[6].strip()
         if feature_class not in ("P", "A"):
@@ -297,17 +303,17 @@ def _places(text: str, shared: dict[str, str]) -> dict[int, tuple]:
     return places
 
 
-def _add_alternate_names(places: dict[int, tuple], text: str, shared: dict[str, str]) -> None:
-    for lineno, cols in _rows(text, 4):
+def _add_alternate_names(places: dict[int, tuple], data: bytes, shared: dict[str, str]) -> None:
+    for lineno, cols in _rows(data, 4):
         gid = _number(lineno, cols[1], int, "geonameid")
         if gid in places:
             lang = cols[2].strip()
             places[gid][2].append((shared.setdefault(lang, lang), cols[3].strip()))
 
 
-def _postal_codes(text: str, shared: dict[str, str]) -> list[PostalCodeEntry]:
+def _postal_codes(data: bytes, shared: dict[str, str]) -> list[PostalCodeEntry]:
     postal = []
-    for lineno, cols in _rows(text, 5):
+    for lineno, cols in _rows(data, 5):
         if not cols[1].strip():
             raise InputFormatError(lineno, "empty postal code")
         point = _point(lineno, cols[3], cols[4])
@@ -330,9 +336,9 @@ def load_gazetteer(place_file: str | Path, alt_names_file: str | Path, postal_fi
     only, so a name may hold any other character, U+2028 included.
     """
     shared: dict[str, str] = {}  # each code read by this load -> its one string object
-    places = parse_file(place_file, lambda text: _places(text, shared))
-    parse_file(alt_names_file, lambda text: _add_alternate_names(places, text, shared))
-    postal = parse_file(postal_file, lambda text: _postal_codes(text, shared))
+    places = parse_file(place_file, lambda data: _places(data, shared))
+    parse_file(alt_names_file, lambda data: _add_alternate_names(places, data, shared))
+    postal = parse_file(postal_file, lambda data: _postal_codes(data, shared))
     return GazetteerIndex(
         (
             GazetteerEntry(gid, name, ascii_name, tuple(aliases), *rest)

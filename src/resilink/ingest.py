@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -124,11 +125,17 @@ def _parse_json_records(data: bytes) -> list[dict]:
 
 
 def _parse_csv_records(data: bytes) -> list[dict]:
-    """RFC 4180 rows, read by model.csv_rows, under a mandatory header row of the same width."""
+    """RFC 4180 rows, read by model.csv_rows, under a mandatory header row of the same width.
+
+    Each row becomes a dict keyed by the header, so the header may name a column only once.
+    """
     rows = csv_rows(data)
     _, header = next(rows, (1, []))
     if all(not h.strip() for h in header):
         raise InputFormatError(1, "missing CSV header row")
+    repeated = [name for name, count in Counter(header).items() if count > 1]
+    if repeated:
+        raise InputFormatError(1, f"the CSV header names the column {repeated[0]!r} twice")
     records = []
     for line, row in rows:
         if len(row) != len(header):

@@ -6,9 +6,9 @@ across concurrent workers. The canonical normalized-event JSON produced by
 (ingest -> enrich -> convert/integrate); its key set is part of the public
 contract and is documented in the README.
 
-Each input format has one reader here, through which every stage and the
-GeoNames client read: :func:`decode_utf8` for UTF-8 text, :func:`csv_rows`
-for CSV and :func:`json_document` for JSON.
+Every stage and the GeoNames client read an input's bytes through one reader
+per format, which decodes them with :func:`decode_utf8`. Two are here:
+:func:`csv_rows` for CSV and :func:`json_document` for JSON.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import itertools
 import json
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -59,15 +60,23 @@ def decode_utf8(data: bytes, line: int = 1) -> str:
     return text.removeprefix("\ufeff") if line == 1 else text
 
 
-def json_document(data: str | bytes, what: str, top: type[list] | type[dict]) -> list | dict:
-    """The JSON value of data, which must be an array (top is list) or an object (top is dict).
+def json_document(data: bytes, what: str, top: type[list] | type[dict]) -> list | dict:
+    """The JSON value of UTF-8 bytes, which must be an array (top is list) or an object (top is dict).
 
-    Bytes are decoded by decode_utf8. A syntax error is json's own JSONDecodeError,
-    with its line and column; nesting too deep for the parser and a value of
-    another type are ValueErrors that name what the document is.
+    The bytes are decoded by decode_utf8. A syntax error is json's own JSONDecodeError,
+    with its line and column; nesting too deep for the parser, a name given twice
+    in one object and a value of another type are ValueErrors that name what the
+    document is.
     """
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            name = next(n for n, count in Counter(n for n, _ in pairs).items() if count > 1)
+            raise ValueError(f"{what} gives the name {name!r} twice in one object")
+        return obj
+
     try:
-        value = json.loads(decode_utf8(data) if isinstance(data, bytes) else data)
+        value = json.loads(decode_utf8(data), object_pairs_hook=unique)
     except RecursionError as exc:
         raise ValueError(f"{what} is nested too deeply") from exc
     if not isinstance(value, top):
@@ -103,12 +112,12 @@ def input_file(path: str | Path) -> Iterator[BinaryIO]:
 
 
 def parse_file(path: str | Path, parse):
-    """parse(the text of the file at path), with the path in front of a data error's message.
+    """parse(the bytes of the file at path), with the path in front of a data error's message.
 
-    The text goes to parse alone, so it is freed as soon as parse lets go of it.
+    The bytes go to parse alone, to decode, so they are freed as soon as parse lets go of them.
     """
     with input_file(path) as fp:
-        return parse(decode_utf8(fp.read()))
+        return parse(fp.read())
 
 
 class OutOfRangeError(ResilinkError):
@@ -452,7 +461,7 @@ def events_to_json(events: Iterable[Event]) -> str:
     return "".join(batches)
 
 
-def events_from_json(data: str | bytes) -> list[Event]:
+def events_from_json(data: bytes) -> list[Event]:
     events = []
     for i, obj in enumerate(json_document(data, "canonical event JSON", list)):
         try:

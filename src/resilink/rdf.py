@@ -315,10 +315,10 @@ def _unescape_literal(raw: str, line: int) -> str:
 StatementRow = tuple[str, str, str | None, str | None, str | None, str | None]
 
 
-def parse_ntriples(source: bytes | str | Iterable[bytes]) -> Iterator[StatementRow]:
+def parse_ntriples(source: bytes | Iterable[bytes]) -> Iterator[StatementRow]:
     """The statements of N-Triples as rows, lazily; errors carry the 1-based line.
 
-    source is the text, its UTF-8 bytes, or a binary file, which is read
+    source is the UTF-8 bytes or a binary file, either of which is read
     and decoded a line at a time. Statements are delimited by LF/CRLF only;
     unicode line separators such as U+0085 may appear raw inside literals
     per the grammar, so the generic splitlines() set must not be used here.
@@ -326,15 +326,10 @@ def parse_ntriples(source: bytes | str | Iterable[bytes]) -> Iterator[StatementR
     and the grammar gives a literal a language or a datatype, never both.
     Literal escapes are decoded.
     """
-    if isinstance(source, str):
-        lines: Iterable[bytes | str] = source.split("\n")
-    else:
-        lines = io.BytesIO(source) if isinstance(source, bytes) else source
+    lines = io.BytesIO(source) if isinstance(source, bytes) else source
     valid: set[str] = set()  # IRIs already found N-Triples-safe and absolute
     for lineno, line in enumerate(lines, 1):
-        if type(line) is bytes:
-            line = decode_utf8(line, lineno)
-        line = line.strip()
+        line = decode_utf8(line, lineno).strip()
         m = _STATEMENT_RE.fullmatch(line)
         if m is None:
             if not line or line.startswith("#"):

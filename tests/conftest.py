@@ -27,7 +27,7 @@ def gaz_index() -> gazetteer.GazetteerIndex:
 @pytest.fixture(scope="session")
 def overrides() -> gazetteer.OverrideTable:
     return gazetteer.OverrideTable.from_json(
-        (FIXTURES / "pipeline" / "overrides.json").read_text()
+        (FIXTURES / "pipeline" / "overrides.json").read_bytes()
     )
 
 

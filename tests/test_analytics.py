@@ -147,7 +147,7 @@ class TestUc1:
     def test_wkt_triples_carry_datatype(self, dataset):
         lines = uc1_wkt_triples(dataset, None, CivilDate(2022, 2, 1), CivilDate(2023, 4, 30))
         assert lines
-        triples = oracles.triples_from_rows(parse_ntriples("\n".join(lines)))
+        triples = oracles.triples_from_rows(parse_ntriples("\n".join(lines).encode()))
         assert len(triples) == len(lines)
         assert all(t.object.datatype == WKT_DATATYPE for t in triples)
 
@@ -521,7 +521,6 @@ class TestFromNtriples:
         data = serialize_bytes(_emit(*drawn))
         expected = self._expected(*drawn)
         assert IntegratedDataset.from_triples(parse_ntriples(data)) == expected
-        assert IntegratedDataset.from_triples(parse_ntriples(data.decode("utf-8"))) == expected
 
 
     def test_member_without_event_names_its_iri(self):

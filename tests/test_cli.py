@@ -133,6 +133,9 @@ MALFORMED_CONFIGS = [json.dumps(doc) for doc in [
     '{"linkcheck": {"timeout_s": 1e999}}',  # JSON reads 1e999 as inf
     '{"linkcheck": {"politeness_s": 1e999}}',
     "[" * 100_000 + "]" * 100_000,
+    # a name given twice, once read as its last value
+    '{"match": {"sim_link": 0.5}, "match": {}}',
+    '{"match": {"sim_link": 0.5, "sim_link": 0.6}}',
 ]
 
 _json_values = st.recursive(
@@ -428,6 +431,42 @@ class TestDataErrors:
         assert _run(*argv) == 1
         line = _error_line(capsys)
         assert line.startswith(f"resilink: error: {bad}{message}")
+
+    @pytest.mark.parametrize("case", ["csv header", "source JSON", "event JSON", "override JSON",
+                                      "override names"])
+    def test_a_name_given_twice_is_one_line_error(self, workdir, capsys, case):
+        # each once kept the last value given and exited 0
+        fixtures = workdir / "fixtures"
+        shutil.copytree(PIPE.parent, fixtures)
+        config, overrides = workdir / "config.json", fixtures / "pipeline" / "overrides.json"
+        config.write_text(json.dumps({"adapters": {d: {"date": "date", "lat": "lat", "lon": "lon"}
+                                                   for d in ("eor", "ch")}}))
+        source, events, out = workdir / "source", workdir / "events.json", workdir / "out"
+        ingest = ("ingest", "--dataset", "ch", "--config", config, "--input", source, "--out", out)
+        enrich = ("enrich", "--input", events, "--config", fixtures / "pipeline" / "config.json",
+                  "--out", out)
+        events.write_text(json.dumps([_GOOD_EVENT]))
+        bad, data, argv, message = {  # the file at fault, its bytes, the command, what follows the path
+            "csv header": (source, b"id,date,lat,lon,lat\nx,2022-03-07,10.0,36.0,50.0\n",
+                           (*ingest, "--format", "csv"),
+                           "line 1: the CSV header names the column 'lat' twice"),
+            "source JSON": (source, b'[{"date": "2022-03-07", "lat": 10.0, "lon": 36.0, "lat": 50.0}]',
+                            (*ingest, "--format", "json"),
+                            "source JSON gives the name 'lat' twice in one object"),
+            "event JSON": (events, b'[{"id": "e1", "dataset": "eor", "date": "2022-03-07", '
+                                   b'"lat": 10.0, "lon": 36.0, "lat": 50.0}]',
+                           ("convert", "--input", events, "--out", out),
+                           "canonical event JSON gives the name 'lat' twice in one object"),
+            "override JSON": (overrides, b'{"Kyiv": 703448, "Kyiv": 111}', enrich,
+                              "override table JSON gives the name 'Kyiv' twice in one object"),
+            "override names": (overrides, b'{"Kyiv": 703448, " Kyiv  ": 111}', enrich,
+                               "override table gives the name 'Kyiv' twice, as geoname ids "
+                               "703448 and 111"),
+        }[case]
+        bad.write_bytes(data)
+        assert _run(*argv) == 1
+        assert _error_line(capsys) == f"resilink: error: {bad}: {message}"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["convert", "integrate"])
     def test_two_events_with_one_key_are_one_line_error(self, workdir, capsys, command):
@@ -1480,7 +1519,7 @@ class TestStageCommands:
                         "--outdir", outdir) == 0
         rejected = [r.getMessage() for r in caplog.records if r.getMessage().startswith("rejected ")]
         assert len(rejected) == 1 and "source URL is not absolute" in rejected[0]
-        ids = [ev.id for ev in events_from_json((outdir / "eor.events.json").read_text())]
+        ids = [ev.id for ev in events_from_json((outdir / "eor.events.json").read_bytes())]
         assert len(ids) == len(records) - 1 and "eor-003" not in ids
         assert _run("report", "uc2", "--input", outdir / "integrated.nt", "--keyword", "school",
                     "--out", workdir / "uc2.csv") == 0
@@ -1498,7 +1537,7 @@ class TestStageCommands:
                         "--outdir", outdir) == 0
         rejected = [r.getMessage() for r in caplog.records if r.getMessage().startswith("rejected ")]
         assert len(rejected) == 1 and "lone surrogate" in rejected[0]
-        ids = [ev.id for ev in events_from_json((outdir / "eor.events.json").read_text())]
+        ids = [ev.id for ev in events_from_json((outdir / "eor.events.json").read_bytes())]
         assert len(ids) == len(records) - 1 and "eor-003" not in ids
         assert _run("report", "uc2", "--input", outdir / "integrated.nt", "--keyword", "school",
                     "--out", workdir / "uc2.csv") == 0

@@ -241,6 +241,12 @@ class TestResolveOverride:
         table = OverrideTable({"Harkiv": 706482})
         assert resolve_override(table, "  Harkiv \r\n") == 706482
 
+    def test_names_that_clean_to_one_name_may_share_an_id(self):
+        table = OverrideTable({"Harkiv": 706482, " Harkiv  ": 706482})
+        assert table.mapping == {"Harkiv": 706482}
+        with pytest.raises(ValueError, match="'Harkiv' twice, as geoname ids 706482 and 1"):
+            OverrideTable({"Harkiv": 706482, " Harkiv  ": 1})
+
 
 class TestNearestNeighbor:
     def test_point_exactly_at_city(self, gaz_index):

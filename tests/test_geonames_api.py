@@ -93,6 +93,9 @@ MALFORMED_REPLIES = [
                  id="lat-out-of-range"),
     # read by model.decode_utf8, whose error is not a ValueError
     pytest.param("place", b'{"geonames": "\xff"}', id="invalid-utf8"),
+    # once read as the last value given
+    pytest.param("place", b'{"geonames": [{"geonameId": 1, "lat": "1", "lng": "2", "lat": "3"}]}',
+                 id="name-given-twice"),
 ]
 
 

@@ -930,3 +930,40 @@ def test_fork_at_the_real_threshold_writes_what_one_cpu_writes(dense_corpus, tmp
     assert written["two"] == written["one"]
     assert check_pairs(tmp_path / "two" / "pairs.csv") == []
     _no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# `pipeline` at the paper's size, on the benchmark's build-sparse corpus
+
+# The real pipeline's bound; a run here is meant to stay far inside it.
+PAPER_PIPELINE_S = 120.0
+
+
+def test_paper_size_pipeline_meets_its_planted_truth(tmp_path, monkeypatch):
+    """`pipeline` on raw sources of the paper's size, 9,308 EoR and 1,105 CH events
+    in 200 cities, judged by the benchmark's checks against the planted truth.
+    Its candidate pairs hold more than _FORK_CELLS cells, so the similarities
+    fork at their real threshold wherever two CPUs are free."""
+    with pytest.MonkeyPatch.context() as mp:
+        generate, checks = _load_bench(mp, "generate"), _load_bench(mp, "checks")
+    generate.N_EOR, generate.N_CH = 9_308, 1_105  # this loaded copy only
+    corpus = generate.make_corpus(161, n_cities=200, n_days=140, miss_share=0.3,
+                                  n_decoys=0, adversarial=False)
+    config = generate.write_config(generate.write_gazetteer(corpus.world, tmp_path), tmp_path)
+    eor, ch = generate.write_sources(corpus, tmp_path)
+    truth, out = generate.truth_doc(corpus), tmp_path / "out"
+    forks = _count_forks(monkeypatch)
+    start = time.perf_counter()
+    assert run_subcommand(["pipeline", "--config", str(config), "--eor-input", str(eor),
+                           "--ch-input", str(ch), "--ch-format", "csv", "--outdir", str(out)]) == 0
+    elapsed = time.perf_counter() - start
+    problems = (
+        checks.check_counts(out / "counts.json", 9_308, 1_105, len(truth["planted_pairs"]))
+        + checks.check_pairs(out / "pairs.csv", truth, checks.ch_points(out / "ch.enriched.json"))
+        + checks.check_cities(out / "eor.enriched.json", out / "ch.enriched.json", truth)
+    )
+    assert problems == []
+    assert elapsed < PAPER_PIPELINE_S / 4
+    cpus = integration._fork_cpus()
+    assert len(forks) == (len(cpus) if len(cpus) >= 2 else 0)
+    _no_child_left()

@@ -186,7 +186,7 @@ class TestCanonicalJson:
 
     def test_array_round_trip(self):
         events = [_event(), _event(id="e2", description="x")]
-        assert events_from_json(events_to_json(events)) == events
+        assert events_from_json(events_to_json(events).encode()) == events
 
     def test_rerun_is_byte_identical(self):
         events = [_event(city_labels={"uk": "a", "en": "b"})]

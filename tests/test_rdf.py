@@ -48,7 +48,7 @@ from tests.oracles import Term, TermKind, Triple, percent_encoded, turtle_statem
 
 def _triples(lines) -> list[Triple]:
     """Lines read back through parse_ntriples, as the oracle's validated triples."""
-    return oracles.triples_from_rows(parse_ntriples("\n".join(lines)))
+    return oracles.triples_from_rows(parse_ntriples("\n".join(lines).encode()))
 
 
 def _lines(triples) -> list[str]:
@@ -648,7 +648,7 @@ class TestParseNtriplesStream:
                 + '<https://x/s> <https://x/p> "a\u0085b\u2028c" .\n'
                 + '<https://x/s> <https://x/p> "Ізюм"@uk .')  # no final line break
         rows = self._rows(text.encode(), tmp_path if on_disk else None)
-        assert rows == list(parse_ntriples(text)) == list(parse_ntriples(text.encode()))
+        assert rows == list(parse_ntriples(text.encode()))
         assert [row[3] for row in rows] == ["v", "crlf", "a\u0085b\u2028c", "Ізюм"]
 
     @pytest.mark.parametrize("lineno", [3, 4, 40])
@@ -757,7 +757,7 @@ class TestEventsFromTriples:
         key = (Dataset.EOR, "123")
         agg = AggregateEvent(iri=aggregate_iri([event_iri(*key)]), members=(key,), primary=key)
         lines = emit_event_triples(ev) + emit_aggregate_triples(agg)
-        events, aggregates = events_from_rows(parse_ntriples("\n".join(lines)))
+        events, aggregates = events_from_rows(parse_ntriples("\n".join(lines).encode()))
         assert events[key] == ev
         assert aggregates == [agg]
 
@@ -769,7 +769,7 @@ class TestEventsFromTriples:
     def test_bad_coordinate_names_the_event(self, value, message):
         lines = [line.replace('"49.2128"', f'"{value}"') for line in emit_event_triples(_event())]
         with pytest.raises(ValueError) as exc:
-            events_from_rows(parse_ntriples("\n".join(lines)))
+            events_from_rows(parse_ntriples("\n".join(lines).encode()))
         assert str(exc.value) == f"event node {EVENT_NS}eor/123: {message}"
 
     def test_survives_serialization(self):
